@@ -5,48 +5,15 @@ from __future__ import annotations
 import io
 import time
 
-import numpy as np
-
 from .counters import CSV_COLUMNS, Counters, CounterStats
-from .domcut import Dominance3, build_cutting2, build_cutting3, build_dominance3, find_any, query_dominance3
-from .geom import ModelParams, DEFAULT_PARAMS, contains, rank_locate, rank_reduce
-from .instances import Instance, gen
-from .pl3d import build_pl3, query_pl3
-from .range2d import build_pl2, build_stab_count, query_pl2, query_stab_count
-from .stab5 import build_leaf5, build_slow5, build_stab5, query_leaf5, query_slow5, query_stab5
-from .stab6 import build_stab6, build_zr4_fast, build_zr4_slow, build_zr6, query_stab6, query_zr4_fast, query_zr4_slow, query_zr6
-from .topk import build_topk_dom, build_topk_stab, query_topk_dom, query_topk_stab
-from .verify import KIND_OF, _k_values, _points_of, _qpoints, _weighted_points_of
+from .geom import ModelParams, DEFAULT_PARAMS
+from .instances import gen
+from .verify import _qpoints, query_cases, structure_row
 
 
 def total_bits(structure) -> int:
-    """Best-effort payload-bit total for structures without one number."""
-    seen = set()
-
-    def rec(obj):
-        if id(obj) in seen or obj is None:
-            return 0
-        seen.add(id(obj))
-        total = 0
-        b = getattr(obj, "bits_stored", None)
-        if isinstance(b, int):
-            return b
-        for attr in ("root", "inner", "M", "slow", "leaf", "subdivision"):
-            total += rec(getattr(obj, attr, None))
-        for attr in ("children", "L", "R", "col_children", "row_children", "stab",
-                     "left_pl2", "right_pl2", "col_fast", "row_fast", "col_dom", "row_dom"):
-            d = getattr(obj, attr, None)
-            if isinstance(d, dict):
-                for v in d.values():
-                    if isinstance(v, dict):
-                        total += sum(rec(x) for x in v.values())
-                    else:
-                        total += rec(v)
-        for attr in ("left", "right", "ytree", "middle_child"):
-            total += rec(getattr(obj, attr, None))
-        return total
-
-    return rec(structure)
+    """Payload bits of a built structure; every structure owns its count."""
+    return structure.bits_stored
 
 
 def bench_structure(
@@ -60,153 +27,35 @@ def bench_structure(
     """Build/query each size; returns CSV text with the fixed column order."""
     out = io.StringIO()
     out.write(CSV_COLUMNS + "\n")
-    kind = KIND_OF[structure]
+    row = structure_row(structure)
     for n in sizes:
         U = max(4, 2 * n)
-        inst = gen(kind, n, U, seed, fanout=fanout, flat=(structure == "pl2"))
-        row = bench_row(structure, inst, n_queries, seed, params)
-        out.write(",".join(str(v) for v in row) + "\n")
+        inst = gen(row.kind, n, U, seed, fanout=fanout, flat=row.flat)
+        out.write(",".join(str(v) for v in bench_row(structure, inst, n_queries, seed, params)) + "\n")
     return out.getvalue()
 
 
 def bench_row(structure, inst, n_queries, seed, params=DEFAULT_PARAMS):
-    boxes = list(inst.boxes)
+    """One CSV row: build time, payload bits and per-query counter means.
+    The cutting rows build at level t1(n)."""
+    row = structure_row(structure)
     qs = _qpoints(inst, n_queries, seed)
-    stats = CounterStats()
     t0 = time.perf_counter()
-
-    if structure == "pl3d":
-        rs, red = rank_reduce(boxes)
-        U = tuple(max(2, rs.size(a)) for a in range(3))
-        s = build_pl3(red, U, params=params)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = s.bits_stored
-        by_id = {b.id: b for b in boxes}
-        for q in qs:
-            c = Counters()
-            fl = rank_locate(rs, q, c)
-            if all(v >= 0 for v in fl):
-                got = query_pl3(s, fl, c)
-                if got is not None and contains(by_id[got], q):
-                    c.add_output(1)
-            stats.add(c)
-    elif structure in ("stab5", "slow5", "leaf5"):
-        if structure == "stab5":
-            s = build_stab5(boxes, params)
-            qf = query_stab5
-        elif structure == "slow5":
-            s = build_slow5(boxes)
-            qf = query_slow5
-        else:
-            p2 = ModelParams(tau=max(params.tau, inst.n))
-            s = build_leaf5(boxes, p2)
-            qf = query_leaf5
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = total_bits(s)
-        for q in qs:
-            c = Counters()
-            res = qf(s, q, c)
-            c.add_output(len(res))
-            stats.add(c)
-    elif structure == "stab6":
-        s = build_stab6(boxes, f=inst.fanout, params=params)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = total_bits(s)
-        for q in qs:
-            c = Counters()
-            query_stab6(s, q, c)
-            stats.add(c)
-    elif structure in ("zr4slow", "zr4fast", "zr6"):
-        f = inst.fanout or 8
-        builders = {
-            "zr4slow": (build_zr4_slow, query_zr4_slow),
-            "zr4fast": (build_zr4_fast, query_zr4_fast),
-            "zr6": (build_zr6, query_zr6),
-        }
-        bf, qf = builders[structure]
-        s = bf(boxes, f=f) if structure == "zr4slow" else bf(boxes, f=f, params=params)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = total_bits(s)
-        rng = np.random.default_rng(seed)
-        for q in qs:
-            c = Counters()
-            res = qf(s, (q[0], q[1], int(rng.integers(0, f))), c)
-            c.add_output(len(res))
-            stats.add(c)
-    elif structure == "topkdom":
-        pts = _weighted_points_of(inst)
-        s = build_topk_dom(pts, params)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = total_bits(s)
-        ks = _k_values(inst, params)
-        for q in qs:
-            c = Counters()
-            for k in ks:
-                res = query_topk_dom(s, (q[0], q[1]), k, c)
-                c.add_output(len(res))
-            stats.add(c)
-    elif structure == "topkstab":
-        rects = inst.boxes2()
-        s = build_topk_stab(rects, params)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = total_bits(s)
-        ks = _k_values(inst, params)
-        for q in qs:
-            c = Counters()
-            for k in ks:
-                query_topk_stab(s, (q[0], q[1]), k, c)
-            stats.add(c)
-    elif structure == "pl2":
-        rects = inst.boxes2()
-        s = build_pl2(rects)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = s.bits_stored
-        for q in qs:
-            c = Counters()
-            query_pl2(s, (q[0], q[1]), c)
-            stats.add(c)
-    elif structure == "stab2count":
-        rects = inst.boxes2()
-        s = build_stab_count(rects)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = s.bits_stored
-        for q in qs:
-            c = Counters()
-            query_stab_count(s, (q[0], q[1]), c)
-            stats.add(c)
-    elif structure == "dom3":
-        pts = _points_of(inst)
-        s = build_dominance3(pts)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = s.bits_stored
-        for q in qs:
-            c = Counters()
-            res = query_dominance3(s, q, c)
-            c.add_output(len(res))
-            stats.add(c)
-    elif structure in ("cut2", "cut3"):
-        pts = _points_of(inst)
-        t_level = params.t1(max(2, inst.n))
-        if structure == "cut2":
-            s = build_cutting2([(p[0], p[1]) for p in pts], t_level)
-        else:
-            s = build_cutting3(pts, t_level)
-        build_ms = (time.perf_counter() - t0) * 1e3
-        bits = s.bits_stored
-        for q in qs:
-            c = Counters()
-            if structure == "cut3":
-                find_any(s, q[0], q[1], c)
-            stats.add(c)
-    else:
-        raise ValueError(structure)
+    s = row.build(inst, params, params.t1(max(2, inst.n)))
+    build_ms = (time.perf_counter() - t0) * 1e3
+    stats = CounterStats()
+    for cases in query_cases(row, s, inst, params, qs, seed):
+        c = Counters()
+        for case in cases:
+            row.query(s, case, c)
+        stats.add(c)
 
     return [
         inst.kind,
         inst.n,
         inst.universe,
         f"{build_ms:.2f}",
-        bits,
+        s.bits_stored,
         f"{stats.mean('predecessor_steps'):.2f}",
         f"{stats.mean('nodes_visited'):.2f}",
         f"{stats.mean('dominance_queries'):.2f}",

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("-o", "--output", required=True)
     g.add_argument("--fanout", type=int, default=None, help="z universe of zr kinds")
     g.add_argument("--flat", action="store_true",
-                   help="split only x/y so xy projections stay disjoint (for pl2)")
+                   help="split only x/y so xy projections stay disjoint (planar point location)")
     _add_common(g)
 
     v = sub.add_parser("verify", help="compare a structure against the brute oracle")
@@ -35,9 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("-i", "--input", required=True)
     v.add_argument("--queries", type=int, default=200)
     v.add_argument("--query-file", default=None, help="use these query points instead")
-    v.add_argument("--level", type=int, default=16, help="cutting level for cut2/cut3")
+    v.add_argument("--level", type=int, default=16, help="level of the shallow-cutting structures")
     v.add_argument("--fanout", type=int, default=None,
-                   help="z universe for zr kinds (default: inferred from the file)")
+                   help="z universe for zr kinds (default: max z2 + 1 over the file)")
     _add_common(v)
 
     b = sub.add_parser("bench", help="counter instrumentation over sizes, CSV out")
@@ -62,10 +62,6 @@ def main(argv=None) -> int:
 
     if args.cmd == "verify":
         boxes, weighted = read_boxes(args.input)
-        fanout = args.fanout
-        if fanout is None and args.structure in ("zr4slow", "zr4fast", "zr6", "stab6"):
-            zs = [b.z[1] for b in boxes if b.z[1] is not None]
-            fanout = max(2, max(zs) + 1) if zs else 2
         universe = 2
         for b in boxes:
             for a in range(3):
@@ -74,7 +70,7 @@ def main(argv=None) -> int:
                         universe = max(universe, v + 1)
         inst = Instance(
             kind="file", n=len(boxes), universe=universe, seed=args.seed,
-            boxes=tuple(boxes), weighted=weighted, fanout=fanout,
+            boxes=tuple(boxes), weighted=weighted, fanout=args.fanout,
         )
         qpts = read_queries(args.query_file) if args.query_file else None
         try:

@@ -12,7 +12,9 @@ Charging policy (used consistently by every structure):
   ``nodes_visited``;
 * each dominance-structure query charges 1 to ``dominance_queries``;
 * each scanned grid-list entry charges 1 to ``cells_scanned``;
-* each heap push/pop charges 1 to ``heap_ops``.
+* each heap push/pop charges 1 to ``heap_ops``;
+* each public reporting query charges the length of its answer to
+  ``output_size``, once (see ``charge_output``).
 """
 
 from __future__ import annotations
@@ -80,6 +82,13 @@ class CounterStats:
 
     def max(self, name: str) -> int:
         return self.maxes.get(name, 0)
+
+
+def charge_output(out: list, counters: Counters | None) -> list:
+    """Charge ``out`` as the answer of one query; returns it."""
+    if counters is not None:
+        counters.add_output(len(out))
+    return out
 
 
 def bit_width(domain_size: int) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counters import Counters, bit_width
+from .counters import Counters, bit_width, charge_output
 from .geom import ValidationError
 from .range2d import NEG, POS, PL2
 
@@ -155,7 +155,7 @@ def build_dominance3(points, ids=None, reflect=(False, False, False), universes=
 
 
 def query_dominance3(d: Dominance3, q, counters: Counters | None = None) -> list[int]:
-    return d.query(q, counters)
+    return charge_output(d.query(q, counters), counters)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,19 @@ Interval = tuple[int | None, int | None]
 
 AXES = ("x", "y", "z")
 
+# In-band sentinels for unbounded sides inside the array-based structures.
+# Every finite coordinate lies strictly between them, so a sentinel never
+# collides with a stored endpoint, and a query clamped into [NEG, POS]
+# answers exactly like the unclamped one.
+NEG = -(2**62)
+POS = 2**62
+
 
 def _check_interval(name: str, iv: Interval) -> None:
     lo, hi = iv
+    for v in iv:
+        if v is not None and not NEG < v < POS:
+            raise ValidationError(f"{name}-endpoint {v} outside the open range (-2^62, 2^62)")
     if lo is not None and hi is not None and lo > hi:
         raise ValidationError(f"malformed {name}-interval: lo {lo} > hi {hi}")
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Box2, Box3, ValidationError
+from .geom import NEG, POS, Box2, Box3, ValidationError
 
 KINDS = (
     "pl-disjoint",
@@ -176,12 +176,12 @@ def check_pairwise_disjoint(boxes: list[Box3]) -> bool:
     arr = np.empty((n, 6), dtype=np.int64)
     for i, b in enumerate(boxes):
         arr[i] = [
-            b.x[0] if b.x[0] is not None else -(2**62),
-            b.x[1] if b.x[1] is not None else 2**62,
-            b.y[0] if b.y[0] is not None else -(2**62),
-            b.y[1] if b.y[1] is not None else 2**62,
-            b.z[0] if b.z[0] is not None else -(2**62),
-            b.z[1] if b.z[1] is not None else 2**62,
+            NEG if b.x[0] is None else b.x[0],
+            POS if b.x[1] is None else b.x[1],
+            NEG if b.y[0] is None else b.y[0],
+            POS if b.y[1] is None else b.y[1],
+            NEG if b.z[0] is None else b.z[0],
+            POS if b.z[1] is None else b.z[1],
         ]
     for i in range(n - 1):
         rest = arr[i + 1 :]

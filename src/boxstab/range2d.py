@@ -21,11 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .counters import Counters, bit_width
-from .geom import ValidationError
+from .geom import NEG, POS, ValidationError
 from .oracle import NotDisjointError
-
-NEG = -(2**62)
-POS = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +232,9 @@ def build_pl2(rects, coord_width: int | None = None) -> PL2:
 
 
 def query_pl2(pl: PL2, q, counters: Counters | None = None) -> int | None:
-    return pl.query(q[0], q[1], counters)
+    # unbounded sides are stored as NEG/POS: a query beyond them must meet
+    # them as the sentinel itself, not slip past it
+    return pl.query(min(max(q[0], NEG), POS), min(max(q[1], NEG), POS), counters)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .counters import Counters, bit_width
+from .counters import Counters, bit_width, charge_output
 from .domcut import Dominance3
 from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
 from .range2d import NEG, POS
@@ -550,9 +550,7 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
 def query_stab5(tree: Stab5Tree, q, counters: Counters | None = None, trace: list | None = None) -> list[int]:
     out: list[int] = []
     _query_node(tree.root, tuple(q), counters, trace, out)
-    if counters is not None:
-        counters.add_output(len(out))
-    return out
+    return charge_output(out, counters)
 
 
 def _query_node(node: GridNode, q, counters, trace, out):
@@ -620,7 +618,7 @@ class _Standalone:
             locate_coord(ys, q[1], counters),
             locate_coord(zs, q[2], counters),
         )
-        return self.inner.query(lq, counters)
+        return charge_output(self.inner.query(lq, counters), counters)
 
 
 def build_slow5(rects: list[Box3]) -> _Standalone:

@@ -25,7 +25,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .counters import Counters, bit_width
+from .counters import Counters, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
 from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
 from .range2d import NEG, POS
@@ -125,7 +125,7 @@ def build_zr4_slow(rects: list[Box3], f: int | None = None) -> ZR4Slow:
 
 
 def query_zr4_slow(s: ZR4Slow, q, counters: Counters | None = None) -> list[int]:
-    return s.query(q, counters)
+    return charge_output(s.query(q, counters), counters)
 
 
 def _zr4_arrays(rects, f):
@@ -256,7 +256,7 @@ def build_zr4_fast(
 
 
 def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) -> list[int]:
-    return s.query(q, counters, trace)
+    return charge_output(s.query(q, counters, trace), counters)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +365,21 @@ class ZR6Tree:
         self.n = n
         self.f = f
         self.params = params
+
+    @property
+    def bits_stored(self) -> int:
+        return _zr6_bits(self.root)
+
+
+def _zr6_bits(node: ZR6Node) -> int:
+    """Payload bits of the per-slab ZR4Fast pieces of a zr6 subtree; leaf
+    arrays, Cover lists and the slow structures are not charged."""
+    if node.leaf_items is not None:
+        return 0
+    pieces = sum(
+        s.bits_stored for m in (node.col_fast, node.row_fast) for d in m.values() for s in d.values()
+    )
+    return pieces + sum(_zr6_bits(c) for c in (*node.col_children.values(), *node.row_children.values()))
 
 
 def build_zr6(
@@ -481,9 +496,7 @@ def query_zr6(tree: ZR6Tree, q, counters: Counters | None = None, trace=None) ->
         raise ValidationError(f"qz={qz} outside the z universe [0,{tree.f})")
     out: list[int] = []
     _query_zr6_node(tree.root, qx, qy, int(qz), counters, trace, out)
-    if counters is not None:
-        counters.add_output(len(out))
-    return out
+    return charge_output(out, counters)
 
 
 def _query_zr6_node(node: ZR6Node, qx, qy, qz, counters, trace, out):
@@ -571,6 +584,22 @@ class IntervalTreeZ:
             c = (li - node.lo) // node.child_size
             node = node.children.get(int(c))
         return d
+
+    @property
+    def bits_stored(self) -> int:
+        """Payload bits of every node's L/R 5-sided trees and M structure;
+        leaf arrays are not charged."""
+        total = 0
+        todo = [self.root] if self.root is not None else []
+        while todo:
+            node = todo.pop()
+            if node.leaf_items is not None:
+                continue
+            total += sum(t.bits_stored for t in (*node.L.values(), *node.R.values()))
+            if node.M is not None:
+                total += _zr6_bits(node.M)
+            todo.extend(node.children.values())
+        return total
 
     def height_bound(self) -> int:
         leaves = max(1, len(self.zvals))
@@ -746,6 +775,4 @@ def query_stab6(
         if s5 is not None and s5.root is not None:
             _q5(s5.root, (qx, qy, qz), counters, trace, out)
         node = node.children.get(c)
-    if counters is not None:
-        counters.add_output(len(out))
-    return out
+    return charge_output(out, counters)

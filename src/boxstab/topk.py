@@ -29,7 +29,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .counters import Counters
+from .counters import Counters, charge_output
 from .domcut import ShallowCutting3, build_cutting3, find_any
 from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError
 from .range2d import NEG, POS
@@ -225,7 +225,7 @@ def build_topk_dom(points, params: ModelParams = DEFAULT_PARAMS) -> TopKDominanc
 
 
 def query_topk_dom(s: TopKDominance, q, k: int, counters: Counters | None = None) -> list[int]:
-    return s.query(q, k, counters)
+    return charge_output(s.query(q, k, counters), counters)
 
 
 def open_stream(source, q, counters: Counters | None = None) -> WeightStream:
@@ -434,6 +434,22 @@ class TopKStab:
         }
         return node
 
+    @property
+    def bits_stored(self) -> int:
+        """Payload bits of the per-slab top-k dominance pieces; leaf arrays,
+        Top lists and the slow structures are not charged."""
+        total = 0
+        todo = [self.root] if self.root is not None else []
+        while todo:
+            node = todo.pop()
+            if node.leaf_items is not None:
+                continue
+            total += sum(
+                d.bits_stored for m in (node.col_dom, node.row_dom) for s in m.values() for d in s.values()
+            )
+            todo.extend((*node.col_children.values(), *node.row_children.values()))
+        return total
+
     # -- query ---------------------------------------------------------------
 
     def collect_streams(self, q, counters):
@@ -561,6 +577,4 @@ def query_topk_stab(tree: TopKStab, q, k: int, counters: Counters | None = None)
             heapq.heappush(heap, (-v[0], v[1], si))
             if counters is not None:
                 counters.heap_op()
-    if counters is not None:
-        counters.add_output(len(out))
-    return out
+    return charge_output(out, counters)

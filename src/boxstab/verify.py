@@ -1,16 +1,19 @@
-"""Side-by-side verification of every structure against its brute oracle."""
+"""The structure table, and side-by-side verification of every structure
+against its brute oracle."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import oracle
 from .counters import Counters
-from .domcut import build_cutting2, build_cutting3, build_dominance3, query_dominance3
-from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError, contains, rank_locate, rank_reduce
+from .domcut import build_cutting2, build_cutting3, build_dominance3, find_any, query_dominance3
+from .geom import ModelParams, DEFAULT_PARAMS, ValidationError, contains, rank_locate, rank_reduce
 from .instances import Instance
 from .pl3d import build_pl3, query_pl3
 from .range2d import build_pl2, build_stab_count, query_pl2, query_stab_count
@@ -27,28 +30,165 @@ from .stab6 import (
 )
 from .topk import build_topk_dom, build_topk_stab, query_topk_dom, query_topk_stab
 
-STRUCTURES = (
-    "pl3d", "stab5", "slow5", "leaf5", "stab6", "zr4slow", "zr4fast", "zr6",
-    "topkdom", "topkstab", "pl2", "stab2count", "dom3", "cut2", "cut3",
-)
 
-KIND_OF = {
-    "pl3d": "pl-disjoint",
-    "stab5": "stab5",
-    "slow5": "stab5",
-    "leaf5": "stab5",
-    "stab6": "stab6",
-    "zr4slow": "zr4",
-    "zr4fast": "zr4",
-    "zr6": "zr6",
-    "topkdom": "topk-dom",
-    "topkstab": "topk-stab",
-    "pl2": "pl-disjoint",
-    "stab2count": "stab6",
-    "dom3": "topk-dom",
-    "cut2": "topk-dom",
-    "cut3": "topk-dom",
+def _points_of(inst: Instance):
+    return [(b.x[0], b.y[0], b.z[0]) for b in inst.boxes]
+
+
+def _points2_of(inst: Instance):
+    return [(b.x[0], b.y[0]) for b in inst.boxes]
+
+
+def _weighted_points_of(inst: Instance):
+    return [(b.id, (b.x[0], b.y[0]), b.weight or 0) for b in inst.boxes]
+
+
+def _zr_fanout(inst: Instance) -> int:
+    """The z universe of a z-restricted instance: its declared fan-out,
+    else max z2 + 1."""
+    return inst.fanout or max(2, max((b.z[1] for b in inst.boxes if b.z[1] is not None), default=1) + 1)
+
+
+class _RankedPL3:
+    """PL3 over the rank-reduced boxes.  A raw query point is located in
+    rank space and the located box is revalidated against the point."""
+
+    def __init__(self, boxes, params: ModelParams):
+        self.rs, red = rank_reduce(boxes)
+        self.pl = build_pl3(red, tuple(max(2, self.rs.size(a)) for a in range(3)), params=params)
+        self.by_id = {b.id: b for b in boxes}
+        self.bits_stored = self.pl.bits_stored
+
+    def query(self, q, counters: Counters | None = None):
+        fl = rank_locate(self.rs, q, counters)
+        if min(fl) < 0:
+            return None
+        got = query_pl3(self.pl, fl, counters)
+        if got is None or not contains(self.by_id[got], q):
+            return None
+        if counters is not None:
+            counters.add_output(1)
+        return got
+
+
+# Query cases of one query point q; q may carry a fourth entry, k.
+
+
+def _point(q, s, ks, zrng):
+    return [tuple(q[:3])]
+
+
+def _xy(q, s, ks, zrng):
+    return [(q[0], q[1])]
+
+
+def _xy_k(q, s, ks, zrng):
+    return [(q[0], q[1], k) for k in (q[3:] or ks)]
+
+
+def _xy_zdraw(q, s, ks, zrng):
+    return [(q[0], q[1], int(zrng.integers(0, s.f)))]
+
+
+def _top_k(brute, items):
+    return lambda case: brute(items, case[:2], case[2])
+
+
+@dataclass(frozen=True)
+class Structure:
+    """One row of the structure table.
+
+    ``kind`` (and ``flat``) say which instances to generate for it.
+    ``build(inst, params, level)`` builds it; ``level`` is the cutting level
+    and only the cutting rows read it.  ``cases(q, s, ks, zrng)`` lists the
+    query cases of one query point, given the top-k k set ``ks`` and the
+    z-draw stream ``zrng``; ``query(s, case, counters)`` answers one case.
+    ``oracle(inst)`` returns the brute answer function of a case, and
+    ``check(s, inst)`` checks the built structure as a whole.
+    """
+
+    kind: str
+    build: Callable
+    query: Callable
+    oracle: Callable | None = None
+    cases: Callable = _point
+    check: Callable | None = None
+    flat: bool = False
+
+
+def _stab_oracle(inst):
+    return partial(oracle.brute_stab, list(inst.boxes))
+
+
+STRUCTURES = {
+    "pl3d": Structure(
+        "pl-disjoint", lambda inst, p, _: _RankedPL3(inst.boxes, p), _RankedPL3.query,
+        lambda inst: partial(oracle.brute_locate, list(inst.boxes)),
+    ),
+    "stab5": Structure(
+        "stab5", lambda inst, p, _: build_stab5(list(inst.boxes), p), query_stab5, _stab_oracle,
+    ),
+    "slow5": Structure("stab5", lambda inst, p, _: build_slow5(list(inst.boxes)), query_slow5, _stab_oracle),
+    "leaf5": Structure(
+        "stab5", lambda inst, p, _: build_leaf5(list(inst.boxes), replace(p, tau=max(p.tau, inst.n))),
+        query_leaf5, _stab_oracle,
+    ),
+    "stab6": Structure(
+        "stab6", lambda inst, p, _: build_stab6(list(inst.boxes), f=inst.fanout, params=p),
+        query_stab6, _stab_oracle,
+    ),
+    "zr4slow": Structure(
+        "zr4", lambda inst, p, _: build_zr4_slow(list(inst.boxes), f=_zr_fanout(inst)),
+        query_zr4_slow, _stab_oracle, _xy_zdraw,
+    ),
+    "zr4fast": Structure(
+        "zr4", lambda inst, p, _: build_zr4_fast(list(inst.boxes), f=_zr_fanout(inst), params=p),
+        query_zr4_fast, _stab_oracle, _xy_zdraw,
+    ),
+    "zr6": Structure(
+        "zr6", lambda inst, p, _: build_zr6(list(inst.boxes), f=_zr_fanout(inst), params=p),
+        query_zr6, _stab_oracle, _xy_zdraw,
+    ),
+    "topkdom": Structure(
+        "topk-dom", lambda inst, p, _: build_topk_dom(_weighted_points_of(inst), p),
+        lambda s, case, c: query_topk_dom(s, case[:2], case[2], c),
+        lambda inst: _top_k(oracle.brute_topk_dominance, _weighted_points_of(inst)), _xy_k,
+    ),
+    "topkstab": Structure(
+        "topk-stab", lambda inst, p, _: build_topk_stab(inst.boxes2(), p),
+        lambda s, case, c: query_topk_stab(s, case[:2], case[2], c),
+        lambda inst: _top_k(oracle.brute_topk_stab, inst.boxes2()), _xy_k,
+    ),
+    "pl2": Structure(
+        "pl-disjoint", lambda inst, p, _: build_pl2(inst.boxes2()), query_pl2,
+        lambda inst: partial(oracle.brute_locate2, inst.boxes2()), _xy, flat=True,
+    ),
+    "stab2count": Structure(
+        "stab6", lambda inst, p, _: build_stab_count(inst.boxes2()), query_stab_count,
+        lambda inst: partial(oracle.brute_count2, inst.boxes2()), _xy,
+    ),
+    "dom3": Structure(
+        "topk-dom", lambda inst, p, _: build_dominance3(_points_of(inst)), query_dominance3,
+        lambda inst: partial(oracle.brute_dominance, _points_of(inst)),
+    ),
+    "cut2": Structure(
+        "topk-dom", lambda inst, p, level: build_cutting2(_points2_of(inst), level),
+        lambda s, case, c: s.rightmost_corner_at_or_left(case[0]), cases=_xy,
+        check=lambda s, inst: oracle.verify_cutting(s, _points2_of(inst), s.t),
+    ),
+    "cut3": Structure(
+        "topk-dom", lambda inst, p, level: build_cutting3(_points_of(inst), level),
+        lambda s, case, c: find_any(s, case[0], case[1], c), cases=_xy,
+        check=lambda s, inst: oracle.verify_cutting(s, _points_of(inst), s.t),
+    ),
 }
+
+
+def structure_row(structure: str) -> Structure:
+    row = STRUCTURES.get(structure)
+    if row is None:
+        raise ValidationError(f"unknown structure {structure!r}")
+    return row
 
 
 @dataclass
@@ -67,14 +207,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _points_of(inst: Instance):
-    return [(b.x[0], b.y[0], b.z[0]) for b in inst.boxes]
-
-
-def _weighted_points_of(inst: Instance):
-    return [(b.id, (b.x[0], b.y[0]), b.weight or 0) for b in inst.boxes]
-
-
 def _qpoints(inst: Instance, n_queries: int, seed: int):
     rng = np.random.default_rng(seed ^ 0xC0FFEE)
     U = inst.universe
@@ -85,6 +217,15 @@ def _qpoints(inst: Instance, n_queries: int, seed: int):
 def _k_values(inst: Instance, params: ModelParams):
     n = max(1, inst.n)
     return sorted({0, 1, 2, params.t2(n), params.t1(n), n})
+
+
+def query_cases(row: Structure, s, inst: Instance, params: ModelParams, qs, seed: int):
+    """The query cases of each point of ``qs``, in order.  Every z-restricted
+    row draws its qz from the same seeded stream."""
+    ks = _k_values(inst, params)
+    zrng = np.random.default_rng(seed ^ 0xBEEF)
+    for q in qs:
+        yield row.cases(q, s, ks, zrng)
 
 
 def verify(
@@ -98,13 +239,11 @@ def verify(
     query_points=None,
 ) -> VerifyReport:
     """Build ``structure`` over ``inst`` and compare against the brute oracle
-    on ``n_queries`` random query points (or the given ones); reports the
-    first mismatches."""
-    if structure not in STRUCTURES:
-        raise ValidationError(f"unknown structure {structure!r}")
-    boxes = list(inst.boxes)
-    qs = [tuple(q[:3]) for q in query_points] if query_points else _qpoints(inst, n_queries, seed)
-    rep = VerifyReport(structure=structure, n=inst.n, queries=n_queries, passed=True, build_ms=0.0)
+    on ``n_queries`` random query points (or the given ones, whose optional
+    fourth entry is the k of a top-k query); reports the first mismatches."""
+    row = structure_row(structure)
+    qs = [tuple(q) for q in query_points] if query_points else _qpoints(inst, n_queries, seed)
+    rep = VerifyReport(structure=structure, n=inst.n, queries=len(qs), passed=True, build_ms=0.0)
 
     def check(q, expected, got):
         if isinstance(got, list):
@@ -117,141 +256,19 @@ def verify(
             rep.mismatches.append((q, expected, got))
 
     t0 = time.perf_counter()
-
-    if structure == "pl3d":
-        rs, red = rank_reduce(boxes)
-        U = tuple(max(2, rs.size(a)) for a in range(3))
-        pl = build_pl3(red, U, params=params)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(pl)
-        by_id = {b.id: b for b in boxes}
-        for q in qs:
-            c = Counters()
-            fl = rank_locate(rs, q, c)
-            got = None
-            if all(v >= 0 for v in fl):
-                got = query_pl3(pl, fl, c)
-                if got is not None and not contains(by_id[got], q):
-                    got = None
-            check(q, oracle.brute_locate(boxes, q), got)
-
-    elif structure in ("stab5", "slow5", "leaf5"):
-        if structure == "leaf5":
-            params = ModelParams(
-                W=params.W, eps=params.eps, tau=max(params.tau, inst.n),
-                plateau_leaf=params.plateau_leaf, grid_override=params.grid_override,
-            )
-            s = build_leaf5(boxes, params)
-            qf = query_leaf5
-        elif structure == "slow5":
-            s = build_slow5(boxes)
-            qf = query_slow5
-        else:
-            s = build_stab5(boxes, params)
-            qf = query_stab5
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(s)
-        for q in qs:
-            got = qf(s, q, Counters())
-            check(q, oracle.brute_stab(boxes, q), got)
-
-    elif structure == "stab6":
-        s = build_stab6(boxes, f=inst.fanout, params=params)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(s)
-        for q in qs:
-            got = query_stab6(s, q, Counters())
-            check(q, oracle.brute_stab(boxes, q), got)
-
-    elif structure in ("zr4slow", "zr4fast", "zr6"):
-        f = inst.fanout or max(2, max((b.z[1] for b in boxes), default=1) + 1)
-        if structure == "zr4slow":
-            s = build_zr4_slow(boxes, f=f)
-            qf = query_zr4_slow
-        elif structure == "zr4fast":
-            s = build_zr4_fast(boxes, f=f, params=params)
-            qf = query_zr4_fast
-        else:
-            s = build_zr6(boxes, f=f, params=params)
-            qf = query_zr6
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(s)
-        rng = np.random.default_rng(seed ^ 0xBEEF)
-        for q in qs:
-            q = (q[0], q[1], int(rng.integers(0, f)))
-            got = qf(s, q, Counters())
-            check(q, oracle.brute_stab(boxes, q), got)
-
-    elif structure == "topkdom":
-        pts = _weighted_points_of(inst)
-        s = build_topk_dom(pts, params)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(s)
-        ks = _k_values(inst, params)
-        for q in qs:
-            for k in ks:
-                got = query_topk_dom(s, (q[0], q[1]), k, Counters())
-                check((q[0], q[1], k), oracle.brute_topk_dominance(pts, (q[0], q[1]), k), got)
-
-    elif structure == "topkstab":
-        rects = inst.boxes2()
-        s = build_topk_stab(rects, params)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(s)
-        ks = _k_values(inst, params)
-        for q in qs:
-            for k in ks:
-                got = query_topk_stab(s, (q[0], q[1]), k, Counters())
-                check((q[0], q[1], k), oracle.brute_topk_stab(rects, (q[0], q[1]), k), got)
-
-    elif structure == "pl2":
-        rects = inst.boxes2()
-        pl = build_pl2(rects)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(pl)
-        for q in qs:
-            got = query_pl2(pl, (q[0], q[1]), Counters())
-            check((q[0], q[1]), oracle.brute_locate2(rects, (q[0], q[1])), got)
-
-    elif structure == "stab2count":
-        rects = inst.boxes2()
-        s = build_stab_count(rects)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(s)
-        for q in qs:
-            got = query_stab_count(s, (q[0], q[1]), Counters())
-            check((q[0], q[1]), oracle.brute_count2(rects, (q[0], q[1])), got)
-
-    elif structure == "dom3":
-        pts = _points_of(inst)
-        d = build_dominance3(pts)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
-        if tamper:
-            tamper(d)
-        for q in qs:
-            got = query_dominance3(d, q, Counters())
-            check(q, oracle.brute_dominance(pts, q), got)
-
-    elif structure in ("cut2", "cut3"):
-        pts = _points_of(inst)
-        if structure == "cut2":
-            pts2 = [(p[0], p[1]) for p in pts]
-            cut = build_cutting2(pts2, level)
-            r = oracle.verify_cutting(cut, pts2, level)
-        else:
-            cut = build_cutting3(pts, level)
-            r = oracle.verify_cutting(cut, pts, level)
-        rep.build_ms = (time.perf_counter() - t0) * 1e3
+    s = row.build(inst, params, level)
+    rep.build_ms = (time.perf_counter() - t0) * 1e3
+    if tamper:
+        tamper(s)
+    if row.check is not None:
+        r = row.check(s, inst)
         if not r.ok:
-            rep.mismatches.append(("cutting-properties", "pass", r))
+            rep.mismatches.append(("properties", "pass", r))
+    if row.oracle is not None:
+        expected_of = row.oracle(inst)
+        for cases in query_cases(row, s, inst, params, qs, seed):
+            for case in cases:
+                check(case, expected_of(case), row.query(s, case, Counters()))
 
     rep.passed = not rep.mismatches
     return rep

@@ -5,9 +5,11 @@ import pytest
 
 from boxstab.cli import main
 from boxstab.fileio import read_boxes, read_queries, write_boxes, write_queries
-from boxstab.geom import Box3
+from boxstab import verify as verify_module
+from boxstab.geom import Box3, ModelParams
 from boxstab.instances import gen
-from boxstab.verify import STRUCTURES, verify
+from boxstab.stab6 import IntervalTreeZ
+from boxstab.verify import verify
 
 
 class TestFileIO:
@@ -84,6 +86,41 @@ class TestVerifyCLI:
         main(["gen", "--kind", "stab5", "--n", "30", "--universe", "120", "--seed", "4", "-o", str(p)])
         write_queries(str(q), [(5, 5, 5), (100, 100, 100)])
         assert main(["verify", "--structure", "stab5", "-i", str(p), "--query-file", str(q)]) == 0
+
+    def test_stab6_keeps_library_fanout(self, tmp_path, monkeypatch):
+        # only the zr rows infer a fan-out from the file; the stab6 z
+        # interval tree keeps the library default Z
+        p = tmp_path / "in.txt"
+        main(["gen", "--kind", "stab6", "--n", "40", "--universe", "160", "--seed", "3", "-o", str(p)])
+        fanouts = []
+        init = IntervalTreeZ.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            fanouts.append(self.f)
+
+        monkeypatch.setattr(IntervalTreeZ, "__init__", spy)
+        assert main(["verify", "--structure", "stab6", "-i", str(p), "--queries", "20"]) == 0
+        assert fanouts == [ModelParams().Z]
+
+    @pytest.mark.parametrize("kind,structure,query", [
+        ("topk-dom", "topkdom", "query_topk_dom"),
+        ("topk-stab", "topkstab", "query_topk_stab"),
+    ])
+    def test_query_file_k_column(self, tmp_path, monkeypatch, kind, structure, query):
+        p, q = tmp_path / "in.txt", tmp_path / "q.txt"
+        main(["gen", "--kind", kind, "--n", "30", "--universe", "120", "--seed", "4", "-o", str(p)])
+        write_queries(str(q), [(5, 5, 5, 3), (100, 100, 100, 7)])
+        ks = []
+        real = getattr(verify_module, query)
+
+        def spy(s, xy, k, counters=None):
+            ks.append(k)
+            return real(s, xy, k, counters)
+
+        monkeypatch.setattr(verify_module, query, spy)
+        assert main(["verify", "--structure", structure, "-i", str(p), "--query-file", str(q)]) == 0
+        assert ks == [3, 7]
 
     def test_corrupted_index_detected(self):
         # the tamper hook deliberately breaks the built structure; verify

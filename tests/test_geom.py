@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxstab.geom import (
+    Box2,
     Box3,
     ModelParams,
     ValidationError,
@@ -16,6 +17,9 @@ from boxstab.geom import (
     reflect_box,
     reflect_point,
 )
+from boxstab.oracle import brute_stab
+from boxstab.range2d import build_pl2, query_pl2
+from boxstab.stab5 import build_slow5, query_slow5
 
 
 def box(x, y, z, id=0):
@@ -35,6 +39,26 @@ class TestClassifySides:
     def test_malformed_raises(self):
         with pytest.raises(ValidationError):
             box((2, 1), (0, 1), (0, 1))
+
+
+class TestCoordinateDomain:
+    @pytest.mark.parametrize("x,y", [((0, 2**62), (0, 5)), ((0, 3), (-(2**62), 5)), ((2**63, None), (0, 5))])
+    def test_endpoint_at_or_beyond_sentinel_rejected(self, x, y):
+        with pytest.raises(ValidationError):
+            Box3(0, x, y, (None, 7))
+        with pytest.raises(ValidationError):
+            Box2(0, x, y)
+
+    @pytest.mark.parametrize("q", [(2**62 + 5, 1, 2), (2**64, 1, 2)])
+    def test_query_beyond_finite_range(self, q):
+        # the unbounded side is stored as a sentinel; a query past it must
+        # still report the box
+        b = Box3(0, (0, None), (0, 5), (None, 7))
+        assert brute_stab([b], q) == {0}
+        assert query_slow5(build_slow5([b]), q) == [0]
+        assert query_pl2(build_pl2([Box2(0, b.x, b.y)]), q[:2]) == 0
+        lo = Box2(0, (None, 3), (0, 5))
+        assert query_pl2(build_pl2([lo]), (-q[0], 1)) == 0
 
 
 class TestContains:
