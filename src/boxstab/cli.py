@@ -7,7 +7,6 @@ import sys
 
 from .bench import bench_structure
 from .fileio import read_boxes, read_queries, write_boxes
-from .geom import ModelParams
 from .instances import KINDS, Instance, gen
 from .verify import STRUCTURES, verify
 

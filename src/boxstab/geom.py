@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .counters import Counters
 
@@ -92,9 +92,6 @@ class ModelParams:
     W: int = 64
     eps: float = 0.1
     tau: int = 32
-    t0_override: int | None = None
-    t1_override: int | None = None
-    t2_override: int | None = None
     # Bottom out the grid recursion where the quantile bound stops shrinking
     # (g < 3); disabled by tests that want deep trees on small inputs.
     plateau_leaf: bool = True
@@ -113,19 +110,13 @@ class ModelParams:
         return max(2, math.ceil(self.W**self.eps))
 
     def t0(self, n: int) -> int:
-        if self.t0_override is not None:
-            return self.t0_override
         loglog = math.log2(max(2.0, math.log2(max(4, n))))
         return max(1, math.ceil(math.log2(self.W) * loglog))
 
     def t1(self, n: int) -> int:
-        if self.t1_override is not None:
-            return self.t1_override
         return max(1, math.ceil(math.log2(max(2, n))))
 
     def t2(self, n: int) -> int:
-        if self.t2_override is not None:
-            return self.t2_override
         return max(1, math.ceil(math.log2(max(2, n)) ** (1.0 / 3.0)))
 
 

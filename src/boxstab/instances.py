@@ -156,18 +156,6 @@ def gen_pl_arrays(n: int, U: int, seed: int, pruned: bool = False) -> np.ndarray
     return cells[keep]
 
 
-def gen_queries(n_queries: int, U: int, seed: int, k_values=None) -> list[tuple]:
-    """Random query points (x, y, z) or (x, y, z, k) when k_values given."""
-    rng = np.random.default_rng(seed ^ 0x9E3779B9)
-    out = []
-    for _ in range(n_queries):
-        q = (int(rng.integers(U)), int(rng.integers(U)), int(rng.integers(U)))
-        if k_values is not None:
-            q = q + (int(k_values[int(rng.integers(len(k_values)))]),)
-        out.append(q)
-    return out
-
-
 def check_pairwise_disjoint(boxes: list[Box3]) -> bool:
     """O(n^2) integer-overlap test (vectorized)."""
     n = len(boxes)

@@ -1,4 +1,6 @@
-"""5-sided 3-d rectangle stabbing via the grid recursion tree.
+"""5-sided 3-d rectangle stabbing via the grid recursion tree, and that
+tree's build and query walk, which the z-restricted 6-sided (stab6.py) and
+top-k (topk.py) stabbing trees share.
 
 Canonical input: [x1,x2] x [y1,y2] x (-inf, z2].  Each node rank-reduces its
 arriving pieces, imposes a grid whose lines sit at endpoint quantiles, and
@@ -15,13 +17,15 @@ Stored grid rectangles feed per-cell Top(c) lists (the entries with the
 largest z upper bound) and one slow structure; a query scans Top(c) until an
 entry misses and falls back to the slow structure when it exhausts a
 full-length list.  Queries recurse into the column child and the row child
-of the query point.
+of the query point.  A GridKind supplies what differs between the trees:
+the coordinates each node ranks, the leaf, the per-slab structure, the
+order and cap of the cell lists, the slow structure, and what a visited node
+adds to the answer.
 
 Every node uses a doubled rank space: the i-th distinct coordinate becomes
 2i and a query strictly between two coordinates becomes the odd value in
 between, so closed-interval tests and "one below a grid line" boundaries
-stay exact for
-arbitrary integer queries.
+stay exact for arbitrary integer queries.
 
 Besides the tau threshold, a node becomes a leaf when
 m <= 1.5625*log2(m)^4: there the grid formula yields g < 3 and the quantile
@@ -32,6 +36,7 @@ visited-node and depth budgets of the query recurrence.
 from __future__ import annotations
 
 import math
+from itertools import product, repeat
 
 import numpy as np
 
@@ -118,23 +123,25 @@ def locate_coord(ax: np.ndarray, v: int, counters: Counters | None = None) -> in
     i-th distinct value, the odd gap coordinate otherwise (-1 below all)."""
     if counters is not None:
         counters.charge_search(len(ax))
-    i = int(np.searchsorted(ax, v, side="right")) - 1
+    # the array method skips np.searchsorted's dispatch, which costs more
+    # than the search itself on these small axes
+    i = int(ax.searchsorted(v, side="right")) - 1
     if i >= 0 and ax[i] == v:
         return 2 * i
     return 2 * i + 1
 
 
-def _rank_reduce_node(it: dict):
-    xs = _rank_axis([it["x1"], it["x2"]])
-    ys = _rank_axis([it["y1"], it["y2"]])
-    zs = _rank_axis([it["z2"]])
+def _rank_reduce(it: dict, axis_keys):
+    """Items in doubled rank space, and each axis's distinct raw values;
+    ``axis_keys`` groups the fields ranked together, one group per axis."""
     out = dict(it)
-    out["x1"] = _to_even_rank(xs, it["x1"])
-    out["x2"] = _to_even_rank(xs, it["x2"])
-    out["y1"] = _to_even_rank(ys, it["y1"])
-    out["y2"] = _to_even_rank(ys, it["y2"])
-    out["z2"] = _to_even_rank(zs, it["z2"])
-    return out, (xs, ys, zs)
+    axes = []
+    for keys in axis_keys:
+        ax = _rank_axis([it[k] for k in keys])
+        for k in keys:
+            out[k] = _to_even_rank(ax, it[k])
+        axes.append(ax)
+    return out, tuple(axes)
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +246,8 @@ class SlowStab5:
 class LeafStab5:
     """Flat rank-reduced array, scanned linearly."""
 
-    def __init__(self, it: dict, axes):
+    def __init__(self, it: dict):
         self.it = it
-        self.axes = axes  # (xs, ys, zs) distinct raw coordinates of this leaf
         n = len(it["orig"])
         w = bit_width(2 * n + 2)
         self.n = n
@@ -266,143 +272,152 @@ class LeafStab5:
 
 
 # ---------------------------------------------------------------------------
-# grid node
+# the grid recursion, shared by the 5-sided, z-restricted 6-sided and top-k
+# stabbing trees
 
 
 class GridNode:
     __slots__ = (
-        "m", "axes", "leaf", "lines_x", "lines_y", "ncols", "nrows",
-        "top", "top_cap", "slow", "col_dom", "row_dom",
-        "col_children", "row_children", "grid_items", "depth",
+        "m", "kind", "axes", "leaf", "lines_x", "lines_y", "cells", "cap",
+        "slow", "col_slabs", "row_slabs", "col_children", "row_children",
+        "grid_items",
     )
 
-
-class Stab5Tree:
-    def __init__(self, root, n, bits, incidences):
-        self.root = root
-        self.n = n
-        self.bits_stored = bits
-        self.piece_incidences = incidences
+    @property
+    def leaf_items(self):
+        """The leaf's rank-reduced item arrays, or None at a grid node."""
+        return None if self.leaf is None else self.leaf.it
 
 
-def build_stab5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> Stab5Tree:
-    it = _boxes_to_items(rects)
-    stats = {"bits": 0, "inc": 0}
-    root = _build_node(it, params, stats, 0)
-    return Stab5Tree(root, len(rects), stats["bits"], stats["inc"])
+def reflect_ge(key, x, y):
+    """Negate the coordinates of the 'ge' sides of orientation ``key``, so a
+    3-sided piece of any orientation becomes a dominance-style one."""
+    return (-x if key[0] == "ge" else x), (-y if key[1] == "ge" else y)
 
 
-def _quantile_lines(endpoints: np.ndarray, g: int) -> np.ndarray:
-    """Distinct slab boundaries splitting the endpoint multiset into <= g
-    chunks of <= ceil(len/g) values each."""
-    e = np.sort(endpoints)
+class GridKind:
+    """What one grid tree adds to the shared recursion.
+
+    ``axis_keys`` groups the item fields a node rank-reduces, one group per
+    axis; the query coordinates past those axes stay raw.  ``leaf(it)``
+    builds a leaf, whose ``query(lq, counters, out)`` adds its matches to
+    ``out``.  ``slab(rows, key, axes)`` builds the structure of
+    one slab's 3-sided pieces of orientation ``key`` from rows (x bound,
+    y bound, payload...), and ``slab_query(s, key, lq, counters, trace,
+    out)`` adds its matches.  A cell keeps the first ``cell_cap(m)`` grid
+    items in ``cell_order(gi)``; it is keyed by (column, row) plus one value
+    per ``cell_spans`` field range, matched by the raw query coordinates.
+    ``cell_query(node, cell, lst, lq, counters, trace, out)`` adds a cell's
+    matches and falls back to ``node.slow``, built by ``slow(gi, axes)``.
+    ``bits(node)`` is the payload a node is charged.
+
+    By default the cells hold Top(c) lists: z2 descending, then id, cut at
+    log^3 m; and a node is charged its slab structures only.
+    """
+
+    axis_keys = (("x1", "x2"), ("y1", "y2"))
+    cell_spans = ()
+
+    def cell_order(self, gi):
+        return np.lexsort((gi["orig"], -gi["z2"]))
+
+    def cell_cap(self, m: int) -> int:
+        return top_list_cap(m)
+
+    def bits(self, node) -> int:
+        if node.leaf is not None:
+            return 0
+        return sum(s.bits_stored for slab in _slab_structs(node) for s in slab.values())
+
+
+def _slab_structs(node):
+    return (*node.col_slabs.values(), *node.row_slabs.values())
+
+
+def grid_nodes(root):
+    """Every node of a grid tree."""
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        yield node
+        if node.leaf is None:
+            todo.extend((*node.col_children.values(), *node.row_children.values()))
+
+
+def grid_bits(root) -> int:
+    return sum(node.kind.bits(node) for node in grid_nodes(root))
+
+
+def build_grid(it: dict, kind: GridKind, params: ModelParams, depth: int = 0) -> GridNode:
+    """The grid tree of ``kind`` over the items ``it``."""
+    node = GridNode()
+    node.kind = kind
+    node.m = m = len(it["orig"])
+    rit, node.axes = _rank_reduce(it, kind.axis_keys)
+    node.leaf = None
+    parts = None
+    if not (is_grid_leaf(m, params) or depth > 64):
+        g = params.grid_override or grid_side(m)
+        lines_x = _quantile_lines(rit["x1"], rit["x2"], g)
+        lines_y = _quantile_lines(rit["y1"], rit["y2"], g)
+        if len(lines_x) or len(lines_y):
+            parts = _classify_break(rit, lines_x, lines_y)
+    # a stagnant break forwards every item whole to one child
+    if parts is None or parts["stagnant"]:
+        node.leaf = kind.leaf(rit)
+        return node
+
+    node.lines_x = lines_x
+    node.lines_y = lines_y
+    node.col_slabs = _build_slabs(kind, parts["col_stored3"], node.axes)
+    node.row_slabs = _build_slabs(kind, parts["row_stored3"], node.axes)
+    gi = node.grid_items = parts["grid"]
+    node.cap = kind.cell_cap(m)
+    node.cells = _cell_lists(gi, kind.cell_order(gi), node.cap, kind.cell_spans)
+    node.slow = kind.slow(gi, node.axes) if len(gi["orig"]) else None
+    node.col_children = {
+        k: build_grid(sub, kind, params, depth + 1) for k, sub in parts["col_children"].items()
+    }
+    node.row_children = {
+        k: build_grid(sub, kind, params, depth + 1) for k, sub in parts["row_children"].items()
+    }
+    return node
+
+
+def _quantile_lines(lo: np.ndarray, hi: np.ndarray, g: int) -> np.ndarray:
+    """Distinct slab boundaries splitting the finite endpoints (lower bounds
+    above NEG, upper bounds below POS) into <= g chunks of <= ceil(len/g)
+    values each."""
+    e = np.sort(np.concatenate([lo[lo > NEG], hi[hi < POS]]))
     if not len(e):
         return np.empty(0, dtype=np.int64)
     chunk = -(-len(e) // g)
     return np.unique(e[chunk::chunk])
 
 
-def _build_node(it: dict, params: ModelParams, stats: dict, depth: int):
-    m = len(it["orig"])
-    stats["inc"] += m
-    node = GridNode()
-    node.m = m
-    node.depth = depth
-    rit, axes = _rank_reduce_node(it)
-    node.axes = axes
-    w = bit_width(2 * m + 2)
-
-    leafy = is_grid_leaf(m, params) or depth > 64
-    lines_x = lines_y = None
-    if not leafy:
-        g = params.grid_override or grid_side(m)
-        fx = np.concatenate([rit["x1"][rit["x1"] > NEG], rit["x2"][rit["x2"] < POS]])
-        fy = np.concatenate([rit["y1"][rit["y1"] > NEG], rit["y2"][rit["y2"] < POS]])
-        lines_x = _quantile_lines(fx, g)
-        lines_y = _quantile_lines(fy, g)
-        if not len(lines_x) and not len(lines_y):
-            leafy = True
-
-    parts = None
-    if not leafy:
-        parts = _classify_break(rit, lines_x, lines_y)
-        if parts["stagnant"]:
-            leafy = True  # every item fits one slab whole: no split possible
-
-    if leafy:
-        node.leaf = LeafStab5(rit, axes)
-        stats["bits"] += node.leaf.bits_stored
-        return node
-    node.leaf = None
-
-    node.lines_x = lines_x
-    node.lines_y = lines_y
-    node.ncols = len(lines_x) + 1
-    node.nrows = len(lines_y) + 1
-    node.top_cap = top_list_cap(m)
-
-    ux, uy, uz = (len(axes[0]), len(axes[1]), len(axes[2]))
-    U = (max(2, 2 * ux), max(2, 2 * uy), max(2, 2 * uz))
-    node.col_dom = _build_dom_slabs(parts["col_stored3"], U, stats, w)
-    node.row_dom = _build_dom_slabs(parts["row_stored3"], U, stats, w)
-
-    gi = parts["grid"]
-    node.grid_items = gi
-    ngrid = len(gi["orig"])
-    stats["bits"] += ngrid * 7 * w  # coords plus decode pointer
-    node.top = {}
-    if ngrid:
-        order = np.lexsort((gi["orig"], -gi["z2"]))
-        for cell_key, members in _cells_of(gi, order).items():
-            lst = members[: node.top_cap]
-            node.top[cell_key] = (gi["z2"][lst], gi["orig"][lst])
-            stats["bits"] += len(lst) * w
-        node.slow = SlowStab5(
-            {k: gi[k] for k in ("x1", "x2", "y1", "y2", "z2", "orig")}, ux, uy, uz
-        )
-        stats["bits"] += ngrid * w  # slow-structure pointers
-    else:
-        node.slow = None
-
-    node.col_children = {
-        k: _build_node(sub, params, stats, depth + 1)
-        for k, sub in parts["col_children"].items()
-    }
-    node.row_children = {
-        k: _build_node(sub, params, stats, depth + 1)
-        for k, sub in parts["row_children"].items()
-    }
-    return node
-
-
-def _cells_of(gi: dict, order) -> dict:
-    """cell (col, row) -> grid-item indices in the caller's order."""
-    cells: dict[tuple[int, int], list[int]] = {}
-    cl, ch = gi["cLo"], gi["cHi"]
-    rl, rh = gi["rLo"], gi["rHi"]
+def _cell_lists(gi: dict, order, cap: int, spans) -> dict:
+    """cell key -> the first ``cap`` grid-item indices covering the cell, in
+    ``order``.  A key is (column, row) plus one value per ``spans`` range."""
+    ranges = [("cLo", "cHi"), ("rLo", "rHi"), *spans]
+    bounds = [(gi[lo].tolist(), gi[hi].tolist()) for lo, hi in ranges]
+    cells: dict[tuple, list[int]] = {}
     for i in order.tolist():
-        for c in range(int(cl[i]), int(ch[i]) + 1):
-            for r in range(int(rl[i]), int(rh[i]) + 1):
-                cells.setdefault((c, r), []).append(i)
+        for key in product(*(range(lo[i], hi[i] + 1) for lo, hi in bounds)):
+            lst = cells.setdefault(key, [])
+            if len(lst) < cap:
+                lst.append(i)
     return {k: np.asarray(v, dtype=np.int64) for k, v in cells.items()}
 
 
-def _build_dom_slabs(stored: dict, U, stats, w):
-    """stored: slab -> (xside, yside) -> list of (xb, yb, z2, orig)."""
-    out = {}
-    for slab, by_orient in stored.items():
-        slab_structs = {}
-        for key, rows in by_orient.items():
-            arr = np.asarray(rows, dtype=np.int64)
-            stats["bits"] += len(arr) * 4 * w
-            slab_structs[key] = Dominance3(
-                arr[:, 0:3],
-                ids=arr[:, 3],
-                reflect=(key[0] == "ge", key[1] == "ge", False),
-                universes=U,
-            )
-        out[slab] = slab_structs
-    return out
+def _build_slabs(kind: GridKind, stored: dict, axes) -> dict:
+    """stored: slab -> (xside, yside) -> list of (xb, yb, payload...)."""
+    return {
+        slab: {
+            key: kind.slab(np.asarray(rows, dtype=np.int64), key, axes)
+            for key, rows in by_orient.items()
+        }
+        for slab, by_orient in stored.items()
+    }
 
 
 def _classify_break(it: dict, lines_x, lines_y) -> dict:
@@ -543,55 +558,35 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# queries
-
-
-def query_stab5(tree: Stab5Tree, q, counters: Counters | None = None, trace: list | None = None) -> list[int]:
-    out: list[int] = []
-    _query_node(tree.root, tuple(q), counters, trace, out)
-    return charge_output(out, counters)
-
-
 def _query_node(node: GridNode, q, counters, trace, out):
+    """Add the matches of q in the subtree of ``node`` to ``out``.  The
+    tuple q holds one coordinate per ranked axis of the node's kind, then
+    the raw ones."""
     if counters is not None:
         counters.visit_node()
-    xs, ys, zs = node.axes
-    lq = (
-        locate_coord(xs, q[0], counters),
-        locate_coord(ys, q[1], counters),
-        locate_coord(zs, q[2], counters),
-    )
+    na = len(node.axes)
+    lq = tuple(map(locate_coord, node.axes, q, repeat(counters))) + q[na:]
     if node.leaf is not None:
         node.leaf.query(lq, counters, out)
         return
 
-    col = int(np.searchsorted(node.lines_x, lq[0], side="right"))
-    row = int(np.searchsorted(node.lines_y, lq[1], side="right"))
+    col = int(node.lines_x.searchsorted(lq[0], side="right"))
+    row = int(node.lines_y.searchsorted(lq[1], side="right"))
     if counters is not None:
         counters.charge_search(len(node.lines_x))
         counters.charge_search(len(node.lines_y))
 
-    for dom_map, slab in ((node.col_dom, col), (node.row_dom, row)):
-        structs = dom_map.get(slab)
+    kind = node.kind
+    for slabs, slab in ((node.col_slabs, col), (node.row_slabs, row)):
+        structs = slabs.get(slab)
         if structs:
-            for d in structs.values():
-                out.extend(d.query(lq, counters))
+            for key, s in structs.items():
+                kind.slab_query(s, key, lq, counters, trace, out)
 
-    top = node.top.get((col, row))
-    if top is not None:
-        z2s, origs = top
-        reported = 0
-        while reported < len(z2s) and z2s[reported] >= lq[2]:
-            reported += 1
-        if counters is not None:
-            counters.scan_cells(min(reported + 1, len(z2s)))
-        if reported == len(z2s) and len(z2s) == node.top_cap:
-            if trace is not None:
-                trace.append(("top_fallback", node, (col, row), lq))
-            node.slow.query(lq, counters, out)
-        else:
-            out.extend(origs[:reported].tolist())
+    cell = (col, row) + lq[na:]
+    lst = node.cells.get(cell)
+    if lst is not None:
+        kind.cell_query(node, cell, lst, lq, counters, trace, out)
 
     child = node.col_children.get(col)
     if child is not None:
@@ -599,6 +594,80 @@ def _query_node(node: GridNode, q, counters, trace, out):
     child = node.row_children.get(row)
     if child is not None:
         _query_node(child, lq, counters, trace, out)
+
+
+# ---------------------------------------------------------------------------
+# the 5-sided tree
+
+
+_ITEM_KEYS = ("x1", "x2", "y1", "y2", "z2", "orig")
+
+
+class Stab5Grid(GridKind):
+    """Dominance3 per slab orientation, Top(c) lists of the highest z2 per
+    cell, and a SlowStab5 behind full lists; every part is charged."""
+
+    axis_keys = (("x1", "x2"), ("y1", "y2"), ("z2",))
+    leaf = LeafStab5
+
+    def slab(self, rows, key, axes):
+        return Dominance3(
+            rows[:, 0:3],
+            ids=rows[:, 3],
+            reflect=(key[0] == "ge", key[1] == "ge", False),
+            universes=tuple(max(2, 2 * len(ax)) for ax in axes),
+        )
+
+    def slab_query(self, d, key, lq, counters, trace, out):
+        out.extend(d.query(lq, counters))
+
+    def slow(self, gi, axes):
+        return SlowStab5({k: gi[k] for k in _ITEM_KEYS}, *map(len, axes))
+
+    def cell_query(self, node, cell, lst, lq, counters, trace, out):
+        gi = node.grid_items
+        # the list is z2-descending, so the hits are a prefix
+        reported = int(np.count_nonzero(gi["z2"][lst] >= lq[2]))
+        if counters is not None:
+            counters.scan_cells(min(reported + 1, len(lst)))
+        if reported == len(lst) == node.cap:
+            if trace is not None:
+                trace.append(("top_fallback", node, cell, lq))
+            node.slow.query(lq, counters, out)
+        else:
+            out.extend(gi["orig"][lst[:reported]].tolist())
+
+    def bits(self, node) -> int:
+        if node.leaf is not None:
+            return node.leaf.bits_stored
+        w = bit_width(2 * node.m + 2)
+        dom = sum(d.n for slab in _slab_structs(node) for d in slab.values())
+        top = sum(len(lst) for lst in node.cells.values())
+        # words: 4 per dominance point; per grid item 7 (coords plus decode
+        # pointer) and a slow-structure pointer; 1 per Top-list entry
+        return (4 * dom + 8 * len(node.grid_items["orig"]) + top) * w
+
+
+_STAB5 = Stab5Grid()
+
+
+class Stab5Tree:
+    def __init__(self, it: dict, params: ModelParams):
+        self.root = build_grid(it, _STAB5, params)
+        self.n = len(it["orig"])
+        nodes = list(grid_nodes(self.root))
+        self.bits_stored = sum(_STAB5.bits(node) for node in nodes)
+        self.piece_incidences = sum(node.m for node in nodes)
+
+
+def build_stab5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> Stab5Tree:
+    return Stab5Tree(_boxes_to_items(rects), params)
+
+
+def query_stab5(tree: Stab5Tree, q, counters: Counters | None = None, trace: list | None = None) -> list[int]:
+    out: list[int] = []
+    _query_node(tree.root, tuple(q), counters, trace, out)
+    return charge_output(out, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +692,7 @@ class _Standalone:
 
 def build_slow5(rects: list[Box3]) -> _Standalone:
     it = _boxes_to_items(rects, require_canonical=False)
-    rit, axes = _rank_reduce_node(it)
+    rit, axes = _rank_reduce(it, Stab5Grid.axis_keys)
     inner = SlowStab5(rit, len(axes[0]), len(axes[1]), len(axes[2]))
     return _Standalone(inner, axes)
 
@@ -636,8 +705,8 @@ def build_leaf5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> _Sta
     if len(rects) > params.tau:
         raise ValidationError(f"leaf structure capped at tau={params.tau} rectangles")
     it = _boxes_to_items(rects)
-    rit, axes = _rank_reduce_node(it)
-    return _Standalone(LeafStab5(rit, axes), axes)
+    rit, axes = _rank_reduce(it, Stab5Grid.axis_keys)
+    return _Standalone(LeafStab5(rit), axes)
 
 
 def query_leaf5(l: _Standalone, q, counters: Counters | None = None) -> list[int]:

@@ -16,6 +16,10 @@ group's candidate set R_alpha unions the conflict lists of its corners plus,
 per (i,j), the corner immediately to the left of the group.  A query scans
 the candidate set of the group containing qx and delegates to the slow
 binary-tree structure when it finds t0 or more hits.
+
+M(v) is a z-restricted 6-sided tree, and L and R are 5-sided trees; both
+are the one grid tree of stab5.py, which zr6 supplies with ZR4Fast slab
+structures, Cover(c, z) lists and the _ZR6Slow fallback.
 """
 
 from __future__ import annotations
@@ -28,24 +32,14 @@ import numpy as np
 from .counters import Counters, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
 from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
-from .range2d import NEG, POS
 from .stab5 import (
-    LeafStab5,
+    GridKind,
     SlowStab5,
     Stab5Tree,
-    _boxes_to_items,
-    _build_node as _build_stab5_node,
-    _classify_break,
-    _concat,
-    _quantile_lines,
-    _rank_axis,
-    _rank_reduce_node,
     _subset,
-    _to_even_rank,
-    grid_side,
-    is_grid_leaf,
-    locate_coord,
-    query_stab5,
+    build_grid,
+    grid_bits,
+    reflect_ge,
 )
 
 
@@ -260,7 +254,7 @@ def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) 
 
 
 # ---------------------------------------------------------------------------
-# z-restricted 6-sided: stab5-style grid tree with Cover(c, z) lists,
+# z-restricted 6-sided: the grid tree of stab5.py with Cover(c, z) lists,
 # ZR4Fast row/column structures, and a binary-z tree of slow structures
 
 
@@ -351,12 +345,68 @@ class _ZR6Slow:
         return out
 
 
-class ZR6Node:
-    __slots__ = (
-        "m", "axes", "leaf_items", "lines_x", "lines_y", "cover", "cover_cap",
-        "slow", "col_fast", "row_fast", "col_children", "row_children",
-        "grid_items", "f",
-    )
+class _ZR6Leaf:
+    """Flat rank-reduced array, scanned linearly."""
+
+    def __init__(self, it: dict):
+        self.it = it
+
+    def query(self, lq, counters, out):
+        it = self.it
+        if not len(it["orig"]):
+            return
+        if counters is not None:
+            counters.scan_cells(len(it["orig"]))
+        qx, qy, qz = lq
+        msk = (
+            (it["x1"] <= qx) & (it["x2"] >= qx)
+            & (it["y1"] <= qy) & (it["y2"] >= qy)
+            & (it["zi"] <= qz) & (it["zj"] >= qz)
+        )
+        out.extend(it["orig"][np.nonzero(msk)[0]].tolist())
+
+
+class _ZR6Grid(GridKind):
+    """The z-restricted 6-sided tree over z universe [0, f): ZR4Fast per
+    slab orientation, Cover(c, z) lists of the log m lowest ids per cell and
+    z, and a _ZR6Slow behind full lists; only the ZR4Fast pieces are
+    charged."""
+
+    cell_spans = (("zi", "zj"),)
+    leaf = _ZR6Leaf
+
+    def __init__(self, f: int, params: ModelParams, t0: int):
+        self.f = f
+        self.params = params
+        self.t0 = t0
+
+    def slab(self, rows, key, axes):
+        # rows: xb, yb, zi, zj, orig
+        sx, sy = reflect_ge(key, rows[:, 0], rows[:, 1])
+        return ZR4Fast(sx, sy, rows[:, 2], rows[:, 3], rows[:, 4], self.f, self.params, self.t0)
+
+    def slab_query(self, s, key, lq, counters, trace, out):
+        sqx, sqy = reflect_ge(key, lq[0], lq[1])
+        s.query((sqx, sqy, lq[2]), counters, trace, out)
+
+    def cell_order(self, gi):
+        return np.argsort(gi["orig"], kind="stable")  # keep the lowest ids
+
+    def cell_cap(self, m: int) -> int:
+        return max(1, math.ceil(math.log2(max(2, m))))
+
+    def slow(self, gi, axes):
+        return _ZR6Slow(gi, len(axes[0]), len(axes[1]), self.f)
+
+    def cell_query(self, node, cell, lst, lq, counters, trace, out):
+        if counters is not None:
+            counters.scan_cells(len(lst))
+        if len(lst) == node.cap:
+            if trace is not None:
+                trace.append(("cover_fallback", node, cell))
+            node.slow.query(*lq, counters, out)
+        else:
+            out.extend(node.grid_items["orig"][lst].tolist())
 
 
 class ZR6Tree:
@@ -368,18 +418,14 @@ class ZR6Tree:
 
     @property
     def bits_stored(self) -> int:
-        return _zr6_bits(self.root)
+        """Payload bits of the per-slab ZR4Fast pieces; leaf arrays, Cover
+        lists and the slow structures are not charged."""
+        return grid_bits(self.root)
 
 
-def _zr6_bits(node: ZR6Node) -> int:
-    """Payload bits of the per-slab ZR4Fast pieces of a zr6 subtree; leaf
-    arrays, Cover lists and the slow structures are not charged."""
-    if node.leaf_items is not None:
-        return 0
-    pieces = sum(
-        s.bits_stored for m in (node.col_fast, node.row_fast) for d in m.values() for s in d.values()
-    )
-    return pieces + sum(_zr6_bits(c) for c in (*node.col_children.values(), *node.row_children.values()))
+def _zr6_grid(it: dict, f: int, params: ModelParams):
+    t0 = params.t0(max(2, len(it["orig"])))
+    return build_grid(it, _ZR6Grid(f, params, t0), params)
 
 
 def build_zr6(
@@ -388,168 +434,18 @@ def build_zr6(
     params: ModelParams = DEFAULT_PARAMS,
 ) -> ZR6Tree:
     it, f_eff = _zr6_boxes_to_items(rects, f)
-    t0 = params.t0(max(2, len(rects)))
-    root = _build_zr6_node(it, f_eff, params, t0, 0)
-    return ZR6Tree(root, len(rects), f_eff, params)
-
-
-def _zr6_rank_reduce(it):
-    xs = _rank_axis([it["x1"], it["x2"]])
-    ys = _rank_axis([it["y1"], it["y2"]])
-    out = dict(it)
-    out["x1"] = _to_even_rank(xs, it["x1"])
-    out["x2"] = _to_even_rank(xs, it["x2"])
-    out["y1"] = _to_even_rank(ys, it["y1"])
-    out["y2"] = _to_even_rank(ys, it["y2"])
-    return out, (xs, ys)
-
-
-def _build_zr6_node(it, f, params, t0, depth):
-    m = len(it["orig"])
-    node = ZR6Node()
-    node.m = m
-    node.f = f
-    rit, axes = _zr6_rank_reduce(it)
-    node.axes = axes
-
-    leafy = is_grid_leaf(m, params) or depth > 64
-    lines_x = lines_y = None
-    if not leafy:
-        g = params.grid_override or grid_side(m)
-        fx = np.concatenate([rit["x1"], rit["x2"]])
-        fy = np.concatenate([rit["y1"], rit["y2"]])
-        lines_x = _quantile_lines(fx, g)
-        lines_y = _quantile_lines(fy, g)
-        if not len(lines_x) and not len(lines_y):
-            leafy = True
-    parts = None
-    if not leafy:
-        parts = _classify_break(rit, lines_x, lines_y)
-        if parts["stagnant"]:
-            leafy = True
-
-    if leafy:
-        node.leaf_items = rit
-        return node
-    node.leaf_items = None
-    node.lines_x = lines_x
-    node.lines_y = lines_y
-    node.cover_cap = max(1, math.ceil(math.log2(max(2, m))))
-
-    gi = parts["grid"]
-    node.grid_items = gi
-    node.cover = {}
-    ngrid = len(gi["orig"])
-    if ngrid:
-        order = np.argsort(gi["orig"], kind="stable")  # keep the lowest ids
-        cells = {}
-        cl, ch, rl, rh = gi["cLo"], gi["cHi"], gi["rLo"], gi["rHi"]
-        for i in order.tolist():
-            for c in range(int(cl[i]), int(ch[i]) + 1):
-                for r in range(int(rl[i]), int(rh[i]) + 1):
-                    for z in range(int(gi["zi"][i]), int(gi["zj"][i]) + 1):
-                        lst = cells.setdefault((c, r, z), [])
-                        if len(lst) < node.cover_cap:
-                            lst.append(i)
-        node.cover = {
-            k: np.asarray(v, dtype=np.int64) for k, v in cells.items()
-        }
-        node.slow = _ZR6Slow(
-            gi, len(axes[0]), len(axes[1]), f
-        )
-    else:
-        node.slow = None
-
-    # 3-sided pieces: per-slab, orientation-keyed ZR4Fast (reflection by
-    # negating the 'ge' axes turns every orientation into canonical form)
-    def fast_slabs(stored):
-        out = {}
-        for slab, by_orient in stored.items():
-            structs = {}
-            for (xk, yk), rows in by_orient.items():
-                arr = np.asarray(rows, dtype=np.int64)  # xb, yb, zi, zj, orig
-                sx = -arr[:, 0] if xk == "ge" else arr[:, 0]
-                sy = -arr[:, 1] if yk == "ge" else arr[:, 1]
-                structs[(xk, yk)] = ZR4Fast(
-                    sx, sy, arr[:, 2], arr[:, 3], arr[:, 4], f, params, t0
-                )
-            out[slab] = structs
-        return out
-
-    node.col_fast = fast_slabs(parts["col_stored3"])
-    node.row_fast = fast_slabs(parts["row_stored3"])
-
-    node.col_children = {
-        k: _build_zr6_node(sub, f, params, t0, depth + 1)
-        for k, sub in parts["col_children"].items()
-    }
-    node.row_children = {
-        k: _build_zr6_node(sub, f, params, t0, depth + 1)
-        for k, sub in parts["row_children"].items()
-    }
-    return node
+    return ZR6Tree(_zr6_grid(it, f_eff, params), len(rects), f_eff, params)
 
 
 def query_zr6(tree: ZR6Tree, q, counters: Counters | None = None, trace=None) -> list[int]:
+    from .stab5 import _query_node
+
     qx, qy, qz = q
     if not 0 <= qz < tree.f:
         raise ValidationError(f"qz={qz} outside the z universe [0,{tree.f})")
     out: list[int] = []
-    _query_zr6_node(tree.root, qx, qy, int(qz), counters, trace, out)
+    _query_node(tree.root, (qx, qy, int(qz)), counters, trace, out)
     return charge_output(out, counters)
-
-
-def _query_zr6_node(node: ZR6Node, qx, qy, qz, counters, trace, out):
-    if counters is not None:
-        counters.visit_node()
-    xs, ys = node.axes
-    lqx = locate_coord(xs, qx, counters)
-    lqy = locate_coord(ys, qy, counters)
-    if node.leaf_items is not None:
-        it = node.leaf_items
-        if len(it["orig"]):
-            if counters is not None:
-                counters.scan_cells(len(it["orig"]))
-            msk = (
-                (it["x1"] <= lqx) & (it["x2"] >= lqx)
-                & (it["y1"] <= lqy) & (it["y2"] >= lqy)
-                & (it["zi"] <= qz) & (it["zj"] >= qz)
-            )
-            out.extend(it["orig"][np.nonzero(msk)[0]].tolist())
-        return
-
-    col = int(np.searchsorted(node.lines_x, lqx, side="right"))
-    row = int(np.searchsorted(node.lines_y, lqy, side="right"))
-    if counters is not None:
-        counters.charge_search(len(node.lines_x))
-        counters.charge_search(len(node.lines_y))
-
-    for fast_map, slab in ((node.col_fast, col), (node.row_fast, row)):
-        structs = fast_map.get(slab)
-        if structs:
-            for (xk, yk), s in structs.items():
-                sqx = -lqx if xk == "ge" else lqx
-                sqy = -lqy if yk == "ge" else lqy
-                s.query((sqx, sqy, qz), counters, trace, out)
-
-    lst = node.cover.get((col, row, qz))
-    if lst is not None:
-        gi = node.grid_items
-        if counters is not None:
-            counters.scan_cells(len(lst))
-        if len(lst) == node.cover_cap:
-            if trace is not None:
-                trace.append(("cover_fallback", node, (col, row, qz)))
-            node.slow.query(lqx, lqy, qz, counters, out)
-        else:
-            out.extend(gi["orig"][lst].tolist())
-
-    child = node.col_children.get(col)
-    if child is not None:
-        _query_zr6_node(child, lqx, lqy, qz, counters, trace, out)
-    child = node.row_children.get(row)
-    if child is not None:
-        _query_zr6_node(child, lqx, lqy, qz, counters, trace, out)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +493,7 @@ class IntervalTreeZ:
                 continue
             total += sum(t.bits_stored for t in (*node.L.values(), *node.R.values()))
             if node.M is not None:
-                total += _zr6_bits(node.M)
+                total += grid_bits(node.M)
             todo.extend(node.children.values())
         return total
 
@@ -683,8 +579,7 @@ def _build_it(arr, la, lb, lo, hi, f, params):
     nch_actual = -(-(hi - lo) // size)
     node.M = None
     if len(m_items["orig"]):
-        t0 = params.t0(max(2, len(m_items["orig"])))
-        node.M = _build_zr6_node(m_items, nch_actual, params, t0, 0)
+        node.M = _zr6_grid(m_items, nch_actual, params)
 
     # R(child of z1): 5-sided upward copies; L(child of z2): downward copies
     by_child_R: dict[int, list[int]] = {}
@@ -702,7 +597,7 @@ def _build_it(arr, la, lb, lo, hi, f, params):
             "z2": -arr["z1"][sel],  # z >= z1, negated to canonical
             "orig": arr["orig"][sel],
         }
-        node.R[c] = _stab5_from_items(items, params)
+        node.R[c] = Stab5Tree(items, params)
     for c, rows in by_child_L.items():
         sel = np.asarray(rows, dtype=np.int64)
         items = {
@@ -711,7 +606,7 @@ def _build_it(arr, la, lb, lo, hi, f, params):
             "z2": arr["z2"][sel],
             "orig": arr["orig"][sel],
         }
-        node.L[c] = _stab5_from_items(items, params)
+        node.L[c] = Stab5Tree(items, params)
 
     node.children = {}
     rest = np.nonzero(~here)[0]
@@ -725,12 +620,6 @@ def _build_it(arr, la, lb, lo, hi, f, params):
                 sub, la[rows], lb[rows], clo, min(clo + size, hi), f, params
             )
     return node
-
-
-def _stab5_from_items(items: dict, params: ModelParams) -> Stab5Tree:
-    stats = {"bits": 0, "inc": 0}
-    root = _build_stab5_node(items, params, stats, 0)
-    return Stab5Tree(root, len(items["orig"]), stats["bits"], stats["inc"])
 
 
 def query_stab6(
@@ -767,7 +656,7 @@ def query_stab6(
             break
         c = int((li - node.lo) // node.child_size)
         if node.M is not None:
-            _query_zr6_node(node.M, qx, qy, c, counters, trace, out)
+            _q5(node.M, (qx, qy, c), counters, trace, out)
         s5 = node.R.get(c)
         if s5 is not None and s5.root is not None:
             _q5(s5.root, (qx, qy, -qz), counters, trace, out)

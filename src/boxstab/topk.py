@@ -15,17 +15,17 @@ weight-sorted fallback:
 If the query dominates fewer than k points the located list is provably
 complete, so the answer is exact with no retries.
 
-Top-k stabbing reuses the 5-sided grid tree on the lifted rectangles; every
-visited node contributes pausable weight-descending streams (its Top(c)
-list with a transparent switch to the slow structure, the per-slab top-k
-dominance structures, or a leaf scan), merged by a binary heap.
+Top-k stabbing runs the one grid tree of stab5.py, shared with stab5 and
+zr6, on the lifted rectangles; every visited node contributes pausable
+weight-descending streams (its Top(c) list with a transparent switch to the
+slow structure, the per-slab top-k dominance structures, or a leaf scan),
+merged by a binary heap.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 
 import numpy as np
 
@@ -33,17 +33,7 @@ from .counters import Counters, charge_output
 from .domcut import ShallowCutting3, build_cutting3, find_any
 from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError
 from .range2d import NEG, POS
-from .stab5 import (
-    LeafStab5,
-    _classify_break,
-    _quantile_lines,
-    _rank_axis,
-    _to_even_rank,
-    grid_side,
-    is_grid_leaf,
-    locate_coord,
-    top_list_cap,
-)
+from .stab5 import _ITEM_KEYS, GridKind, _query_node, build_grid, grid_bits, reflect_ge
 
 
 def weight_rank_lift(ids, weights) -> np.ndarray:
@@ -239,14 +229,6 @@ def open_stream(source, q, counters: Counters | None = None) -> WeightStream:
 # top-k 2-d rectangle stabbing
 
 
-class TopKNode:
-    __slots__ = (
-        "m", "axes", "leaf_items", "lines_x", "lines_y", "top", "top_cap",
-        "slow", "col_dom", "row_dom", "col_children", "row_children",
-        "grid_items",
-    )
-
-
 class _TopKSlow:
     """Interval tree over x, nested over y, with a top-k dominance structure
     per (x-node, y-node, orientation); streams merge lazily."""
@@ -328,6 +310,75 @@ def _rezrank(stream: WeightStream, zr_of) -> WeightStream:
     return WeightStream(gen())
 
 
+class _TopKLeaf:
+    """Weight-sorted rank-reduced array, streamed by a filtered scan."""
+
+    def __init__(self, it: dict):
+        order = np.argsort(-it["z2"], kind="stable")
+        self.it = {k: v[order] for k, v in it.items()}
+
+    def query(self, lq, counters, streams):
+        streams.append(WeightStream(self._scan(lq, counters)))
+
+    def _scan(self, lq, counters):
+        it = self.it
+        if not len(it["orig"]):
+            return
+        if counters is not None:
+            counters.scan_cells(len(it["orig"]))
+        qx, qy = lq
+        m = (it["x1"] <= qx) & (it["x2"] >= qx) & (it["y1"] <= qy) & (it["y2"] >= qy)
+        for i in np.nonzero(m)[0].tolist():
+            yield (int(it["z2"][i]), int(it["orig"][i]))
+
+
+class _TopKGrid(GridKind):
+    """The top-k tree over weight-lifted rectangles: a visited node adds
+    weight-descending streams instead of ids.  TopKDominance per slab
+    orientation, Top(c) lists that switch over to the _TopKSlow streams
+    when full, and only the TopKDominance pieces charged."""
+
+    leaf = _TopKLeaf
+
+    def __init__(self, params: ModelParams, zr_of: dict):
+        self.params = params
+        self.zr_of = zr_of
+
+    def slab(self, rows, key, axes):
+        # rows: xb, yb, z2, orig
+        sx, sy = reflect_ge(key, rows[:, 0], rows[:, 1])
+        pts = [
+            (int(rows[i, 3]), (int(sx[i]), int(sy[i])), int(rows[i, 2]))
+            for i in range(len(rows))
+        ]
+        return TopKDominance(pts, self.params)
+
+    def slab_query(self, d, key, lq, counters, trace, streams):
+        sqx, sqy = reflect_ge(key, lq[0], lq[1])
+        streams.append(_rezrank(d.stream((sqx, sqy), counters), self.zr_of))
+
+    def slow(self, gi, axes):
+        return _TopKSlow({k: gi[k] for k in _ITEM_KEYS}, len(axes[0]), len(axes[1]), self.params)
+
+    def cell_query(self, node, cell, lst, lq, counters, trace, streams):
+        streams.append(WeightStream(self._cell_stream(node, lst, lq, counters)))
+
+    def _cell_stream(self, node, lst, lq, counters):
+        gi = node.grid_items
+        for i in lst.tolist():
+            if counters is not None:
+                counters.scan_cells(1)
+            yield (int(gi["z2"][i]), int(gi["orig"][i]))
+        if len(lst) < node.cap:
+            return
+        # a full list: the slow structure's stream past the entries shown
+        merged = _merge_streams(node.slow.streams(lq[0], lq[1], counters, self.zr_of))
+        for _ in range(len(lst)):
+            merged.next()
+        while (v := merged.next()) is not None:
+            yield v
+
+
 class TopKStab:
     def __init__(self, rects: list[Box2], params: ModelParams = DEFAULT_PARAMS):
         self.params = params
@@ -350,183 +401,18 @@ class TopKStab:
             or (it["y1"] <= NEG).any() or (it["y2"] >= POS).any()
         ):
             raise ValidationError("top-k stabbing wants finite 2-d rectangles")
-        self.root = self._build(it, 0) if self.n else None
-
-    def _build(self, it, depth):
-        m = len(it["orig"])
-        node = TopKNode()
-        node.m = m
-        xs = _rank_axis([it["x1"], it["x2"]])
-        ys = _rank_axis([it["y1"], it["y2"]])
-        rit = dict(it)
-        rit["x1"] = _to_even_rank(xs, it["x1"])
-        rit["x2"] = _to_even_rank(xs, it["x2"])
-        rit["y1"] = _to_even_rank(ys, it["y1"])
-        rit["y2"] = _to_even_rank(ys, it["y2"])
-        node.axes = (xs, ys)
-
-        leafy = is_grid_leaf(m, self.params) or depth > 64
-        lines_x = lines_y = None
-        if not leafy:
-            g = self.params.grid_override or grid_side(m)
-            lines_x = _quantile_lines(np.concatenate([rit["x1"], rit["x2"]]), g)
-            lines_y = _quantile_lines(np.concatenate([rit["y1"], rit["y2"]]), g)
-            if not len(lines_x) and not len(lines_y):
-                leafy = True
-        parts = None
-        if not leafy:
-            parts = _classify_break(rit, lines_x, lines_y)
-            if parts["stagnant"]:
-                leafy = True
-        if leafy:
-            order = np.argsort(-rit["z2"], kind="stable")
-            node.leaf_items = {k: v[order] for k, v in rit.items()}
-            return node
-        node.leaf_items = None
-        node.lines_x = lines_x
-        node.lines_y = lines_y
-        node.top_cap = top_list_cap(m)
-
-        gi = parts["grid"]
-        node.grid_items = gi
-        node.top = {}
-        if len(gi["orig"]):
-            order = np.argsort(-gi["z2"], kind="stable")
-            cells = {}
-            cl, ch, rl, rh = gi["cLo"], gi["cHi"], gi["rLo"], gi["rHi"]
-            for i in order.tolist():
-                for c in range(int(cl[i]), int(ch[i]) + 1):
-                    for r in range(int(rl[i]), int(rh[i]) + 1):
-                        lst = cells.setdefault((c, r), [])
-                        if len(lst) < node.top_cap:
-                            lst.append(i)
-            node.top = {k: np.asarray(v, dtype=np.int64) for k, v in cells.items()}
-            node.slow = _TopKSlow(
-                {k: gi[k] for k in ("x1", "x2", "y1", "y2", "z2", "orig")},
-                len(xs), len(ys), self.params,
-            )
-        else:
-            node.slow = None
-
-        def dom_slabs(stored):
-            out = {}
-            for slab, by_orient in stored.items():
-                structs = {}
-                for (xk, yk), rows in by_orient.items():
-                    arr = np.asarray(rows, dtype=np.int64)  # xb, yb, z2, orig
-                    sx = -arr[:, 0] if xk == "ge" else arr[:, 0]
-                    sy = -arr[:, 1] if yk == "ge" else arr[:, 1]
-                    pts = [
-                        (int(arr[i, 3]), (int(sx[i]), int(sy[i])), int(arr[i, 2]))
-                        for i in range(len(arr))
-                    ]
-                    structs[(xk, yk)] = TopKDominance(pts, self.params)
-                out[slab] = structs
-            return out
-
-        node.col_dom = dom_slabs(parts["col_stored3"])
-        node.row_dom = dom_slabs(parts["row_stored3"])
-        node.col_children = {
-            k: self._build(sub, depth + 1) for k, sub in parts["col_children"].items()
-        }
-        node.row_children = {
-            k: self._build(sub, depth + 1) for k, sub in parts["row_children"].items()
-        }
-        return node
+        self.root = build_grid(it, _TopKGrid(params, self.zr_of), params) if self.n else None
 
     @property
     def bits_stored(self) -> int:
         """Payload bits of the per-slab top-k dominance pieces; leaf arrays,
         Top lists and the slow structures are not charged."""
-        total = 0
-        todo = [self.root] if self.root is not None else []
-        while todo:
-            node = todo.pop()
-            if node.leaf_items is not None:
-                continue
-            total += sum(
-                d.bits_stored for m in (node.col_dom, node.row_dom) for s in m.values() for d in s.values()
-            )
-            todo.extend((*node.col_children.values(), *node.row_children.values()))
-        return total
-
-    # -- query ---------------------------------------------------------------
+        return grid_bits(self.root) if self.root is not None else 0
 
     def collect_streams(self, q, counters):
         streams = []
-        self._collect(self.root, int(q[0]), int(q[1]), counters, streams)
+        _query_node(self.root, (int(q[0]), int(q[1])), counters, None, streams)
         return streams
-
-    def _collect(self, node, qx, qy, counters, streams):
-        if node is None:
-            return
-        if counters is not None:
-            counters.visit_node()
-        xs, ys = node.axes
-        lqx = locate_coord(xs, qx, counters)
-        lqy = locate_coord(ys, qy, counters)
-        if node.leaf_items is not None:
-            it = node.leaf_items
-
-            def leaf_gen():
-                if not len(it["orig"]):
-                    return
-                if counters is not None:
-                    counters.scan_cells(len(it["orig"]))
-                m = (
-                    (it["x1"] <= lqx) & (it["x2"] >= lqx)
-                    & (it["y1"] <= lqy) & (it["y2"] >= lqy)
-                )
-                # leaf arrays are weight-sorted at build time
-                for i in np.nonzero(m)[0].tolist():
-                    yield (int(it["z2"][i]), int(it["orig"][i]))
-
-            streams.append(WeightStream(leaf_gen()))
-            return
-        col = int(np.searchsorted(node.lines_x, lqx, side="right"))
-        row = int(np.searchsorted(node.lines_y, lqy, side="right"))
-        if counters is not None:
-            counters.charge_search(len(node.lines_x))
-            counters.charge_search(len(node.lines_y))
-
-        for dom_map, slab in ((node.col_dom, col), (node.row_dom, row)):
-            structs = dom_map.get(slab)
-            if structs:
-                for (xk, yk), d in structs.items():
-                    sqx = -lqx if xk == "ge" else lqx
-                    sqy = -lqy if yk == "ge" else lqy
-                    streams.append(_rezrank(d.stream((sqx, sqy), counters), self.zr_of))
-
-        lst = node.top.get((col, row))
-        if lst is not None:
-            gi = node.grid_items
-            slow = node.slow
-            cap = node.top_cap
-
-            def cell_gen():
-                count = 0
-                for i in lst.tolist():
-                    if counters is not None:
-                        counters.scan_cells(1)
-                    yield (int(gi["z2"][i]), int(gi["orig"][i]))
-                    count += 1
-                if len(lst) < cap:
-                    return
-                merged = _merge_streams(slow.streams(lqx, lqy, counters, self.zr_of))
-                skipped = 0
-                while True:
-                    v = merged.next()
-                    if v is None:
-                        return
-                    if skipped < count:
-                        skipped += 1
-                        continue
-                    yield v
-
-            streams.append(WeightStream(cell_gen()))
-
-        self._collect(node.col_children.get(col), lqx, lqy, counters, streams)
-        self._collect(node.row_children.get(row), lqx, lqy, counters, streams)
 
 
 def _merge_streams(streams) -> WeightStream:

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import boxstab
 from boxstab.cli import main
 from boxstab.fileio import read_boxes, read_queries, write_boxes, write_queries
 from boxstab import verify as verify_module
@@ -171,7 +174,13 @@ class TestBenchCLI:
 
 
 def test_console_entrypoint():
+    # the subprocess imports the package from the same src dir as this run
+    src = str(Path(boxstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-m", "boxstab.cli", "gen", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "boxstab.cli", "gen", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0

@@ -5,7 +5,7 @@ import pytest
 
 from boxstab.counters import Counters
 from boxstab.geom import Box3, ModelParams, rank_locate, rank_reduce
-from boxstab.instances import check_pairwise_disjoint, gen, gen_queries
+from boxstab.instances import check_pairwise_disjoint, gen
 from boxstab.oracle import brute_locate
 from boxstab.pl3d import build_pl3, query_pl3
 

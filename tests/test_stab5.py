@@ -169,7 +169,7 @@ class TestStab5Tree:
                 assert set(query_stab5(t, q)) == brute_stab(refl, rq)
 
     def test_fallback_soundness(self):
-        # whenever the Top(c) fallback fires, at least top_cap grid
+        # whenever the Top(c) fallback fires, at least cap grid
         # rectangles of that node are stabbed; at this scale the natural cap
         # log2^3 m exceeds m, so the cap is clamped post-build to force the
         # fallback path through the slow structure
@@ -190,8 +190,8 @@ class TestStab5Tree:
         def clamp(node, cap):
             if node.leaf is not None:
                 return
-            node.top_cap = cap
-            node.top = {k: (z[:cap], o[:cap]) for k, (z, o) in node.top.items()}
+            node.cap = cap
+            node.cells = {k: v[:cap] for k, v in node.cells.items()}
             for ch in list(node.col_children.values()) + list(node.row_children.values()):
                 clamp(ch, cap)
 
@@ -214,7 +214,7 @@ class TestStab5Tree:
                         & (gi["z2"] >= lq[2])
                     )
                 )
-                assert stabbed >= node.top_cap
+                assert stabbed >= node.cap
         assert fired > 0
 
     def test_structural_bounds_small(self):

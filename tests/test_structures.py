@@ -4,8 +4,9 @@ payload-bit counts of the structures that sum their own pieces."""
 import pytest
 
 from boxstab.bench import bench_row
-from boxstab.geom import DEFAULT_PARAMS, ModelParams
+from boxstab.geom import DEFAULT_PARAMS, NEG, POS, ModelParams
 from boxstab.instances import gen
+from boxstab.stab5 import grid_nodes
 from boxstab.verify import STRUCTURES, _qpoints, query_cases, verify
 
 # rows whose queries report a list of ids
@@ -50,14 +51,31 @@ GRID = ModelParams(grid_override=3, tau=8)
     [
         ("stab6", None, DEFAULT_PARAMS, 6732),
         ("stab6", None, GRID, 14970),
-        ("stab6", 4, GRID, 14339),  # fan-out 4 gives M a non-empty child range
+        ("stab6", 4, GRID, 13281),  # fan-out 4 gives M a non-empty child range
         ("zr6", None, DEFAULT_PARAMS, 0),
-        ("zr6", None, GRID, 8296),
+        ("zr6", None, GRID, 5342),
         ("topkstab", None, DEFAULT_PARAMS, 0),
-        ("topkstab", None, GRID, 7524),
+        ("topkstab", None, GRID, 4548),
     ],
 )
 def test_bits_stored_pinned(structure, fanout, params, bits):
     row = STRUCTURES[structure]
     inst = gen(row.kind, 100, 200, 1, fanout=fanout)
     assert row.build(inst, params, 16).bits_stored == bits
+
+
+GRIDDED = ModelParams(grid_override=4, tau=8, plateau_leaf=False)
+
+
+@pytest.mark.parametrize("structure", ["stab5", "zr6", "topkstab"])
+def test_grid_lines_avoid_sentinels(structure):
+    # side pieces carry NEG/POS on their split edge; a grid line there
+    # separates nothing and only deepens the tree
+    row = STRUCTURES[structure]
+    inst = gen(row.kind, 300, 600, 2)
+    s = row.build(inst, GRIDDED, 16)
+    nodes = [node for node in grid_nodes(s.root) if node.leaf is None]
+    assert len(nodes) > 1
+    for node in nodes:
+        for lines in (node.lines_x, node.lines_y):
+            assert ((lines > NEG) & (lines < POS)).all()

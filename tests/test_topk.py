@@ -183,8 +183,8 @@ class TestTopKStab:
         def clamp(node, cap):
             if node.leaf_items is not None:
                 return
-            node.top_cap = cap
-            node.top = {k: v[:cap] for k, v in node.top.items()}
+            node.cap = cap
+            node.cells = {k: v[:cap] for k, v in node.cells.items()}
             for ch in list(node.col_children.values()) + list(node.row_children.values()):
                 clamp(ch, cap)
 
