@@ -1,5 +1,10 @@
 """3-d dominance reporting and 2-d/3-d shallow cuttings with FIND-ANY.
 
+Dominance reporting cuts the points, x descending, into canonical blocks of
+a fixed size, each kept sorted by y and nothing more.  A query reports the
+whole blocks of its x prefix with one y search per block and one vector z
+compare over that block's y-suffix, and scans the prefix's partial block.
+
 The 2-d cutting sweeps distinct x descending and emits a corner whenever
 ceil(t/2) points have accumulated since the last one (plus a forced final
 corner), with the corner's y set to one past the (2t+1)-th largest suffix y.
@@ -39,9 +44,10 @@ class Dominance3:
     """Report all points >= q component-wise, exactly.
 
     Points in x-descending order are chunked into fixed-size canonical
-    blocks; each block holds a y-sorted arrangement with a max-z segment
-    tree, so a query decomposes into whole-block (y, z) searches plus one
-    partial-block scan.
+    blocks, each a y-sorted arrangement.  A query takes the blocks of its x
+    prefix whole: a y search finds the block's y-suffix, whose z values are
+    filtered with one vector compare; the prefix's last partial block is
+    scanned.
     """
 
     BLOCK = 256
@@ -49,15 +55,16 @@ class Dominance3:
     def __init__(self, points, ids=None, reflect=(False, False, False), universes=None):
         pts = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         self.n = len(pts)
-        self.reflect = tuple(reflect)
-        self.universes = universes
+        # per axis, U - 1 if the axis is reflected (v -> U - 1 - v), else None
+        self._mirror = None
         if any(reflect):
             if universes is None:
                 raise ValidationError("reflection requires universes")
+            self._mirror = tuple(u - 1 if r else None for r, u in zip(reflect, universes))
             pts = pts.copy()
-            for a in range(3):
-                if reflect[a]:
-                    pts[:, a] = universes[a] - 1 - pts[:, a]
+            for a, m in enumerate(self._mirror):
+                if m is not None:
+                    pts[:, a] = m - pts[:, a]
         self.ids = (
             np.arange(self.n, dtype=np.int64)
             if ids is None
@@ -76,19 +83,18 @@ class Dominance3:
         B = self.BLOCK
         self.blocks = []
         for s in range(0, self.n - B + 1, B):
-            ys = self.py[s : s + B]
-            zs = self.pz[s : s + B]
-            ids_b = self.pid[s : s + B]
-            o = np.argsort(ys, kind="stable")
-            ys, zs, ids_b = ys[o], zs[o], ids_b[o]
-            seg = _build_maxseg(zs)
-            self.blocks.append((ys, zs, ids_b, seg))
+            o = s + np.argsort(self.py[s : s + B], kind="stable")
+            self.blocks.append((self.py[o], self.pz[o], self.pid[o]))
 
     def _reflect_q(self, q):
-        if not any(self.reflect):
+        if self._mirror is None:
             return q
-        return tuple(
-            self.universes[a] - 1 - q[a] if self.reflect[a] else q[a] for a in range(3)
+        mx, my, mz = self._mirror
+        qx, qy, qz = q
+        return (
+            qx if mx is None else mx - qx,
+            qy if my is None else my - qy,
+            qz if mz is None else mz - qz,
         )
 
     def query(self, q, counters: Counters | None = None) -> list[int]:
@@ -97,7 +103,7 @@ class Dominance3:
         if self.n == 0:
             return []
         qx, qy, qz = self._reflect_q(q)
-        K = self.n - int(np.searchsorted(self.xasc, qx, side="left"))
+        K = self.n - int(self.xasc.searchsorted(qx))
         if counters is not None:
             counters.charge_search(self.n)
         if K == 0:
@@ -105,49 +111,19 @@ class Dominance3:
         out: list[int] = []
         B = self.BLOCK
         full = K // B
-        for bi in range(full):
-            ys, zs, ids_b, seg = self.blocks[bi]
-            lo = int(np.searchsorted(ys, qy, side="left"))
+        for ys, zs, ids_b in self.blocks[:full]:
+            lo = int(ys.searchsorted(qy))
             if counters is not None:
                 counters.charge_search(B)
             if lo < B:
-                _report_maxseg(seg, zs, ids_b, lo, B, qz, out)
+                out.extend(ids_b[lo:][zs[lo:] >= qz].tolist())
         s = full * B
         if s < K:
-            ys = self.py[s:K]
-            mask = (ys >= qy) & (self.pz[s:K] >= qz)
+            mask = (self.py[s:K] >= qy) & (self.pz[s:K] >= qz)
             if counters is not None:
                 counters.scan_cells(K - s)
             out.extend(self.pid[s:K][mask].tolist())
         return out
-
-
-def _build_maxseg(zs):
-    m = len(zs)
-    size = 1 << max(0, (m - 1).bit_length())
-    seg = np.full(2 * size, NEG, dtype=np.int64)
-    seg[size : size + m] = zs
-    for i in range(size - 1, 0, -1):
-        seg[i] = max(seg[2 * i], seg[2 * i + 1])
-    return seg
-
-
-def _report_maxseg(seg, zs, ids_b, lo, hi, qz, out):
-    """Append ids of positions in [lo, hi) with z >= qz (descend only into
-    subtrees whose max z qualifies)."""
-    size = len(seg) // 2
-    stack = [(1, 0, size)]
-    while stack:
-        node, a, b = stack.pop()
-        if b <= lo or a >= hi or seg[node] < qz:
-            continue
-        if node >= size:
-            if node - size < len(ids_b):
-                out.append(int(ids_b[node - size]))
-            continue
-        mid = (a + b) // 2
-        stack.append((2 * node, a, mid))
-        stack.append((2 * node + 1, mid, b))
 
 
 def build_dominance3(points, ids=None, reflect=(False, False, False), universes=None) -> Dominance3:

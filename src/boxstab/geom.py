@@ -13,6 +13,7 @@ read-only use.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -33,6 +34,17 @@ AXES = ("x", "y", "z")
 # answers exactly like the unclamped one.
 NEG = -(2**62)
 POS = 2**62
+
+
+def check_weight(w) -> None:
+    """Weights of top-k inputs are integers in the open range (NEG, POS);
+    raise ValidationError for any other value."""
+    try:
+        w = operator.index(w)
+    except TypeError:
+        raise ValidationError(f"weight {w!r} is not an integer") from None
+    if not NEG < w < POS:
+        raise ValidationError(f"weight {w} outside the open range (-2^62, 2^62)")
 
 
 def _check_interval(name: str, iv: Interval) -> None:
@@ -58,6 +70,8 @@ class Box3:
         _check_interval("x", self.x)
         _check_interval("y", self.y)
         _check_interval("z", self.z)
+        if self.weight is not None:
+            check_weight(self.weight)
 
     def sidedness(self) -> int:
         return sum(b is not None for iv in (self.x, self.y, self.z) for b in iv)
@@ -76,6 +90,8 @@ class Box2:
     def __post_init__(self):
         _check_interval("x", self.x)
         _check_interval("y", self.y)
+        if self.weight is not None:
+            check_weight(self.weight)
 
     def interval(self, axis: int) -> Interval:
         return (self.x, self.y)[axis]

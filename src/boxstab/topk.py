@@ -31,7 +31,7 @@ import numpy as np
 
 from .counters import Counters, charge_output
 from .domcut import ShallowCutting3, build_cutting3, find_any
-from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError
+from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError, check_weight
 from .range2d import NEG, POS
 from .stab5 import _ITEM_KEYS, GridKind, _query_node, build_grid, grid_bits, reflect_ge
 
@@ -75,6 +75,8 @@ class WeightStream:
 class TopKDominance:
     def __init__(self, points, params: ModelParams = DEFAULT_PARAMS):
         """points: iterable of (id, (x, y), weight)."""
+        for p in points:
+            check_weight(p[2])
         self.params = params
         self.n = n = len(points)
         self.ids = np.asarray([p[0] for p in points], dtype=np.int64)

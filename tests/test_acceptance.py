@@ -17,7 +17,7 @@ import pytest
 from boxstab import oracle
 from boxstab.counters import Counters
 from boxstab.domcut import build_cutting2, build_cutting3
-from boxstab.geom import Box2, ModelParams, contains, rank_locate, rank_reduce, rank_reduce_arrays
+from boxstab.geom import ModelParams, contains, rank_locate, rank_reduce, rank_reduce_arrays
 from boxstab.instances import gen, gen_pl_arrays
 from boxstab.pl3d import build_pl3, build_pl3_arrays, query_pl3
 from boxstab.range2d import build_pl2, build_stab_count, query_pl2, query_stab_count

@@ -1,6 +1,8 @@
-import numpy as np
-import pytest
+import itertools
 
+import numpy as np
+
+from boxstab.counters import Counters
 from boxstab.domcut import (
     Dominance3,
     build_cutting2,
@@ -15,6 +17,25 @@ from boxstab.oracle import brute_dominance, brute_topk_dominance, verify_cutting
 def rand_points(n, U, seed, dim=3):
     rng = np.random.default_rng(seed)
     return [tuple(int(v) for v in rng.integers(0, U, dim)) for _ in range(n)]
+
+
+# Five full Dominance3 blocks plus a partial one.  y and z take few values
+# and drift with x, so every block has its own y and z range and long runs
+# of ties.
+FULL_U = (96, 10, 8)
+
+
+def full_block_points(seed=41):
+    n = 5 * Dominance3.BLOCK + 17
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, FULL_U[0], n)
+    ys = xs // 12 + rng.integers(0, 3, n)
+    zs = (FULL_U[0] - 1 - xs) // 16 + rng.integers(0, 3, n)
+    return [(int(x), int(y), int(z)) for x, y, z in zip(xs, ys, zs)]
+
+
+def _mirror(p, reflect):
+    return tuple(u - 1 - c if r else c for c, r, u in zip(p, reflect, FULL_U))
 
 
 class TestDominance3:
@@ -58,6 +79,41 @@ class TestDominance3:
         pts = [(5, 5, 5), (9, 9, 9)]
         d = build_dominance3(pts, ids=[42, 17])
         assert set(query_dominance3(d, (6, 6, 6))) == {17}
+
+    def test_full_blocks_every_orientation(self):
+        # queries on and one step beside each full block's extreme y and z,
+        # with x at the block's last point (the block is whole) and one past
+        B = Dominance3.BLOCK
+        pts = full_block_points()
+        n = len(pts)
+        for reflect in itertools.product((False, True), repeat=3):
+            d = build_dominance3(pts, reflect=reflect, universes=FULL_U)
+            inner = [_mirror(p, reflect) for p in pts]
+            order = sorted(range(n), key=lambda i: -inner[i][0])
+            queries = set()
+            for s in range(0, n - B + 1, B):
+                block = [inner[i] for i in order[s : s + B]]
+                near = [
+                    {v + dv for v in (min(vs), max(vs)) for dv in (-1, 0, 1)}
+                    for vs in ([p[1] for p in block], [p[2] for p in block])
+                ]
+                last_x = block[-1][0]
+                queries.update(itertools.product((last_x, last_x + 1), *near))
+            for qi in sorted(queries):
+                res = query_dominance3(d, _mirror(qi, reflect))
+                assert len(res) == len(set(res)), (reflect, qi)
+                assert set(res) == brute_dominance(inner, qi), (reflect, qi)
+
+    def test_full_block_counters_pinned(self):
+        # summed counters of 200 seeded queries: however a full block
+        # reports, it charges exactly these operations
+        d = build_dominance3(full_block_points())
+        rng = np.random.default_rng(43)
+        c = Counters()
+        for _ in range(200):
+            query_dominance3(d, tuple(int(rng.integers(-1, u + 1)) for u in FULL_U), c)
+        got = (c.predecessor_steps, c.nodes_visited, c.dominance_queries, c.cells_scanned, c.output_size)
+        assert got == (6720, 0, 200, 25973, 39398)
 
 
 class TestCutting2:

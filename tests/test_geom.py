@@ -49,6 +49,13 @@ class TestCoordinateDomain:
         with pytest.raises(ValidationError):
             Box2(0, x, y)
 
+    @pytest.mark.parametrize("w", [2**62, -(2**62), 2**63, 1.5, "3"])
+    def test_weight_outside_domain_rejected(self, w):
+        with pytest.raises(ValidationError):
+            Box3(0, (0, 1), (0, 1), (0, 1), weight=w)
+        with pytest.raises(ValidationError):
+            Box2(0, (0, 1), (0, 1), weight=w)
+
     @pytest.mark.parametrize("q", [(2**62 + 5, 1, 2), (2**64, 1, 2)])
     def test_query_beyond_finite_range(self, q):
         # the unbounded side is stored as a sentinel; a query past it must

@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from boxstab.geom import ValidationError
 from boxstab.instances import KINDS, check_pairwise_disjoint, gen, gen_pl_arrays
-from boxstab.oracle import NotDisjointError
 
 
 class TestGen:

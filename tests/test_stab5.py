@@ -232,3 +232,15 @@ class TestStab5Tree:
 def test_top_cap_formula():
     assert top_list_cap(2**10) == 1000
     assert top_list_cap(2) == 1
+
+
+def test_grid_counters_pinned():
+    # summed counters of 200 seeded queries on a gridded tree: how the slab
+    # structures report must not change what the walk charges
+    inst = gen("stab5", 600, 1200, seed=7)
+    t = build_stab5(list(inst.boxes), ModelParams(grid_override=3, tau=8, plateau_leaf=False))
+    c = Counters()
+    for q in queries(1200, 9, k=200):
+        query_stab5(t, q, c)
+    got = (c.predecessor_steps, c.nodes_visited, c.dominance_queries, c.cells_scanned, c.output_size)
+    assert got == (74502, 3206, 2473, 22945, 6053)

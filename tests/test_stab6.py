@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from boxstab.counters import Counters
 from boxstab.geom import Box3, ModelParams, ValidationError
 from boxstab.instances import gen
 from boxstab.oracle import brute_stab

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boxstab.counters import Counters
-from boxstab.geom import Box2, ModelParams
+from boxstab.geom import NEG, POS, Box2, ModelParams, ValidationError
 from boxstab.instances import gen
 from boxstab.oracle import brute_topk_dominance, brute_topk_stab
 from boxstab.topk import (
@@ -92,6 +92,30 @@ class TestTopKDominance:
             q = (int(rng.integers(0, 1024)), int(rng.integers(0, 1024)))
             for k in (1, 2, 5, 40):
                 assert query_topk_dom(s, q, k) == brute_topk_dominance(pts, q, k)
+
+
+class TestWeightDomain:
+    # one past each end of int64: numpy used to raise OverflowError here
+    @pytest.mark.parametrize("w", [2**63, -(2**63) - 1])
+    def test_topkdom_rejects(self, w):
+        with pytest.raises(ValidationError):
+            build_topk_dom([(0, (1, 1), w), (1, (2, 2), 3)])
+
+    @pytest.mark.parametrize("w", [2**63, -(2**63) - 1])
+    def test_topkstab_rejects(self, w):
+        with pytest.raises(ValidationError):
+            build_topk_stab([Box2(0, (1, 4), (1, 4), weight=w), Box2(1, (2, 3), (2, 3), weight=3)])
+
+    def test_extreme_in_domain_weights(self):
+        ws = [POS - 1, 3, NEG + 1]
+        pts = [(0, (1, 1), ws[0]), (1, (2, 2), ws[1]), (2, (0, 3), ws[2])]
+        s = build_topk_dom(pts)
+        for k in (1, 2, 3):
+            assert query_topk_dom(s, (0, 0), k) == brute_topk_dominance(pts, (0, 0), k) == [0, 1, 2][:k]
+        rects = [Box2(i, (0, 4), (i, 4), weight=w) for i, w in enumerate(ws)]
+        t = build_topk_stab(rects)
+        for k in (1, 2, 3):
+            assert query_topk_stab(t, (2, 3), k) == brute_topk_stab(rects, (2, 3), k) == [0, 1, 2][:k]
 
 
 class TestWeightStream:
