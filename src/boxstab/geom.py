@@ -36,15 +36,26 @@ NEG = -(2**62)
 POS = 2**62
 
 
+def _check_int(v, what: str, lo: int, hi: int) -> None:
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValidationError(f"{what} {v!r} is not an integer") from None
+    if not lo <= v <= hi:
+        raise ValidationError(f"{what} {v} outside the range [{lo}, {hi}]")
+
+
 def check_weight(w) -> None:
     """Weights of top-k inputs are integers in the open range (NEG, POS);
     raise ValidationError for any other value."""
-    try:
-        w = operator.index(w)
-    except TypeError:
-        raise ValidationError(f"weight {w!r} is not an integer") from None
-    if not NEG < w < POS:
-        raise ValidationError(f"weight {w} outside the open range (-2^62, 2^62)")
+    _check_int(w, "weight", NEG + 1, POS - 1)
+
+
+def check_point_coord(v) -> None:
+    """Coordinates of top-k dominance points are integers in the closed
+    range [NEG, POS], since grid pieces arrive with the sentinels and their
+    negations; raise ValidationError for any other value."""
+    _check_int(v, "coordinate", NEG, POS)
 
 
 def _check_interval(name: str, iv: Interval) -> None:

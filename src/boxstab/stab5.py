@@ -16,7 +16,9 @@ breaks every piece against it:
 Stored grid rectangles feed per-cell Top(c) lists (the entries with the
 largest z upper bound) and one slow structure; a query scans Top(c) until an
 entry misses and falls back to the slow structure when it exhausts a
-full-length list.  Queries recurse into the column child and the row child
+full-length list.  Every slow structure (here, in stab6.py and in topk.py)
+is one centered interval tree, ``centered_tree``; SlowStab5 nests an x tree
+over a y tree (``xy_tree``, Lemma 3.1).  Queries recurse into the column child and the row child
 of the query point.  A GridKind supplies what differs between the trees:
 the coordinates each node ranks, the leaf, the per-slab structure, the
 order and cap of the cell lists, the slow structure, and what a visited node
@@ -145,28 +147,66 @@ def _rank_reduce(it: dict, axis_keys):
 
 
 # ---------------------------------------------------------------------------
-# the slow structure (Lemma 3.1 shape): interval tree over x, nested interval
-# tree over y, orientation-keyed dominance at each (x-node, y-node) pair
+# the slow structures: one centered interval tree.  Nested over x then y it
+# is Lemma 3.1's (SlowStab5, topk's _TopKSlow); over z with two one-sided
+# halves per node it is Lemma F.3's (stab6's ZR4Slow and _ZR6Slow).
 
 
-class _YNode:
-    __slots__ = ("center", "left", "right", "dom")
+def centered_tree(it: dict, lo_key: str, hi_key: str, lo: int, hi: int, payload):
+    """Node (center, payload(items) or None, left, right) over the items
+    ``it`` with ranges [it[lo_key], it[hi_key]] and centers in [lo, hi): a
+    node keeps the items containing its center and sends those wholly left
+    (right) of it to the left (right) child; None if ``it`` is empty."""
+    if not len(it["orig"]):
+        return None
+    center = (lo + hi) // 2
+    cross = (it[lo_key] <= center) & (it[hi_key] >= center)
+    here = payload(_subset(it, cross)) if cross.any() else None
+    left = right = None
+    if hi - lo > 1:
+        left = centered_tree(_subset(it, it[hi_key] < center), lo_key, hi_key, lo, center, payload)
+        right = centered_tree(_subset(it, it[lo_key] > center), lo_key, hi_key, center + 1, hi, payload)
+    return (center, here, left, right)
 
-    def __init__(self, center):
-        self.center = center
-        self.left = None
-        self.right = None
-        self.dom = {}  # (qx_side, qy_side) in {'L','R'}^2 -> Dominance3
+
+def centered_path(node, q):
+    """(payload, side) of every payload on q's search path, side 'L' where
+    q <= center and 'R' past it."""
+    while node is not None:
+        center, here, left, right = node
+        side = "L" if q <= center else "R"
+        if here is not None:
+            yield here, side
+        node = left if side == "L" else right
 
 
-class _XNode:
-    __slots__ = ("center", "left", "right", "ytree")
+def xy_tree(it: dict, ux: int, uy: int, dom):
+    """Lemma 3.1 nesting: an x tree whose payload is a y tree whose payload
+    maps each orientation key to ``dom(xs, ys, here, key)``.  A query at or
+    left of an x center meets x2 >= center, so only x1 <= qx is left to
+    test: key 'ge' with bounds xs = x1; past the center, key 'le' with
+    x2; likewise in y.  The keys are those of the grid's slab pieces."""
 
-    def __init__(self, center):
-        self.center = center
-        self.left = None
-        self.right = None
-        self.ytree = None
+    def doms(here):
+        return {
+            (kx, ky): dom(here[bx], here[by], here, (kx, ky))
+            for kx, bx in (("ge", "x1"), ("le", "x2"))
+            for ky, by in (("ge", "y1"), ("le", "y2"))
+        }
+
+    return centered_tree(it, "x1", "x2", 0, ux, lambda xs: centered_tree(xs, "y1", "y2", 0, uy, doms))
+
+
+_SIDE_KEY = {"L": "ge", "R": "le"}
+
+
+def xy_path(root, qx, qy):
+    """(structure, key) of every dominance structure on the search path of
+    (qx, qy), x node by x node."""
+    for ytree, sx in centered_path(root, qx):
+        for doms, sy in centered_path(ytree, qy):
+            key = (_SIDE_KEY[sx], _SIDE_KEY[sy])
+            yield doms[key], key
 
 
 class SlowStab5:
@@ -174,73 +214,27 @@ class SlowStab5:
 
     def __init__(self, it: dict, ux: int, uy: int, uz: int):
         self.n = len(it["orig"])
-        self.ux, self.uy, self.uz = max(2, 2 * ux), max(2, 2 * uy), max(2, 2 * uz)
         self.bits_stored = self.n * (6 * bit_width(max(ux, uy, uz) + 1))
-        self.root = None
-        if self.n:
-            self.root = self._build_x(it, 0, self.ux)
+        ux, uy, uz = max(2, 2 * ux), max(2, 2 * uy), max(2, 2 * uz)
 
-    def _build_x(self, it, lo, hi):
-        if not len(it["orig"]):
-            return None
-        center = (lo + hi) // 2
-        node = _XNode(center)
-        cross = (it["x1"] <= center) & (it["x2"] >= center)
-        here = _subset(it, cross)
-        if len(here["orig"]):
-            node.ytree = self._build_y(here, 0, self.uy)
-        if hi - lo > 1:
-            node.left = self._build_x(_subset(it, it["x2"] < center), lo, center)
-            node.right = self._build_x(_subset(it, it["x1"] > center), center + 1, hi)
-        return node
-
-    def _build_y(self, it, lo, hi):
-        if not len(it["orig"]):
-            return None
-        center = (lo + hi) // 2
-        node = _YNode(center)
-        cross = (it["y1"] <= center) & (it["y2"] >= center)
-        here = _subset(it, cross)
-        if len(here["orig"]):
+        def dom(xs, ys, here, key):
             # sentinel bounds stay in: NEG on a reflected axis and POS on a
             # plain axis both compare as always-satisfied
-            U = (self.ux, self.uy, self.uz)
-            for qx_side in "LR":
-                xs = here["x1"] if qx_side == "L" else here["x2"]
-                for qy_side in "LR":
-                    ys = here["y1"] if qy_side == "L" else here["y2"]
-                    pts = np.stack([xs, ys, here["z2"]], axis=1)
-                    node.dom[(qx_side, qy_side)] = Dominance3(
-                        pts,
-                        ids=here["orig"],
-                        reflect=(qx_side == "L", qy_side == "L", False),
-                        universes=U,
-                    )
-        if hi - lo > 1:
-            node.left = self._build_y(_subset(it, it["y2"] < center), lo, center)
-            node.right = self._build_y(_subset(it, it["y1"] > center), center + 1, hi)
-        return node
+            return Dominance3(
+                np.stack([xs, ys, here["z2"]], axis=1),
+                ids=here["orig"],
+                reflect=(key[0] == "ge", key[1] == "ge", False),
+                universes=(ux, uy, uz),
+            )
+
+        self.root = xy_tree(it, ux, uy, dom)
 
     def query(self, q, counters: Counters | None = None, out=None):
         if out is None:
             out = []
-        qx, qy, qz = q
-        node = self.root
-        while node is not None:
-            if node.ytree is not None:
-                self._query_y(node, qx, qy, qz, counters, out)
-            node = node.left if qx <= node.center else node.right
+        for d, _ in xy_path(self.root, q[0], q[1]):
+            out.extend(d.query(q, counters))
         return out
-
-    def _query_y(self, xnode, qx, qy, qz, counters, out):
-        qx_side = "L" if qx <= xnode.center else "R"
-        node = xnode.ytree
-        while node is not None:
-            qy_side = "L" if qy <= node.center else "R"
-            d = node.dom.get((qx_side, qy_side))
-            if d is not None:
-                out.extend(d.query((qx, qy, qz), counters))
-            node = node.left if qy <= node.center else node.right
 
 
 class LeafStab5:

@@ -14,12 +14,16 @@ The z-restricted 4-sided structures implement the shallow-cutting grouping:
 corners of all per-(i,j) cuttings are grouped by x into runs of Z^2; each
 group's candidate set R_alpha unions the conflict lists of its corners plus,
 per (i,j), the corner immediately to the left of the group.  A query scans
-the candidate set of the group containing qx and delegates to the slow
-binary-tree structure when it finds t0 or more hits.
+the candidate set of the group containing qx and delegates to ZR4Slow when
+it finds t0 or more hits.
 
 M(v) is a z-restricted 6-sided tree, and L and R are 5-sided trees; both
 are the one grid tree of stab5.py, which zr6 supplies with ZR4Fast slab
 structures, Cover(c, z) lists and the _ZR6Slow fallback.
+
+ZR4Slow and _ZR6Slow are stab5.py's centered interval tree over z in
+[0, f) (Lemma F.3): a node splits the rectangles containing its center into
+one-sided halves, and a query asks the half on its side of each center.
 """
 
 from __future__ import annotations
@@ -38,78 +42,52 @@ from .stab5 import (
     Stab5Tree,
     _subset,
     build_grid,
+    centered_path,
+    centered_tree,
     grid_bits,
     reflect_ge,
 )
 
 
 # ---------------------------------------------------------------------------
-# z-restricted 4-sided: slow structure (binary interval tree over [f])
-
-
-class _ZSlowNode:
-    __slots__ = ("center", "left", "right", "dom_left", "dom_right")
-
-    def __init__(self, center):
-        self.center = center
-        self.left = None
-        self.right = None
-        self.dom_left = None   # queried when qz <= center: x,y,i with i <= qz
-        self.dom_right = None  # queried when qz >  center: x,y,j with j >= qz
+# z-restricted 4-sided: slow structure (centered interval tree over [f])
 
 
 class ZR4Slow:
     """Exact z-restricted 4-sided stabbing: per tree node, the crossing
-    rectangles split into one-sided halves answered by dominance queries."""
+    rectangles split into one-sided halves answered by dominance queries,
+    (x, y, i) with i <= qz where qz <= center and (x, y, j) with j >= qz
+    past it."""
 
     def __init__(self, rx, ry, ri, rj, rid, f: int):
         self.f = max(1, f)
         self.n = len(rx)
         w = bit_width(max(2, int(max(rx.max(), ry.max()) + 2 if self.n else 2)))
         self.bits_stored = self.n * (2 * w + 2 * bit_width(self.f + 1) + bit_width(self.n + 1))
-        self.root = None
-        if self.n:
-            self.root = self._build(np.arange(self.n), rx, ry, ri, rj, rid, 0, self.f)
 
-    def _build(self, idx, rx, ry, ri, rj, rid, lo, hi):
-        if not len(idx):
-            return None
-        center = (lo + hi) // 2
-        node = _ZSlowNode(center)
-        cross = (ri[idx] <= center) & (rj[idx] >= center)
-        here = idx[cross]
-        if len(here):
-            node.dom_left = Dominance3(
-                np.stack([rx[here], ry[here], ri[here]], axis=1),
-                ids=rid[here],
-                reflect=(False, False, True),
-                universes=(2, 2, self.f),
+        def halves(here):
+            xy = (here["x"], here["y"])
+            return (
+                Dominance3(
+                    np.stack([*xy, here["i"]], axis=1),
+                    ids=here["orig"],
+                    reflect=(False, False, True),
+                    universes=(2, 2, self.f),
+                ),
+                Dominance3(np.stack([*xy, here["j"]], axis=1), ids=here["orig"]),
             )
-            node.dom_right = Dominance3(
-                np.stack([rx[here], ry[here], rj[here]], axis=1),
-                ids=rid[here],
-            )
-        if hi - lo > 1:
-            node.left = self._build(idx[rj[idx] < center], rx, ry, ri, rj, rid, lo, center)
-            node.right = self._build(idx[ri[idx] > center], rx, ry, ri, rj, rid, center + 1, hi)
-        return node
+
+        it = {"x": rx, "y": ry, "i": ri, "j": rj, "orig": rid}
+        self.root = centered_tree(it, "i", "j", 0, self.f, halves)
 
     def query(self, q, counters: Counters | None = None, out=None):
         if out is None:
             out = []
-        qx, qy, qz = q
+        qz = q[2]
         if not 0 <= qz < self.f:
             raise ValidationError(f"qz={qz} outside the z universe [0,{self.f})")
-        node = self.root
-        while node is not None:
-            if qz <= node.center:
-                if node.dom_left is not None:
-                    out.extend(node.dom_left.query((qx, qy, qz), counters))
-                node = node.left
-            else:
-                if node.dom_right is not None:
-                    out.extend(node.dom_right.query((qx, qy, qz), counters))
-                node = node.right
+        for (low, high), side in centered_path(self.root, qz):
+            out.extend((low if side == "L" else high).query(q, counters))
         return out
 
 
@@ -255,7 +233,7 @@ def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) 
 
 # ---------------------------------------------------------------------------
 # z-restricted 6-sided: the grid tree of stab5.py with Cover(c, z) lists,
-# ZR4Fast row/column structures, and a binary-z tree of slow structures
+# ZR4Fast row/column structures, and a centered z tree of slow structures
 
 
 def _zr6_boxes_to_items(rects: list[Box3], f: int | None):
@@ -282,67 +260,27 @@ def _zr6_boxes_to_items(rects: list[Box3], f: int | None):
     return it, f_eff
 
 
-class _ZR6SlowNode:
-    __slots__ = ("center", "left", "right", "low_side", "high_side")
-
-    def __init__(self, center):
-        self.center = center
-        self.left = None
-        self.right = None
-        self.low_side = None   # qz <= center: 5-sided with z = -zi vs -qz
-        self.high_side = None  # qz >  center: 5-sided with z = +zj vs +qz
-
-
 class _ZR6Slow:
-    """Lemma F.3 shape: binary z tree whose nodes hold 5-sided slow
-    structures for the two one-sided halves of each crossing rectangle."""
+    """Cover(c, z) fallback: the centered z tree whose nodes hold 5-sided
+    slow structures for the two one-sided halves of each crossing rectangle,
+    z = -zi against -qz where qz <= center and z = +zj against +qz past it."""
 
     def __init__(self, it, ux, uy, f):
-        self.f = f
-        self.ux, self.uy = ux, uy
-        self.root = self._build(it, 0, max(2, f))
+        def halves(here):
+            xy = {k: here[k] for k in ("x1", "x2", "y1", "y2", "orig")}
+            return (
+                SlowStab5({**xy, "z2": -here["zi"]}, ux, uy, f),
+                SlowStab5({**xy, "z2": here["zj"]}, ux, uy, f),
+            )
 
-    def _build(self, it, lo, hi):
-        if not len(it["orig"]):
-            return None
-        center = (lo + hi) // 2
-        node = _ZR6SlowNode(center)
-        cross = (it["zi"] <= center) & (it["zj"] >= center)
-        here = _subset(it, cross)
-        if len(here["orig"]):
-            node.low_side = SlowStab5(
-                {
-                    "x1": here["x1"], "x2": here["x2"],
-                    "y1": here["y1"], "y2": here["y2"],
-                    "z2": -here["zi"], "orig": here["orig"],
-                },
-                self.ux, self.uy, self.f,
-            )
-            node.high_side = SlowStab5(
-                {
-                    "x1": here["x1"], "x2": here["x2"],
-                    "y1": here["y1"], "y2": here["y2"],
-                    "z2": here["zj"], "orig": here["orig"],
-                },
-                self.ux, self.uy, self.f,
-            )
-        if hi - lo > 1:
-            node.left = self._build(_subset(it, it["zj"] < center), lo, center)
-            node.right = self._build(_subset(it, it["zi"] > center), center + 1, hi)
-        return node
+        self.root = centered_tree(it, "zi", "zj", 0, max(2, f), halves)
 
     def query(self, qx, qy, qz, counters, out):
-        node = self.root
-        while node is not None:
-            if qz <= node.center:
-                if node.low_side is not None:
-                    node.low_side.query((qx, qy, -qz), counters, out)
-                node = node.left
+        for (low, high), side in centered_path(self.root, qz):
+            if side == "L":
+                low.query((qx, qy, -qz), counters, out)
             else:
-                if node.high_side is not None:
-                    node.high_side.query((qx, qy, qz), counters, out)
-                node = node.right
-        return out
+                high.query((qx, qy, qz), counters, out)
 
 
 class _ZR6Leaf:

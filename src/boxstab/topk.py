@@ -31,9 +31,18 @@ import numpy as np
 
 from .counters import Counters, charge_output
 from .domcut import ShallowCutting3, build_cutting3, find_any
-from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError, check_weight
+from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError, check_point_coord, check_weight
 from .range2d import NEG, POS
-from .stab5 import _ITEM_KEYS, GridKind, _query_node, build_grid, grid_bits, reflect_ge
+from .stab5 import (
+    _ITEM_KEYS,
+    GridKind,
+    _query_node,
+    build_grid,
+    grid_bits,
+    reflect_ge,
+    xy_path,
+    xy_tree,
+)
 
 
 def weight_rank_lift(ids, weights) -> np.ndarray:
@@ -76,6 +85,8 @@ class TopKDominance:
     def __init__(self, points, params: ModelParams = DEFAULT_PARAMS):
         """points: iterable of (id, (x, y), weight)."""
         for p in points:
+            for v in p[1]:
+                check_point_coord(v)
             check_weight(p[2])
         self.params = params
         self.n = n = len(points)
@@ -231,85 +242,36 @@ def open_stream(source, q, counters: Counters | None = None) -> WeightStream:
 # top-k 2-d rectangle stabbing
 
 
+def _topk_dom(key, xs, ys, ws, ids, params) -> TopKDominance:
+    """TopKDominance of the points (xs, ys) weighted ws, the 'ge' sides of
+    orientation ``key`` negated (reflect_ge) so dominance is uniform."""
+    xs, ys = reflect_ge(key, xs, ys)
+    pts = list(zip(ids.tolist(), zip(xs.tolist(), ys.tolist()), ws.tolist()))
+    return TopKDominance(pts, params)
+
+
+def _topk_stream(d: TopKDominance, key, lq, counters, zr_of) -> WeightStream:
+    return _rezrank(d.stream(reflect_ge(key, lq[0], lq[1]), counters), zr_of)
+
+
 class _TopKSlow:
-    """Interval tree over x, nested over y, with a top-k dominance structure
-    per (x-node, y-node, orientation); streams merge lazily."""
+    """Lemma 3.1's nested x/y centered tree (stab5.xy_tree) with one top-k
+    dominance structure per (x-node, y-node, orientation); a query gets one
+    stream per structure on its search path."""
 
     def __init__(self, it, ux, uy, params):
-        self.params = params
-        self.ux, self.uy = max(2, 2 * ux), max(2, 2 * uy)
-        self.root = self._build_x(it, 0, self.ux)
+        def dom(xs, ys, here, key):
+            return _topk_dom(key, xs, ys, here["z2"], here["orig"], params)
 
-    def _build_x(self, it, lo, hi):
-        if not len(it["orig"]):
-            return None
-        center = (lo + hi) // 2
-        node = {"center": center, "left": None, "right": None, "ytree": None}
-        cross = (it["x1"] <= center) & (it["x2"] >= center)
-        here = {k: v[cross] for k, v in it.items()}
-        if len(here["orig"]):
-            node["ytree"] = self._build_y(here, 0, self.uy)
-        if hi - lo > 1:
-            node["left"] = self._build_x({k: v[it["x2"] < center] for k, v in it.items()}, lo, center)
-            node["right"] = self._build_x({k: v[it["x1"] > center] for k, v in it.items()}, center + 1, hi)
-        return node
+        self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
-    def _build_y(self, it, lo, hi):
-        if not len(it["orig"]):
-            return None
-        center = (lo + hi) // 2
-        node = {"center": center, "left": None, "right": None, "dom": {}}
-        cross = (it["y1"] <= center) & (it["y2"] >= center)
-        here = {k: v[cross] for k, v in it.items()}
-        if len(here["orig"]):
-            for qx_side in "LR":
-                xs = here["x1"] if qx_side == "L" else here["x2"]
-                for qy_side in "LR":
-                    ys = here["y1"] if qy_side == "L" else here["y2"]
-                    # negate the sides compared as <= so dominance is uniform
-                    px = -xs if qx_side == "L" else xs
-                    py = -ys if qy_side == "L" else ys
-                    pts = [
-                        (int(here["orig"][i]), (int(px[i]), int(py[i])), int(here["z2"][i]))
-                        for i in range(len(here["orig"]))
-                    ]
-                    node["dom"][(qx_side, qy_side)] = TopKDominance(pts, self.params)
-        if hi - lo > 1:
-            node["left"] = self._build_y({k: v[it["y2"] < center] for k, v in it.items()}, lo, center)
-            node["right"] = self._build_y({k: v[it["y1"] > center] for k, v in it.items()}, center + 1, hi)
-        return node
-
-    def streams(self, lqx, lqy, counters, zr_of):
-        out = []
-        node = self.root
-        while node is not None:
-            if node["ytree"] is not None:
-                qx_side = "L" if lqx <= node["center"] else "R"
-                ynode = node["ytree"]
-                while ynode is not None:
-                    qy_side = "L" if lqy <= ynode["center"] else "R"
-                    d = ynode["dom"].get((qx_side, qy_side))
-                    if d is not None:
-                        sqx = -lqx if qx_side == "L" else lqx
-                        sqy = -lqy if qy_side == "L" else lqy
-                        out.append(_rezrank(d.stream((sqx, sqy), counters), zr_of))
-                    ynode = ynode["left"] if lqy <= ynode["center"] else ynode["right"]
-            node = node["left"] if lqx <= node["center"] else node["right"]
-        return out
+    def streams(self, lq, counters, zr_of):
+        return [_topk_stream(d, key, lq, counters, zr_of) for d, key in xy_path(self.root, lq[0], lq[1])]
 
 
 def _rezrank(stream: WeightStream, zr_of) -> WeightStream:
     """Map a nested structure's local z ordering back to global z ranks."""
-
-    def gen():
-        while True:
-            v = stream.next()
-            if v is None:
-                return
-            _, orig = v
-            yield (zr_of[orig], orig)
-
-    return WeightStream(gen())
+    return WeightStream((zr_of[orig], orig) for _, orig in iter(stream.next, None))
 
 
 class _TopKLeaf:
@@ -348,16 +310,10 @@ class _TopKGrid(GridKind):
 
     def slab(self, rows, key, axes):
         # rows: xb, yb, z2, orig
-        sx, sy = reflect_ge(key, rows[:, 0], rows[:, 1])
-        pts = [
-            (int(rows[i, 3]), (int(sx[i]), int(sy[i])), int(rows[i, 2]))
-            for i in range(len(rows))
-        ]
-        return TopKDominance(pts, self.params)
+        return _topk_dom(key, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], self.params)
 
     def slab_query(self, d, key, lq, counters, trace, streams):
-        sqx, sqy = reflect_ge(key, lq[0], lq[1])
-        streams.append(_rezrank(d.stream((sqx, sqy), counters), self.zr_of))
+        streams.append(_topk_stream(d, key, lq, counters, self.zr_of))
 
     def slow(self, gi, axes):
         return _TopKSlow({k: gi[k] for k in _ITEM_KEYS}, len(axes[0]), len(axes[1]), self.params)
@@ -374,7 +330,7 @@ class _TopKGrid(GridKind):
         if len(lst) < node.cap:
             return
         # a full list: the slow structure's stream past the entries shown
-        merged = _merge_streams(node.slow.streams(lq[0], lq[1], counters, self.zr_of))
+        merged = _merge_streams(node.slow.streams(lq, counters, self.zr_of))
         for _ in range(len(lst)):
             merged.next()
         while (v := merged.next()) is not None:

@@ -15,6 +15,7 @@ from boxstab.stab5 import (
     query_stab5,
     top_list_cap,
 )
+from gridclamp import clamp_cells
 
 DEEP = ModelParams(tau=8, plateau_leaf=False)
 GRIDDED = ModelParams(tau=8, plateau_leaf=False, grid_override=5)
@@ -186,16 +187,7 @@ class TestStab5Tree:
                 )
             )
         t = build_stab5(rects, params=GRIDDED)
-
-        def clamp(node, cap):
-            if node.leaf is not None:
-                return
-            node.cap = cap
-            node.cells = {k: v[:cap] for k, v in node.cells.items()}
-            for ch in list(node.col_children.values()) + list(node.row_children.values()):
-                clamp(ch, cap)
-
-        clamp(t.root, 3)
+        clamp_cells(t.root, 3)
         fired = 0
         for q in queries(100, 31, 300):
             trace = []

@@ -14,6 +14,7 @@ from boxstab.stab6 import (
     query_zr4_slow,
     query_zr6,
 )
+from gridclamp import clamp_cells
 
 
 def zr_queries(U, f, seed, k=250):
@@ -132,6 +133,23 @@ class TestZR6:
             got = query_zr6(t, q)
             assert len(got) == len(set(got))
             assert set(got) == brute_stab(rects, q), q
+
+    def test_cover_fallback_oracle(self):
+        # no Cover(c, z) list reaches its log m cap at this size, so the
+        # lists are clamped to one entry: every nonempty cell is then full
+        # and its queries go to the _ZR6Slow fallback
+        inst = gen("zr6", 700, 2800, seed=37, fanout=4)
+        rects = list(inst.boxes)
+        t = build_zr6(rects, f=4, params=GRIDDED)
+        clamp_cells(t.root, 1)
+        fired = 0
+        for q in zr_queries(2800, 4, 41, 300):
+            trace = []
+            got = query_zr6(t, q, trace=trace)
+            assert len(got) == len(set(got))
+            assert set(got) == brute_stab(rects, q), q
+            fired += sum(event[0] == "cover_fallback" for event in trace)
+        assert fired
 
 
 class TestStab6:

@@ -14,6 +14,7 @@ from boxstab.topk import (
     query_topk_stab,
     weight_rank_lift,
 )
+from gridclamp import clamp_cells
 
 
 def weighted_points(n, U, seed):
@@ -118,6 +119,40 @@ class TestWeightDomain:
             assert query_topk_stab(t, (2, 3), k) == brute_topk_stab(rects, (2, 3), k) == [0, 1, 2][:k]
 
 
+class TestCoordinateDomain:
+    # grid pieces reach TopKDominance with sentinels and their negations,
+    # exactly NEG and POS, so the closed range [NEG, POS] is the domain
+    @pytest.mark.parametrize("v", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_topkdom_rejects(self, v, axis):
+        xy = [2, 1]
+        xy[axis] = v
+        with pytest.raises(ValidationError):
+            build_topk_dom([(0, tuple(xy), 3), (1, (2, 2), 3)])
+
+    @pytest.mark.parametrize("v", [1.5, "3"])
+    def test_topkdom_rejects_non_integer(self, v):
+        with pytest.raises(ValidationError):
+            build_topk_dom([(0, (v, 1), 3), (1, (2, 2), 3)])
+
+    def test_closed_range_answers_like_brute(self):
+        pts = [
+            (0, (NEG, POS), 5), (1, (POS, NEG), 4), (2, (POS, POS), 3),
+            (3, (NEG, NEG), 9), (4, (0, 0), 7), (5, (-3, 2), 7),
+            (6, (NEG + 1, POS - 1), 2), (7, (POS - 1, 5), 1),
+        ]
+        s = build_topk_dom(pts)
+        for q in [(NEG, NEG), (0, 0), (-3, NEG), (1, 1), (-3, 2), (NEG, 3), (4, 6)]:
+            for k in (1, 2, 8):
+                assert query_topk_dom(s, q, k) == brute_topk_dominance(pts, q, k), (q, k)
+
+    @pytest.mark.xfail(strict=True, reason="coordinates are clipped to [NEG//2, POS//2], "
+                       "so a query past POS//2 misses points beyond it")
+    def test_query_past_clip_band(self):
+        s = build_topk_dom([(0, (POS, POS), 3), (1, (2, 2), 3)])
+        assert query_topk_dom(s, (POS, POS), 1) == [0]
+
+
 class TestWeightStream:
     def test_empty(self):
         s = WeightStream(iter([]))
@@ -203,16 +238,7 @@ class TestTopKStab:
         inst = gen("topk-stab", 500, 2000, seed=31)
         rects = inst.boxes2()
         t = build_topk_stab(rects, params=GRIDDED)
-
-        def clamp(node, cap):
-            if node.leaf_items is not None:
-                return
-            node.cap = cap
-            node.cells = {k: v[:cap] for k, v in node.cells.items()}
-            for ch in list(node.col_children.values()) + list(node.row_children.values()):
-                clamp(ch, cap)
-
-        clamp(t.root, 2)
+        clamp_cells(t.root, 2)
         rng = np.random.default_rng(37)
         for _ in range(150):
             q = (int(rng.integers(0, 2000)), int(rng.integers(0, 2000)))
