@@ -35,10 +35,11 @@ print(f"stream at {q}: {len(full)} dominators, pause/resume consistent")
 inst = gen("topk-stab", 2000, 8000, seed=6)
 rects = inst.boxes2()
 t = build_topk_stab(rects)
+weight = {r.id: r.weight for r in rects}
 for k in (1, 5, 25):
     q = (int(rng.integers(0, 8000)), int(rng.integers(0, 8000)))
     got = query_topk_stab(t, q, k)
     assert got == brute_topk_stab(rects, q, k)
     print(f"  stabbing k={k:>3} at q={q}: heaviest = "
-          f"{[(i, t.w_of[i]) for i in got[:4]]}")
+          f"{[(i, weight[i]) for i in got[:4]]}")
 print("top-k stabbing matches the oracle, ties broken by ascending id")

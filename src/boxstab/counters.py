@@ -15,11 +15,29 @@ Charging policy (used consistently by every structure):
 * each heap push/pop charges 1 to ``heap_ops``;
 * each public reporting query charges the length of its answer to
   ``output_size``, once (see ``charge_output``).
+
+Tracing: a query that takes ``trace=[]`` appends one ``TraceEvent`` per
+decision it takes.  ``layer`` names the module, ``node`` is the structure
+node that decided, ``key`` says where and ``q`` is the query in that
+node's coordinates.  The decisions are:
+
+* ``("pl3d", node, "short" | "middle", slab k, q)``: step 3 of a pl3d
+  node found the slab's 2-d stabbing answer non-empty (descend into the
+  short child) or empty (descend into the middle child);
+* ``("stab5", node, "top_fallback", cell, q)``: a full Top(c) list sent
+  the query to the node's slow structure;
+* ``("stab6", node, "cover_fallback", cell, q)``: likewise for a full
+  Cover(c, z) list of a z-restricted 6-sided tree;
+* ``("stab6", zr4, "zr4_fallback", group index, q)``: a ZR4Fast group
+  reported t0 or more hits and the query went to ZR4Slow;
+* ``("stab6", node, "visit", None, q)``: 6-sided stabbing visited a node
+  of its z interval tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 
 CSV_COLUMNS = (
@@ -82,6 +100,16 @@ class CounterStats:
 
     def max(self, name: str) -> int:
         return self.maxes.get(name, 0)
+
+
+class TraceEvent(NamedTuple):
+    """One traced query decision; see the module docstring."""
+
+    layer: str
+    node: object
+    decision: str
+    key: object
+    q: tuple
 
 
 def charge_output(out: list, counters: Counters | None) -> list:

@@ -126,7 +126,6 @@ class ModelParams:
     # formula only yields g >= 3 above ~1.3e5 items, so small-scale tests of
     # the grid/Top machinery set this
     grid_override: int | None = None
-    truncate_cell_lists: bool = False
 
     def __post_init__(self):
         if self.W < 2 or self.tau < 1 or self.eps <= 0:

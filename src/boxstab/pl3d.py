@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .counters import Counters, bit_width
+from .counters import Counters, TraceEvent, bit_width
 from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
 from .range2d import PL2, StabEmpty2
 
@@ -33,7 +33,6 @@ class PL3Node:
         "n", "U", "axis", "s", "width", "nslabs", "leaf_coords", "leaf_ids",
         "left_pl2", "right_pl2", "stab", "short_children", "middle_child",
         "l_lo", "l_hi", "l_orig", "r_lo", "r_hi", "r_orig", "mid_orig",
-        "debug_short", "debug_middle",
     )
 
 
@@ -64,7 +63,6 @@ def build_pl3(
     boxes: list[Box3],
     universes: tuple[int, int, int],
     params: ModelParams = DEFAULT_PARAMS,
-    keep_boxes: bool = False,
 ) -> PL3:
     n = len(boxes)
     coords = np.empty((n, 6), dtype=np.int64)
@@ -79,7 +77,7 @@ def build_pl3(
             coords[i, 2 * a] = lo
             coords[i, 2 * a + 1] = hi
         ids[i] = b.id
-    return build_pl3_arrays(coords, ids, universes, params, keep_boxes)
+    return build_pl3_arrays(coords, ids, universes, params)
 
 
 def build_pl3_arrays(
@@ -87,17 +85,16 @@ def build_pl3_arrays(
     ids,
     universes,
     params: ModelParams = DEFAULT_PARAMS,
-    keep_boxes: bool = False,
 ) -> PL3:
     """Array-form build: coords is (n, 6) int64, ids (n,)."""
     coords = np.asarray(coords, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
     bits = {"pl2": 0, "stab2": 0, "piece_map": 0, "leaf": 0, "incidences": 0}
-    root = _build(coords, ids, tuple(universes), params, bits, keep_boxes)
+    root = _build(coords, ids, tuple(universes), params, bits)
     return PL3(root, len(coords), tuple(universes), bits)
 
 
-def _build(coords, ids, U, params, bits, keep_boxes):
+def _build(coords, ids, U, params, bits):
     node = PL3Node()
     n = len(coords)
     node.n = n
@@ -134,7 +131,6 @@ def _build(coords, ids, U, params, bits, keep_boxes):
     # -- short boxes: per-slab stabbing structure + recursive short child
     node.stab = {}
     node.short_children = {}
-    node.debug_short = {}
     sh_idx = np.nonzero(short)[0]
     if len(sh_idx):
         order = sh_idx[np.argsort(lo_slab[sh_idx], kind="stable")]
@@ -154,18 +150,13 @@ def _build(coords, ids, U, params, bits, keep_boxes):
             child_coords[:, 2 * axis] -= k * width
             child_coords[:, 2 * axis + 1] -= k * width
             child_U = tuple(width if a == axis else U[a] for a in range(3))
-            if keep_boxes:
-                node.debug_short[k] = child_coords
-            node.short_children[k] = _build(
-                child_coords, ids[seg], child_U, params, bits, keep_boxes
-            )
+            node.short_children[k] = _build(child_coords, ids[seg], child_U, params, bits)
 
     # -- long boxes: left/right pieces per slab, middle recursion
     lg_idx = np.nonzero(long_)[0]
     node.left_pl2 = {}
     node.right_pl2 = {}
     node.middle_child = None
-    node.debug_middle = None
     node.l_lo = node.l_hi = node.l_orig = None
     node.r_lo = node.r_hi = node.r_orig = None
     node.mid_orig = None
@@ -215,11 +206,7 @@ def _build(coords, ids, U, params, bits, keep_boxes):
             mid_U = tuple(s if a == axis else U[a] for a in range(3))
             node.mid_orig = ids[has_mid]
             bits["piece_map"] += len(has_mid) * (bit_width(len(has_mid) + 1) + pair_w)
-            if keep_boxes:
-                node.debug_middle = mc
-            node.middle_child = _build(
-                mc, np.arange(len(has_mid)), mid_U, params, bits, keep_boxes
-            )
+            node.middle_child = _build(mc, np.arange(len(has_mid)), mid_U, params, bits)
     return node
 
 
@@ -274,7 +261,7 @@ def _query(node, q, counters, trace):
     stab = node.stab.get(k)
     nonempty = stab is not None and not stab.empty(proj[0], proj[1], counters)
     if trace is not None:
-        trace.append((node, int(k), nonempty, q))
+        trace.append(TraceEvent("pl3d", node, "short" if nonempty else "middle", int(k), q))
     if nonempty:
         child = node.short_children.get(k)
         if child is None:

@@ -42,7 +42,7 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .counters import Counters, bit_width, charge_output
+from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3
 from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
 from .range2d import NEG, POS
@@ -297,8 +297,8 @@ class GridKind:
     builds a leaf, whose ``query(lq, counters, out)`` adds its matches to
     ``out``.  ``slab(rows, key, axes)`` builds the structure of
     one slab's 3-sided pieces of orientation ``key`` from rows (x bound,
-    y bound, payload...), and ``slab_query(s, key, lq, counters, trace,
-    out)`` adds its matches.  A cell keeps the first ``cell_cap(m)`` grid
+    y bound, payload...), and ``slab_query(s, key, lq, counters, out)``
+    adds its matches.  A cell keeps the first ``cell_cap(m)`` grid
     items in ``cell_order(gi)``; it is keyed by (column, row) plus one value
     per ``cell_spans`` field range, matched by the raw query coordinates.
     ``cell_query(node, cell, lst, lq, counters, trace, out)`` adds a cell's
@@ -575,7 +575,7 @@ def _query_node(node: GridNode, q, counters, trace, out):
         structs = slabs.get(slab)
         if structs:
             for key, s in structs.items():
-                kind.slab_query(s, key, lq, counters, trace, out)
+                kind.slab_query(s, key, lq, counters, out)
 
     cell = (col, row) + lq[na:]
     lst = node.cells.get(cell)
@@ -612,7 +612,7 @@ class Stab5Grid(GridKind):
             universes=tuple(max(2, 2 * len(ax)) for ax in axes),
         )
 
-    def slab_query(self, d, key, lq, counters, trace, out):
+    def slab_query(self, d, key, lq, counters, out):
         out.extend(d.query(lq, counters))
 
     def slow(self, gi, axes):
@@ -626,7 +626,7 @@ class Stab5Grid(GridKind):
             counters.scan_cells(min(reported + 1, len(lst)))
         if reported == len(lst) == node.cap:
             if trace is not None:
-                trace.append(("top_fallback", node, cell, lq))
+                trace.append(TraceEvent("stab5", node, "top_fallback", cell, lq))
             node.slow.query(lq, counters, out)
         else:
             out.extend(gi["orig"][lst[:reported]].tolist())

@@ -33,7 +33,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .counters import Counters, bit_width, charge_output
+from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
 from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
 from .stab5 import (
@@ -153,7 +153,7 @@ class ZR4Fast:
         order = np.argsort(pair_key, kind="stable")
         bounds = np.searchsorted(pair_key[order], np.arange(self.f * self.f + 1))
         corners = []  # (x, b, pair, conflict row array)
-        self.cut_by_pair: dict[int, tuple] = {}
+        cuts = []  # (cutting, conflict row arrays) per nonempty (i,j)
         for pair in range(self.f * self.f):
             seg = order[bounds[pair] : bounds[pair + 1]]
             if not len(seg):
@@ -164,7 +164,7 @@ class ZR4Fast:
                 cover_floor=(-1, -1),
             )
             confs = [seg[np.asarray(c, dtype=np.int64)] for c in cut.conflicts]
-            self.cut_by_pair[pair] = (cut, confs)
+            cuts.append((cut, confs))
             for (a, b), rows in zip(cut.corners, confs):
                 corners.append((a, b, pair, rows))
         corners.sort(key=lambda c: (c[0], c[2], c[1]))
@@ -177,7 +177,7 @@ class ZR4Fast:
             for _, _, _, rows in grp:
                 member.update(int(v) for v in rows)
             # per (i,j): the rightmost corner of that cutting with x <= b_alpha
-            for pair, (cut, confs) in self.cut_by_pair.items():
+            for cut, confs in cuts:
                 pos = cut.rightmost_corner_at_or_left(b_alpha)
                 if pos is not None:
                     member.update(int(v) for v in confs[pos])
@@ -211,7 +211,7 @@ class ZR4Fast:
         hits = g["id"][np.nonzero(m)[0]]
         if len(hits) >= self.t0:
             if trace is not None:
-                trace.append(("zr4_fallback", gi, len(hits)))
+                trace.append(TraceEvent("stab6", self, "zr4_fallback", gi, (qx, qy, qz)))
             return self.slow.query(q, counters, out)
         out.extend(int(v) for v in hits)
         return out
@@ -323,9 +323,9 @@ class _ZR6Grid(GridKind):
         sx, sy = reflect_ge(key, rows[:, 0], rows[:, 1])
         return ZR4Fast(sx, sy, rows[:, 2], rows[:, 3], rows[:, 4], self.f, self.params, self.t0)
 
-    def slab_query(self, s, key, lq, counters, trace, out):
+    def slab_query(self, s, key, lq, counters, out):
         sqx, sqy = reflect_ge(key, lq[0], lq[1])
-        s.query((sqx, sqy, lq[2]), counters, trace, out)
+        s.query((sqx, sqy, lq[2]), counters, out=out)
 
     def cell_order(self, gi):
         return np.argsort(gi["orig"], kind="stable")  # keep the lowest ids
@@ -341,7 +341,7 @@ class _ZR6Grid(GridKind):
             counters.scan_cells(len(lst))
         if len(lst) == node.cap:
             if trace is not None:
-                trace.append(("cover_fallback", node, cell))
+                trace.append(TraceEvent("stab6", node, "cover_fallback", cell, lq))
             node.slow.query(*lq, counters, out)
         else:
             out.extend(node.grid_items["orig"][lst].tolist())
@@ -403,21 +403,6 @@ class IntervalTreeZ:
         self.f = f
         self.zvals = zvals  # sorted distinct z endpoints (the leaf order)
         self.params = params
-
-    def depth_of(self, qz: int) -> int:
-        """Number of nodes on the search path of qz."""
-        li = int(np.searchsorted(self.zvals, qz, side="right")) - 1
-        if li < 0:
-            return 0
-        d = 0
-        node = self.root
-        while node is not None:
-            d += 1
-            if node.leaf_items is not None:
-                break
-            c = (li - node.lo) // node.child_size
-            node = node.children.get(int(c))
-        return d
 
     @property
     def bits_stored(self) -> int:
@@ -579,7 +564,7 @@ def query_stab6(
         if counters is not None:
             counters.visit_node()
         if trace is not None:
-            trace.append(("it_node", node))
+            trace.append(TraceEvent("stab6", node, "visit", None, (qx, qy, qz)))
         if node.leaf_items is not None:
             itearr = node.leaf_items
             if len(itearr["orig"]):

@@ -25,7 +25,6 @@ merged by a binary heap.
 from __future__ import annotations
 
 import heapq
-import math
 
 import numpy as np
 
@@ -88,7 +87,6 @@ class TopKDominance:
             for v in p[1]:
                 check_point_coord(v)
             check_weight(p[2])
-        self.params = params
         self.n = n = len(points)
         self.ids = np.asarray([p[0] for p in points], dtype=np.int64)
         # half-unbounded pieces arrive with +-sentinel coordinates; clamp to
@@ -124,7 +122,7 @@ class TopKDominance:
 
     def _rank_table(self, conf):
         """Per rank cell of the conflict list's grid, the full weight-sorted
-        dominator list (optionally truncated for space experiments)."""
+        dominator list."""
         rows = np.asarray(conf, dtype=np.int64)
         if not len(rows):
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {(0, 0): []})
@@ -132,14 +130,10 @@ class TopKDominance:
         cy = np.unique(self.py[rows])
         xr = np.searchsorted(cx, self.px[rows])
         yr = np.searchsorted(cy, self.py[rows])
-        limit = None
-        if self.params.truncate_cell_lists:
-            limit = max(1, math.ceil(math.log2(max(2.0, math.log2(max(4, self.n))))))
         table = {}
         for i in range(len(cx) + 1):
             for j in range(len(cy) + 1):
-                lst = [int(rows[m]) for m in range(len(rows)) if xr[m] >= i and yr[m] >= j]
-                table[(i, j)] = lst if limit is None else lst[:limit]
+                table[(i, j)] = [int(rows[m]) for m in range(len(rows)) if xr[m] >= i and yr[m] >= j]
         return (cx, cy, table)
 
     # -- query helpers ------------------------------------------------------
@@ -171,13 +165,7 @@ class TopKDominance:
             return []
         qx, qy = int(q[0]), int(q[1])
         rows = None
-        p2_cap = self.t2
-        if self.params.truncate_cell_lists:
-            p2_cap = min(
-                p2_cap,
-                max(1, math.ceil(math.log2(max(2.0, math.log2(max(4, self.n)))))) + 1,
-            )
-        if k < p2_cap:
+        if k < self.t2:
             label = find_any(self.p2, qx, qy, counters)
             if label is not None:
                 rows = self._cell_list_p2(label, qx, qy, counters)
@@ -197,7 +185,7 @@ class TopKDominance:
 
         def gen():
             emitted = 0
-            if self.n and not self.params.truncate_cell_lists:
+            if self.n:
                 label = find_any(self.p2, qx, qy, counters)
                 if label is not None:
                     rows = self._cell_list_p2(label, qx, qy, counters)
@@ -312,7 +300,7 @@ class _TopKGrid(GridKind):
         # rows: xb, yb, z2, orig
         return _topk_dom(key, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], self.params)
 
-    def slab_query(self, d, key, lq, counters, trace, streams):
+    def slab_query(self, d, key, lq, counters, streams):
         streams.append(_topk_stream(d, key, lq, counters, self.zr_of))
 
     def slow(self, gi, axes):
@@ -345,7 +333,6 @@ class TopKStab:
         ws = [r.weight if r.weight is not None else 0 for r in rects]
         zr = weight_rank_lift(np.asarray(ids), np.asarray(ws))
         self.zr_of = {int(i): int(z) for i, z in zip(ids, zr)}
-        self.w_of = {int(i): int(w) for i, w in zip(ids, ws)}
         it = {
             "x1": np.asarray([r.x[0] for r in rects], dtype=np.int64),
             "x2": np.asarray([r.x[1] for r in rects], dtype=np.int64),

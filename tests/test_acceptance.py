@@ -22,9 +22,11 @@ from boxstab.instances import gen, gen_pl_arrays
 from boxstab.pl3d import build_pl3, build_pl3_arrays, query_pl3
 from boxstab.range2d import build_pl2, build_stab_count, query_pl2, query_stab_count
 from boxstab.domcut import build_dominance3, query_dominance3
-from boxstab.stab5 import build_leaf5, build_slow5, build_stab5, query_leaf5, query_slow5, query_stab5
-from boxstab.stab6 import build_stab6, build_zr4_fast, build_zr4_slow, build_zr6, query_stab6, query_zr4_fast, query_zr4_slow, query_zr6
+from boxstab.stab5 import build_stab5, query_stab5
+from boxstab.stab6 import query_zr4_fast
 from boxstab.topk import build_topk_dom, build_topk_stab, open_stream, query_topk_dom, query_topk_stab
+from boxstab.verify import STRUCTURES
+from pl3split import box_coords, dichotomy
 
 PARAMS = ModelParams()
 SIZES = (1, 2, 3, 5, 17, 64, 257, 1024, 4096)
@@ -176,7 +178,8 @@ def test_criterion_1_and_6_and_7_oracle_equivalence():
         fo = FastOracle(inst.boxes)
         rs, red = rank_reduce(list(inst.boxes))
         U = tuple(max(2, rs.size(a)) for a in range(3))
-        pl = build_pl3(red, U, keep_boxes=True)
+        pl = build_pl3(red, U)
+        root = box_coords(red)
         by_id = {b.id: b for b in inst.boxes}
         for qi, q in enumerate(_queries(inst.universe, idx)):
             fl = rank_locate(rs, q)
@@ -192,32 +195,23 @@ def test_criterion_1_and_6_and_7_oracle_equivalence():
                 spot.append(fo.locate(q) == oracle.brute_locate(list(inst.boxes), q))
             # criterion 6: the non-empty answer rules out middle boxes, the
             # empty answer rules out the slab's short boxes
-            for node, slab, nonempty, ql in trace:
-                if nonempty and node.debug_middle is not None:
-                    k = ql[node.axis] // node.width
-                    qm = tuple(k if a == node.axis else ql[a] for a in range(3))
-                    if _contains_any(node.debug_middle, qm):
-                        failures.append(("dichotomy-middle", inst.n, q, None, None))
-                elif not nonempty and node.debug_short.get(slab) is not None:
-                    q2 = tuple(
-                        ql[a] - slab * node.width if a == node.axis else ql[a]
-                        for a in range(3)
-                    )
-                    if _contains_any(node.debug_short[slab], q2):
-                        failures.append(("dichotomy-short", inst.n, q, None, None))
+            for ev, _, hit in dichotomy(root, trace):
+                if hit:
+                    failures.append(("dichotomy", inst.n, q, ev.decision, None))
                 dichotomy_checked += 1
 
     # ---- set-reporting structures ----
-    def run_sets(name, kind, build, query, fanout=None, zq=None):
+    def run_sets(name, fanout=None, zq=False):
         nonlocal dup_violations
-        for idx, inst in enumerate(_suite(kind, fanout=fanout)):
+        row = STRUCTURES[name]
+        for idx, inst in enumerate(_suite(row.kind, fanout=fanout)):
             fo = FastOracle(inst.boxes)
-            s = build(inst)
+            s = row.build(inst, PARAMS, None)
             rng = np.random.default_rng(idx)
             for qi, q in enumerate(_queries(inst.universe, 31 * idx + 7)):
-                if zq is not None:
-                    q = (q[0], q[1], int(rng.integers(0, zq(inst))))
-                got = query(s, q)
+                if zq:
+                    q = (q[0], q[1], int(rng.integers(0, inst.fanout)))
+                got = row.query(s, q, None)
                 if not _dupfree(got):
                     dup_violations += 1
                 if set(got) != fo.stab(q):
@@ -225,30 +219,20 @@ def test_criterion_1_and_6_and_7_oracle_equivalence():
                 if qi < 2 and inst.n <= 257:
                     spot.append(fo.stab(q) == oracle.brute_stab(list(inst.boxes), q))
 
-    run_sets("stab5", "stab5", lambda i: build_stab5(list(i.boxes)), lambda s, q: query_stab5(s, q))
-    run_sets("slow5", "stab5", lambda i: build_slow5(list(i.boxes)), lambda s, q: query_slow5(s, q))
-    run_sets(
-        "leaf5", "stab5",
-        lambda i: build_leaf5(list(i.boxes), ModelParams(tau=max(32, i.n))),
-        lambda s, q: query_leaf5(s, q),
-    )
-    run_sets("stab6", "stab6", lambda i: build_stab6(list(i.boxes), f=2), lambda s, q: query_stab6(s, q))
+    for name in ("stab5", "slow5", "leaf5", "stab6"):
+        run_sets(name)
 
     fcycle = (2, 4, 8)
-    run_sets(
-        "zr4slow", "zr4",
-        lambda i: build_zr4_slow(list(i.boxes), f=i.fanout),
-        lambda s, q: query_zr4_slow(s, q),
-        fanout=8, zq=lambda i: i.fanout,
-    )
+    run_sets("zr4slow", fanout=8, zq=True)
 
     # zr4fast carries criterion 7 checks
     Z = PARAMS.Z
-    for idx, inst in enumerate(_suite("zr4", fanout=fcycle[0])):
+    zr4fast = STRUCTURES["zr4fast"]
+    for idx, inst in enumerate(_suite(zr4fast.kind, fanout=fcycle[0])):
         f = fcycle[idx % 3]
-        inst = gen("zr4", inst.n, inst.universe, seed=1000 + idx, fanout=f)
+        inst = gen(zr4fast.kind, inst.n, inst.universe, seed=1000 + idx, fanout=f)
         fo = FastOracle(inst.boxes)
-        s = build_zr4_fast(list(inst.boxes), f=f)
+        s = zr4fast.build(inst, PARAMS, None)
         gsz = max(1, max(Z, f) ** 2)
         if s.sum_candidate_sizes() > 16 * max(inst.n, gsz * s.t0):
             zr4_bound_ok = False
@@ -264,12 +248,7 @@ def test_criterion_1_and_6_and_7_oracle_equivalence():
             if trace and len(fo.stab(q)) < s.t0:
                 zr4_fallback_ok = False
 
-    run_sets(
-        "zr6", "zr6",
-        lambda i: build_zr6(list(i.boxes), f=i.fanout),
-        lambda s, q: query_zr6(s, q),
-        fanout=4, zq=lambda i: i.fanout,
-    )
+    run_sets("zr6", fanout=4, zq=True)
 
     # ---- 2-d building blocks ----
     for idx, inst in enumerate(_suite("pl-disjoint")):
@@ -346,15 +325,6 @@ def test_criterion_1_and_6_and_7_oracle_equivalence():
     _report("7 (ZR4Fast bounds)", zr4_bound_ok and zr4_fallback_ok,
             f"sum|R_a| <= 16*max(n, Z^2*t0): {zr4_bound_ok}; fallback only when >= t0: {zr4_fallback_ok}")
     _report("8 (duplicate freedom)", dup_violations == 0, f"{dup_violations} duplicate emissions")
-
-
-def _contains_any(coords, q):
-    m = (
-        (coords[:, 0] <= q[0]) & (coords[:, 1] >= q[0])
-        & (coords[:, 2] <= q[1]) & (coords[:, 3] >= q[1])
-        & (coords[:, 4] <= q[2]) & (coords[:, 5] >= q[2])
-    )
-    return bool(m.any())
 
 
 def test_criterion_2_shallow_cutting_properties():

@@ -8,12 +8,13 @@ from boxstab.geom import Box3, ModelParams, rank_locate, rank_reduce
 from boxstab.instances import check_pairwise_disjoint, gen
 from boxstab.oracle import brute_locate
 from boxstab.pl3d import build_pl3, query_pl3
+from pl3split import box_coords, dichotomy
 
 
-def build_from_instance(inst, keep_boxes=False, params=ModelParams()):
+def build_from_instance(inst, params=ModelParams()):
     rs, red = rank_reduce(list(inst.boxes))
     U = tuple(max(2, rs.size(a)) for a in range(3))
-    pl = build_pl3(red, U, params=params, keep_boxes=keep_boxes)
+    pl = build_pl3(red, U, params=params)
     return rs, red, pl
 
 
@@ -109,7 +110,8 @@ class TestDichotomy:
         # wherever step 3 answers non-empty the middle boxes cannot contain q,
         # and wherever it answers empty the slab's short boxes cannot
         inst = gen("pl-subdivision-pruned", 300, 1300, seed=8)
-        rs, red, pl = build_from_instance(inst, keep_boxes=True)
+        rs, red, pl = build_from_instance(inst)
+        root = box_coords(red)
         rng = np.random.default_rng(10)
         checked = 0
         for _ in range(200):
@@ -119,37 +121,12 @@ class TestDichotomy:
                 continue
             trace = []
             query_pl3(pl, fl, trace=trace)
-            for node, slab, nonempty, ql in trace:
-                if nonempty:
-                    mid = node.debug_middle
-                    if mid is None:
-                        continue
-                    k = ql[node.axis] // node.width
-                    qm = tuple(
-                        k if a == node.axis else ql[a] for a in range(3)
-                    )
-                    hit = _contains_any(mid, qm)
-                    assert not hit
-                else:
-                    sh = node.debug_short.get(slab)
-                    if sh is None:
-                        continue
-                    q2 = tuple(
-                        ql[a] - slab * node.width if a == node.axis else ql[a]
-                        for a in range(3)
-                    )
-                    assert not _contains_any(sh, q2)
+            for _, ruled, hit in dichotomy(root, trace):
+                if not ruled:
+                    continue
+                assert not hit
                 checked += 1
         assert checked > 50
-
-
-def _contains_any(coords, q):
-    m = (
-        (coords[:, 0] <= q[0]) & (coords[:, 1] >= q[0])
-        & (coords[:, 2] <= q[1]) & (coords[:, 3] >= q[1])
-        & (coords[:, 4] <= q[2]) & (coords[:, 5] >= q[2])
-    )
-    return bool(m.any())
 
 
 class TestSpace:

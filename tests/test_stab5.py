@@ -194,9 +194,10 @@ class TestStab5Tree:
             got = query_stab5(t, q, trace=trace)
             assert set(got) == brute_stab(rects, q)
             assert len(got) == len(set(got))
-            for tag, node, cell, lq in trace:
-                if tag != "top_fallback":
+            for ev in trace:
+                if ev.decision != "top_fallback":
                     continue
+                node, lq = ev.node, ev.q
                 fired += 1
                 gi = node.grid_items
                 stabbed = int(

@@ -87,7 +87,7 @@ class TestZR4Fast:
         for q in zr_queries(8192, 4, 99, 400):
             trace = []
             query_zr4_fast(s, q, trace=trace)
-            for tag, gi, hits in trace:
+            for _ in trace:
                 fired += 1
                 assert len(brute_stab(rects, q)) >= s.t0
         assert fired > 0  # heavy queries exist at this density
@@ -148,7 +148,7 @@ class TestZR6:
             got = query_zr6(t, q, trace=trace)
             assert len(got) == len(set(got))
             assert set(got) == brute_stab(rects, q), q
-            fired += sum(event[0] == "cover_fallback" for event in trace)
+            fired += sum(ev.decision == "cover_fallback" for ev in trace)
         assert fired
 
 
@@ -234,6 +234,21 @@ class TestStab6:
                 q = tuple(int(v) for v in rng.integers(0, 4096, 3))
                 trace = []
                 query_stab6(t, q, trace=trace)
-                visited = sum(1 for tag, *_ in trace if tag == "it_node")
+                visited = sum(ev.decision == "visit" for ev in trace)
                 assert visited <= t.height_bound()
-                assert visited == t.depth_of(q[2])
+                assert visited == depth_of(t, q[2])
+
+
+def depth_of(t, qz):
+    """Number of nodes of the interval tree ``t`` on the search path of qz."""
+    li = int(np.searchsorted(t.zvals, qz, side="right")) - 1
+    if li < 0:
+        return 0
+    d = 0
+    node = t.root
+    while node is not None:
+        d += 1
+        if node.leaf_items is not None:
+            break
+        node = node.children.get((li - node.lo) // node.child_size)
+    return d

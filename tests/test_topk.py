@@ -85,15 +85,6 @@ class TestTopKDominance:
             checked += 1
         assert checked > 10
 
-    def test_truncation_flag(self):
-        pts = weighted_points(512, 1024, 3)
-        s = build_topk_dom(pts, ModelParams(truncate_cell_lists=True))
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            q = (int(rng.integers(0, 1024)), int(rng.integers(0, 1024)))
-            for k in (1, 2, 5, 40):
-                assert query_topk_dom(s, q, k) == brute_topk_dominance(pts, q, k)
-
 
 class TestWeightDomain:
     # one past each end of int64: numpy used to raise OverflowError here
