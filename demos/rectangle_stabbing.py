@@ -19,7 +19,7 @@ inst = gen("stab5", 3000, 12000, seed=1)
 rects = list(inst.boxes)
 # a wide grid exercises the full machinery (breaking stages, Top(c) lists,
 # per-slab dominance, slow-structure fallback) even at this small scale
-tree = build_stab5(rects, params=ModelParams(tau=16, plateau_leaf=False, grid_override=5))
+tree = build_stab5(rects, params=ModelParams(tau=16, grid_override=5))
 c = Counters()
 for _ in range(500):
     q = tuple(int(v) for v in rng.integers(0, 12000, 3))

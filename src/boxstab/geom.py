@@ -17,6 +17,8 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .counters import Counters
 
 
@@ -58,11 +60,16 @@ def check_point_coord(v) -> None:
     _check_int(v, "coordinate", NEG, POS)
 
 
+def _check_id(v) -> None:
+    # ids travel in the structures' int64 id arrays
+    _check_int(v, "id", -(2**63), 2**63 - 1)
+
+
 def _check_interval(name: str, iv: Interval) -> None:
     lo, hi = iv
     for v in iv:
-        if v is not None and not NEG < v < POS:
-            raise ValidationError(f"{name}-endpoint {v} outside the open range (-2^62, 2^62)")
+        if v is not None:
+            _check_int(v, f"{name}-endpoint", NEG + 1, POS - 1)
     if lo is not None and hi is not None and lo > hi:
         raise ValidationError(f"malformed {name}-interval: lo {lo} > hi {hi}")
 
@@ -78,6 +85,7 @@ class Box3:
     weight: int | None = None
 
     def __post_init__(self):
+        _check_id(self.id)
         _check_interval("x", self.x)
         _check_interval("y", self.y)
         _check_interval("z", self.z)
@@ -99,6 +107,7 @@ class Box2:
     weight: int | None = None
 
     def __post_init__(self):
+        _check_id(self.id)
         _check_interval("x", self.x)
         _check_interval("y", self.y)
         if self.weight is not None:
@@ -119,9 +128,6 @@ class ModelParams:
     W: int = 64
     eps: float = 0.1
     tau: int = 32
-    # Bottom out the grid recursion where the quantile bound stops shrinking
-    # (g < 3); disabled by tests that want deep trees on small inputs.
-    plateau_leaf: bool = True
     # fixed grid side instead of the size formula (test/bench hook); the
     # formula only yields g >= 3 above ~1.3e5 items, so small-scale tests of
     # the grid/Top machinery set this
@@ -147,6 +153,50 @@ class ModelParams:
 
 
 DEFAULT_PARAMS = ModelParams()
+
+
+# ---------------------------------------------------------------------------
+# the box-to-array boundary
+#
+# Every structure reads its input boxes through box_arrays and states the
+# form it accepts with one require_form call.  Box validation keeps finite
+# endpoints strictly inside (NEG, POS), so a side equals its sentinel
+# exactly where it is None.
+
+SIDES = ("x1", "x2", "y1", "y2", "z1", "z2")
+
+
+def box_arrays(boxes, dims: int = 3) -> dict:
+    """Per-field int64 arrays of a list of Box3 (``dims`` 3) or Box2
+    (``dims`` 2): the sides x1 x2 y1 y2 [z1 z2], a None lower side as NEG
+    and a None upper side as POS, then ``orig``, the ids."""
+    get = operator.attrgetter(*AXES[:dims])
+    flat = [
+        v
+        for b in boxes
+        for lo, hi in get(b)
+        for v in (NEG if lo is None else lo, POS if hi is None else hi)
+    ]
+    cols = np.array(flat, dtype=np.int64).reshape(-1, 2 * dims).T.copy()
+    out = dict(zip(SIDES, cols))
+    out["orig"] = np.array([b.id for b in boxes], dtype=np.int64)
+    return out
+
+
+def _sentinel(side: str) -> int:
+    return NEG if side.endswith("1") else POS
+
+
+def require_form(a: dict, form: str, finite=(), unbounded=()) -> None:
+    """Raise ValidationError unless every box of the arrays ``a`` has the
+    sides ``finite`` bounded and the sides ``unbounded`` None; ``form``
+    names the accepted form in the message."""
+    for side in finite:
+        if (a[side] == _sentinel(side)).any():
+            raise ValidationError(f"{form} needs a finite {side} in every box")
+    for side in unbounded:
+        if (a[side] != _sentinel(side)).any():
+            raise ValidationError(f"{form} needs an unbounded {side} in every box")
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +296,6 @@ def rank_reduce_arrays(coords):
     Returns (axes, reduced) where axes[a] is the sorted distinct coordinate
     array of axis a and reduced is the rank-space copy of coords.
     """
-    import numpy as np
-
     coords = np.asarray(coords, dtype=np.int64)
     reduced = np.empty_like(coords)
     axes = []

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import NEG, POS, Box2, Box3, ValidationError
+from .geom import SIDES, Box2, Box3, ValidationError, box_arrays
 
 KINDS = (
     "pl-disjoint",
@@ -161,16 +161,8 @@ def check_pairwise_disjoint(boxes: list[Box3]) -> bool:
     n = len(boxes)
     if n < 2:
         return True
-    arr = np.empty((n, 6), dtype=np.int64)
-    for i, b in enumerate(boxes):
-        arr[i] = [
-            NEG if b.x[0] is None else b.x[0],
-            POS if b.x[1] is None else b.x[1],
-            NEG if b.y[0] is None else b.y[0],
-            POS if b.y[1] is None else b.y[1],
-            NEG if b.z[0] is None else b.z[0],
-            POS if b.z[1] is None else b.z[1],
-        ]
+    a = box_arrays(boxes)
+    arr = np.stack([a[k] for k in SIDES], axis=1)
     for i in range(n - 1):
         rest = arr[i + 1 :]
         overlap = (

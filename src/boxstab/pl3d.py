@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width
-from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
+from .geom import AXES, SIDES, Box3, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
 from .range2d import PL2, StabEmpty2
 
 _OTHER = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
@@ -64,20 +64,12 @@ def build_pl3(
     universes: tuple[int, int, int],
     params: ModelParams = DEFAULT_PARAMS,
 ) -> PL3:
-    n = len(boxes)
-    coords = np.empty((n, 6), dtype=np.int64)
-    ids = np.empty(n, dtype=np.int64)
-    for i, b in enumerate(boxes):
-        for a in range(3):
-            lo, hi = b.interval(a)
-            if lo is None or hi is None:
-                raise ValidationError("point-location boxes must be finite")
-            if lo < 0 or hi >= universes[a]:
-                raise ValidationError("box outside the stated universe")
-            coords[i, 2 * a] = lo
-            coords[i, 2 * a + 1] = hi
-        ids[i] = b.id
-    return build_pl3_arrays(coords, ids, universes, params)
+    a = box_arrays(boxes)
+    require_form(a, "point location", finite=SIDES)
+    for axis, u in zip(AXES, universes):
+        if (a[axis + "1"] < 0).any() or (a[axis + "2"] >= u).any():
+            raise ValidationError("box outside the stated universe")
+    return build_pl3_arrays(np.stack([a[k] for k in SIDES], axis=1), a["orig"], universes, params)
 
 
 def build_pl3_arrays(
@@ -146,11 +138,12 @@ def _build(coords, ids, U, params, bits):
                 coord_width=max(widths[p], widths[q]),
             )
             bits["stab2"] += node.stab[k].bits_stored
-            child_coords = sc.copy()
-            child_coords[:, 2 * axis] -= k * width
-            child_coords[:, 2 * axis + 1] -= k * width
+            # sc is a fresh array (fancy indexing) that StabEmpty2 keeps
+            # only sorted copies of, so it is rebased in place
+            sc[:, 2 * axis] -= k * width
+            sc[:, 2 * axis + 1] -= k * width
             child_U = tuple(width if a == axis else U[a] for a in range(3))
-            node.short_children[k] = _build(child_coords, ids[seg], child_U, params, bits)
+            node.short_children[k] = _build(sc, ids[seg], child_U, params, bits)
 
     # -- long boxes: left/right pieces per slab, middle recursion
     lg_idx = np.nonzero(long_)[0]
@@ -200,7 +193,7 @@ def _build(coords, ids, U, params, bits):
 
         has_mid = lg_idx[(hi_slab[lg_idx] - lo_slab[lg_idx]) >= 2]
         if len(has_mid):
-            mc = coords[has_mid].copy()
+            mc = coords[has_mid]
             mc[:, 2 * axis] = lo_slab[has_mid] + 1
             mc[:, 2 * axis + 1] = hi_slab[has_mid] - 1
             mid_U = tuple(s if a == axis else U[a] for a in range(3))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .counters import Counters, bit_width
-from .geom import NEG, POS, ValidationError
+from .geom import NEG, POS, SIDES, ValidationError, box_arrays, require_form
 from .oracle import NotDisjointError
 
 
@@ -223,12 +223,8 @@ class PL2:
 
 def build_pl2(rects, coord_width: int | None = None) -> PL2:
     """Build PL2 from Box2 objects (ids become labels)."""
-    x1 = [NEG if r.x[0] is None else r.x[0] for r in rects]
-    x2 = [POS if r.x[1] is None else r.x[1] for r in rects]
-    y1 = [NEG if r.y[0] is None else r.y[0] for r in rects]
-    y2 = [POS if r.y[1] is None else r.y[1] for r in rects]
-    ids = [r.id for r in rects]
-    return PL2(x1, x2, y1, y2, ids, coord_width=coord_width)
+    a = box_arrays(rects, dims=2)
+    return PL2(a["x1"], a["x2"], a["y1"], a["y2"], a["orig"], coord_width=coord_width)
 
 
 def query_pl2(pl: PL2, q, counters: Counters | None = None) -> int | None:
@@ -289,13 +285,9 @@ class StabEmpty2:
 
 
 def build_stab_count(rects, coord_width: int | None = None) -> StabEmpty2:
-    x1 = [r.x[0] for r in rects]
-    x2 = [r.x[1] for r in rects]
-    y1 = [r.y[0] for r in rects]
-    y2 = [r.y[1] for r in rects]
-    if any(v is None for v in x1 + x2 + y1 + y2):
-        raise ValidationError("stabbing-count rectangles must be finite")
-    return StabEmpty2(x1, x2, y1, y2, coord_width=coord_width)
+    a = box_arrays(rects, dims=2)
+    require_form(a, "stabbing count", finite=SIDES[:4])
+    return StabEmpty2(a["x1"], a["x2"], a["y1"], a["y2"], coord_width=coord_width)
 
 
 def query_stab_count(s: StabEmpty2, q, counters: Counters | None = None) -> int:

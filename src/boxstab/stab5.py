@@ -44,7 +44,7 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3
-from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
+from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
 from .range2d import NEG, POS
 
 
@@ -61,9 +61,7 @@ def is_grid_leaf(m: int, params: ModelParams) -> bool:
         return True
     if params.grid_override is not None:
         return False
-    if params.plateau_leaf and m <= 1.5625 * math.log2(m) ** 4:
-        return True
-    return False
+    return m <= 1.5625 * math.log2(m) ** 4
 
 
 def top_list_cap(m: int) -> int:
@@ -72,31 +70,6 @@ def top_list_cap(m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # item arrays
-
-
-def _boxes_to_items(rects: list[Box3], require_canonical: bool = True) -> dict:
-    n = len(rects)
-    it = {
-        "x1": np.empty(n, dtype=np.int64),
-        "x2": np.empty(n, dtype=np.int64),
-        "y1": np.empty(n, dtype=np.int64),
-        "y2": np.empty(n, dtype=np.int64),
-        "z2": np.empty(n, dtype=np.int64),
-        "orig": np.empty(n, dtype=np.int64),
-    }
-    for i, r in enumerate(rects):
-        if require_canonical:
-            if r.x[0] is None or r.x[1] is None or r.y[0] is None or r.y[1] is None:
-                raise ValidationError("canonical 5-sided rectangle needs finite x and y")
-            if r.z[0] is not None or r.z[1] is None:
-                raise ValidationError("canonical 5-sided rectangle is (-inf, z2] in z")
-        it["x1"][i] = NEG if r.x[0] is None else r.x[0]
-        it["x2"][i] = POS if r.x[1] is None else r.x[1]
-        it["y1"][i] = NEG if r.y[0] is None else r.y[0]
-        it["y2"][i] = POS if r.y[1] is None else r.y[1]
-        it["z2"][i] = POS if r.z[1] is None else r.z[1]
-        it["orig"][i] = r.id
-    return it
 
 
 def _subset(it: dict, idx) -> dict:
@@ -295,9 +268,10 @@ class GridKind:
     ``axis_keys`` groups the item fields a node rank-reduces, one group per
     axis; the query coordinates past those axes stay raw.  ``leaf(it)``
     builds a leaf, whose ``query(lq, counters, out)`` adds its matches to
-    ``out``.  ``slab(rows, key, axes)`` builds the structure of
-    one slab's 3-sided pieces of orientation ``key`` from rows (x bound,
-    y bound, payload...), and ``slab_query(s, key, lq, counters, out)``
+    ``out``.  ``slab(pieces, key, axes)`` builds the structure of one
+    slab's 3-sided pieces of orientation ``key`` from their field arrays
+    (``xb``/``yb``, the x and y bound, and the items' other fields by
+    name), and ``slab_query(s, key, lq, counters, out)``
     adds its matches.  A cell keeps the first ``cell_cap(m)`` grid
     items in ``cell_order(gi)``; it is keyed by (column, row) plus one value
     per ``cell_spans`` field range, matched by the raw query coordinates.
@@ -404,14 +378,22 @@ def _cell_lists(gi: dict, order, cap: int, spans) -> dict:
 
 
 def _build_slabs(kind: GridKind, stored: dict, axes) -> dict:
-    """stored: slab -> (xside, yside) -> list of (xb, yb, payload...)."""
+    """stored: slab -> (xside, yside) -> pieces (``_slab_pieces``)."""
     return {
-        slab: {
-            key: kind.slab(np.asarray(rows, dtype=np.int64), key, axes)
-            for key, rows in by_orient.items()
-        }
+        slab: {key: kind.slab(pieces, key, axes) for key, pieces in by_orient.items()}
         for slab, by_orient in stored.items()
     }
+
+
+def _slab_pieces(stored3: dict, payload: dict) -> dict:
+    """slab -> key -> lists of (row, xb, yb) as field arrays: ``xb``,
+    ``yb``, then the ``payload`` fields of those rows, by name."""
+    out: dict[int, dict] = {}
+    for slab, by_orient in stored3.items():
+        for key, rows in by_orient.items():
+            r = np.asarray(rows, dtype=np.int64)
+            out.setdefault(slab, {})[key] = {"xb": r[:, 1], "yb": r[:, 2], **_subset(payload, r[:, 0])}
+    return out
 
 
 def _classify_break(it: dict, lines_x, lines_y) -> dict:
@@ -456,6 +438,7 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
     bidx = np.nonzero(breaks)[0]
     if len(bidx):
         sub = _subset(it, bidx)
+        payload = {k: v for k, v in sub.items() if k not in ("x1", "x2", "y1", "y2")}
         scA, scB, srA, srB = cA[bidx], cB[bidx], rA[bidx], rB[bidx]
         x_lo_b = sub["x1"] > NEG
         x_hi_b = sub["x2"] < POS
@@ -495,21 +478,18 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
                 piece = {
                     "x1": px1[fidx], "x2": px2[fidx],
                     "y1": py1[fidx], "y2": py2[fidx],
+                    **_subset(payload, fidx),
                 }
-                for key in it:
-                    if key not in ("x1", "x2", "y1", "y2"):
-                        piece[key] = sub[key][fidx]
                 dests = dest[fidx]
                 for d in np.unique(dests).tolist():
                     _add_child(children, int(d), _subset(piece, dests == d))
-            payload_keys = [k for k in it if k not in ("x1", "x2", "y1", "y2")]
             for i in idx[~four].tolist():
                 xs_key = "ge" if px1[i] > NEG else "le"
                 xb = px1[i] if xs_key == "ge" else px2[i]
                 ys_key = "ge" if py1[i] > NEG else "le"
                 yb = py1[i] if ys_key == "ge" else py2[i]
                 stored3.setdefault(int(dest[i]), {}).setdefault((xs_key, ys_key), []).append(
-                    (int(xb), int(yb)) + tuple(int(sub[k][i]) for k in payload_keys)
+                    (i, int(xb), int(yb))
                 )
 
         # left / right column pieces keep the full y extent; within their
@@ -531,11 +511,12 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
                 "y1": cy1[gtake], "y2": cy2[gtake],
                 "cLo": cLo[gtake], "cHi": cHi[gtake],
                 "rLo": rLo[gtake], "rHi": rHi[gtake],
+                **_subset(payload, gtake),
             }
-            for key in it:
-                if key not in ("x1", "x2", "y1", "y2"):
-                    part[key] = sub[key][gtake]
             grid_parts.append(part)
+
+        col_stored3 = _slab_pieces(col_stored3, payload)
+        row_stored3 = _slab_pieces(row_stored3, payload)
 
     if grid_parts:
         grid = _concat(grid_parts)
@@ -604,10 +585,10 @@ class Stab5Grid(GridKind):
     axis_keys = (("x1", "x2"), ("y1", "y2"), ("z2",))
     leaf = LeafStab5
 
-    def slab(self, rows, key, axes):
+    def slab(self, p, key, axes):
         return Dominance3(
-            rows[:, 0:3],
-            ids=rows[:, 3],
+            np.stack([p["xb"], p["yb"], p["z2"]], axis=1),
+            ids=p["orig"],
             reflect=(key[0] == "ge", key[1] == "ge", False),
             universes=tuple(max(2, 2 * len(ax)) for ax in axes),
         )
@@ -654,8 +635,16 @@ class Stab5Tree:
         self.piece_incidences = sum(node.m for node in nodes)
 
 
+# the canonical 5-sided form [x1,x2] x [y1,y2] x (-inf,z2]
+_CANONICAL = dict(
+    form="canonical 5-sided stabbing", finite=("x1", "x2", "y1", "y2", "z2"), unbounded=("z1",)
+)
+
+
 def build_stab5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> Stab5Tree:
-    return Stab5Tree(_boxes_to_items(rects), params)
+    a = box_arrays(rects)
+    require_form(a, **_CANONICAL)
+    return Stab5Tree({k: a[k] for k in _ITEM_KEYS}, params)
 
 
 def query_stab5(tree: Stab5Tree, q, counters: Counters | None = None, trace: list | None = None) -> list[int]:
@@ -685,8 +674,11 @@ class _Standalone:
 
 
 def build_slow5(rects: list[Box3]) -> _Standalone:
-    it = _boxes_to_items(rects, require_canonical=False)
-    rit, axes = _rank_reduce(it, Stab5Grid.axis_keys)
+    """Any other side may be unbounded: a sentinel bound compares as
+    always satisfied in the dominance structures."""
+    a = box_arrays(rects)
+    require_form(a, "5-sided slow stabbing", unbounded=("z1",))
+    rit, axes = _rank_reduce({k: a[k] for k in _ITEM_KEYS}, Stab5Grid.axis_keys)
     inner = SlowStab5(rit, len(axes[0]), len(axes[1]), len(axes[2]))
     return _Standalone(inner, axes)
 
@@ -698,8 +690,9 @@ def query_slow5(s: _Standalone, q, counters: Counters | None = None) -> list[int
 def build_leaf5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> _Standalone:
     if len(rects) > params.tau:
         raise ValidationError(f"leaf structure capped at tau={params.tau} rectangles")
-    it = _boxes_to_items(rects)
-    rit, axes = _rank_reduce(it, Stab5Grid.axis_keys)
+    a = box_arrays(rects)
+    require_form(a, **_CANONICAL)
+    rit, axes = _rank_reduce({k: a[k] for k in _ITEM_KEYS}, Stab5Grid.axis_keys)
     return _Standalone(LeafStab5(rit), axes)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
-from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError
+from .geom import SIDES, Box3, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
 from .stab5 import (
     GridKind,
     SlowStab5,
@@ -91,32 +91,30 @@ class ZR4Slow:
         return out
 
 
+def _z_restricted(rects: list[Box3], f: int | None, least: int, **form):
+    """The box arrays of z-restricted input, checked by ``require_form``
+    against ``form``, and its z universe: f, else max(least, max z2 + 1);
+    every z endpoint must lie in [0, f)."""
+    a = box_arrays(rects)
+    require_form(a, **form)
+    n = len(rects)
+    f = f if f is not None else max(least, int(a["z2"].max()) + 1 if n else least)
+    if n and (a["z1"].min() < 0 or a["z2"].max() >= f):
+        raise ValidationError("z endpoints outside [0, f)")
+    return a, f
+
+
+# (-inf,x] x (-inf,y] x [i,j]
+_ZR4 = dict(form="z-restricted 4-sided", finite=("x2", "y2", "z1", "z2"), unbounded=("x1", "y1"))
+
+
 def build_zr4_slow(rects: list[Box3], f: int | None = None) -> ZR4Slow:
-    rx, ry, ri, rj, rid, f_eff = _zr4_arrays(rects, f)
-    return ZR4Slow(rx, ry, ri, rj, rid, f_eff)
+    a, f = _z_restricted(rects, f, 2, **_ZR4)
+    return ZR4Slow(a["x2"], a["y2"], a["z1"], a["z2"], a["orig"], f)
 
 
 def query_zr4_slow(s: ZR4Slow, q, counters: Counters | None = None) -> list[int]:
     return charge_output(s.query(q, counters), counters)
-
-
-def _zr4_arrays(rects, f):
-    n = len(rects)
-    rx = np.empty(n, dtype=np.int64)
-    ry = np.empty(n, dtype=np.int64)
-    ri = np.empty(n, dtype=np.int64)
-    rj = np.empty(n, dtype=np.int64)
-    rid = np.empty(n, dtype=np.int64)
-    for k, r in enumerate(rects):
-        if r.x[0] is not None or r.y[0] is not None:
-            raise ValidationError("z-restricted 4-sided form is (-inf,x] x (-inf,y] x [i,j]")
-        if r.x[1] is None or r.y[1] is None or r.z[0] is None or r.z[1] is None:
-            raise ValidationError("z-restricted 4-sided form is (-inf,x] x (-inf,y] x [i,j]")
-        rx[k], ry[k], ri[k], rj[k], rid[k] = r.x[1], r.y[1], r.z[0], r.z[1], r.id
-    f_eff = f if f is not None else max(2, int(rj.max()) + 1 if n else 2)
-    if n and (ri.min() < 0 or rj.max() >= f_eff):
-        raise ValidationError("z endpoints outside [0, f)")
-    return rx, ry, ri, rj, rid, f_eff
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +221,8 @@ def build_zr4_fast(
     params: ModelParams = DEFAULT_PARAMS,
     t0: int | None = None,
 ) -> ZR4Fast:
-    rx, ry, ri, rj, rid, f_eff = _zr4_arrays(rects, f)
-    return ZR4Fast(rx, ry, ri, rj, rid, f_eff, params, t0)
+    a, f = _z_restricted(rects, f, 2, **_ZR4)
+    return ZR4Fast(a["x2"], a["y2"], a["z1"], a["z2"], a["orig"], f, params, t0)
 
 
 def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) -> list[int]:
@@ -234,30 +232,6 @@ def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) 
 # ---------------------------------------------------------------------------
 # z-restricted 6-sided: the grid tree of stab5.py with Cover(c, z) lists,
 # ZR4Fast row/column structures, and a centered z tree of slow structures
-
-
-def _zr6_boxes_to_items(rects: list[Box3], f: int | None):
-    n = len(rects)
-    it = {
-        "x1": np.empty(n, dtype=np.int64),
-        "x2": np.empty(n, dtype=np.int64),
-        "y1": np.empty(n, dtype=np.int64),
-        "y2": np.empty(n, dtype=np.int64),
-        "zi": np.empty(n, dtype=np.int64),
-        "zj": np.empty(n, dtype=np.int64),
-        "orig": np.empty(n, dtype=np.int64),
-    }
-    for k, r in enumerate(rects):
-        if any(v is None for v in (r.x[0], r.x[1], r.y[0], r.y[1], r.z[0], r.z[1])):
-            raise ValidationError("z-restricted 6-sided rectangles are finite")
-        it["x1"][k], it["x2"][k] = r.x
-        it["y1"][k], it["y2"][k] = r.y
-        it["zi"][k], it["zj"][k] = r.z
-        it["orig"][k] = r.id
-    f_eff = f if f is not None else max(1, int(it["zj"].max()) + 1 if n else 1)
-    if n and (it["zi"].min() < 0 or it["zj"].max() >= f_eff):
-        raise ValidationError("z endpoints outside [0, f)")
-    return it, f_eff
 
 
 class _ZR6Slow:
@@ -318,10 +292,9 @@ class _ZR6Grid(GridKind):
         self.params = params
         self.t0 = t0
 
-    def slab(self, rows, key, axes):
-        # rows: xb, yb, zi, zj, orig
-        sx, sy = reflect_ge(key, rows[:, 0], rows[:, 1])
-        return ZR4Fast(sx, sy, rows[:, 2], rows[:, 3], rows[:, 4], self.f, self.params, self.t0)
+    def slab(self, p, key, axes):
+        sx, sy = reflect_ge(key, p["xb"], p["yb"])
+        return ZR4Fast(sx, sy, p["zi"], p["zj"], p["orig"], self.f, self.params, self.t0)
 
     def slab_query(self, s, key, lq, counters, out):
         sqx, sqy = reflect_ge(key, lq[0], lq[1])
@@ -348,11 +321,10 @@ class _ZR6Grid(GridKind):
 
 
 class ZR6Tree:
-    def __init__(self, root, n, f, params):
+    def __init__(self, root, n, f):
         self.root = root
         self.n = n
         self.f = f
-        self.params = params
 
     @property
     def bits_stored(self) -> int:
@@ -371,8 +343,10 @@ def build_zr6(
     f: int | None = None,
     params: ModelParams = DEFAULT_PARAMS,
 ) -> ZR6Tree:
-    it, f_eff = _zr6_boxes_to_items(rects, f)
-    return ZR6Tree(_zr6_grid(it, f_eff, params), len(rects), f_eff, params)
+    a, f = _z_restricted(rects, f, 1, form="z-restricted 6-sided", finite=SIDES)
+    it = {"x1": a["x1"], "x2": a["x2"], "y1": a["y1"], "y2": a["y2"],
+          "zi": a["z1"], "zj": a["z2"], "orig": a["orig"]}
+    return ZR6Tree(_zr6_grid(it, f, params), len(rects), f)
 
 
 def query_zr6(tree: ZR6Tree, q, counters: Counters | None = None, trace=None) -> list[int]:
@@ -397,12 +371,11 @@ class ITNode:
 
 
 class IntervalTreeZ:
-    def __init__(self, root, n, f, zvals, params):
+    def __init__(self, root, n, f, zvals):
         self.root = root
         self.n = n
         self.f = f
         self.zvals = zvals  # sorted distinct z endpoints (the leaf order)
-        self.params = params
 
     @property
     def bits_stored(self) -> int:
@@ -444,29 +417,18 @@ def build_stab6(
     f: int | None = None,
     params: ModelParams = DEFAULT_PARAMS,
 ) -> IntervalTreeZ:
-    for r in rects:
-        if any(v is None for v in (r.x[0], r.x[1], r.y[0], r.y[1], r.z[0], r.z[1])):
-            raise ValidationError("6-sided stabbing wants finite boxes")
+    arr = box_arrays(rects)
+    require_form(arr, "6-sided stabbing", finite=SIDES)
     f_eff = f if f is not None else params.Z
     n = len(rects)
-    zset = sorted({v for r in rects for v in (r.z[0], r.z[1])})
-    zvals = np.asarray(zset, dtype=np.int64)
+    zvals = np.unique(np.concatenate([arr["z1"], arr["z2"]]))
     if n == 0:
-        return IntervalTreeZ(None, 0, f_eff, zvals, params)
+        return IntervalTreeZ(None, 0, f_eff, zvals)
 
-    arr = {
-        "x1": np.asarray([r.x[0] for r in rects], dtype=np.int64),
-        "x2": np.asarray([r.x[1] for r in rects], dtype=np.int64),
-        "y1": np.asarray([r.y[0] for r in rects], dtype=np.int64),
-        "y2": np.asarray([r.y[1] for r in rects], dtype=np.int64),
-        "z1": np.asarray([r.z[0] for r in rects], dtype=np.int64),
-        "z2": np.asarray([r.z[1] for r in rects], dtype=np.int64),
-        "orig": np.asarray([r.id for r in rects], dtype=np.int64),
-    }
     la = np.searchsorted(zvals, arr["z1"])
     lb = np.searchsorted(zvals, arr["z2"])
     root = _build_it(arr, la, lb, 0, len(zvals), f_eff, params)
-    return IntervalTreeZ(root, n, f_eff, zvals, params)
+    return IntervalTreeZ(root, n, f_eff, zvals)
 
 
 def _build_it(arr, la, lb, lo, hi, f, params):

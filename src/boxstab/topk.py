@@ -30,7 +30,17 @@ import numpy as np
 
 from .counters import Counters, charge_output
 from .domcut import ShallowCutting3, build_cutting3, find_any
-from .geom import Box2, ModelParams, DEFAULT_PARAMS, ValidationError, check_point_coord, check_weight
+from .geom import (
+    SIDES,
+    Box2,
+    ModelParams,
+    DEFAULT_PARAMS,
+    ValidationError,
+    box_arrays,
+    check_point_coord,
+    check_weight,
+    require_form,
+)
 from .range2d import NEG, POS
 from .stab5 import (
     _ITEM_KEYS,
@@ -296,9 +306,8 @@ class _TopKGrid(GridKind):
         self.params = params
         self.zr_of = zr_of
 
-    def slab(self, rows, key, axes):
-        # rows: xb, yb, z2, orig
-        return _topk_dom(key, rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3], self.params)
+    def slab(self, p, key, axes):
+        return _topk_dom(key, p["xb"], p["yb"], p["z2"], p["orig"], self.params)
 
     def slab_query(self, d, key, lq, counters, streams):
         streams.append(_topk_stream(d, key, lq, counters, self.zr_of))
@@ -327,25 +336,13 @@ class _TopKGrid(GridKind):
 
 class TopKStab:
     def __init__(self, rects: list[Box2], params: ModelParams = DEFAULT_PARAMS):
-        self.params = params
         self.n = len(rects)
-        ids = [r.id for r in rects]
+        a = box_arrays(rects, dims=2)
+        require_form(a, "top-k stabbing", finite=SIDES[:4])
         ws = [r.weight if r.weight is not None else 0 for r in rects]
-        zr = weight_rank_lift(np.asarray(ids), np.asarray(ws))
-        self.zr_of = {int(i): int(z) for i, z in zip(ids, zr)}
-        it = {
-            "x1": np.asarray([r.x[0] for r in rects], dtype=np.int64),
-            "x2": np.asarray([r.x[1] for r in rects], dtype=np.int64),
-            "y1": np.asarray([r.y[0] for r in rects], dtype=np.int64),
-            "y2": np.asarray([r.y[1] for r in rects], dtype=np.int64),
-            "z2": zr.astype(np.int64),
-            "orig": np.asarray(ids, dtype=np.int64),
-        }
-        if self.n and (
-            (it["x1"] <= NEG).any() or (it["x2"] >= POS).any()
-            or (it["y1"] <= NEG).any() or (it["y2"] >= POS).any()
-        ):
-            raise ValidationError("top-k stabbing wants finite 2-d rectangles")
+        zr = weight_rank_lift(a["orig"], np.asarray(ws))
+        self.zr_of = dict(zip(a["orig"].tolist(), zr.tolist()))
+        it = {"x1": a["x1"], "x2": a["x2"], "y1": a["y1"], "y2": a["y2"], "z2": zr, "orig": a["orig"]}
         self.root = build_grid(it, _TopKGrid(params, self.zr_of), params) if self.n else None
 
     @property

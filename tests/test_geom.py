@@ -17,6 +17,7 @@ from boxstab.geom import (
     reflect_box,
     reflect_point,
 )
+import boxstab
 from boxstab.oracle import brute_stab
 from boxstab.range2d import build_pl2, query_pl2
 from boxstab.stab5 import build_slow5, query_slow5
@@ -49,6 +50,15 @@ class TestCoordinateDomain:
         with pytest.raises(ValidationError):
             Box2(0, x, y)
 
+    @pytest.mark.parametrize("id,x", [(0, (0.5, 3)), (0, (0, "3")), (2**63, (0, 3)), ("a", (0, 3))])
+    def test_non_integer_endpoint_or_id_rejected(self, id, x):
+        # a float endpoint would be truncated in the structures' int64
+        # arrays, and an id must fit them
+        with pytest.raises(ValidationError):
+            Box3(id, x, (0, 5), (None, 7))
+        with pytest.raises(ValidationError):
+            Box2(id, x, (0, 5))
+
     @pytest.mark.parametrize("w", [2**62, -(2**62), 2**63, 1.5, "3"])
     def test_weight_outside_domain_rejected(self, w):
         with pytest.raises(ValidationError):
@@ -66,6 +76,28 @@ class TestCoordinateDomain:
         assert query_pl2(build_pl2([Box2(0, b.x, b.y)]), q[:2]) == 0
         lo = Box2(0, (None, 3), (0, 5))
         assert query_pl2(build_pl2([lo]), (-q[0], 1)) == 0
+
+
+# one box outside each builder's form: the builder must reject it, never
+# drop the offending side or fail inside numpy
+OUTSIDE_FORM = [
+    ("build_stab5", [box((0, 5), (None, 5), (None, 7))], {}),
+    ("build_slow5", [box((0, 5), (0, 5), (3, 7))], {}),
+    ("build_leaf5", [box((0, 5), (0, 5), (3, 7))], {}),
+    ("build_stab6", [box((0, 5), (0, 5), (None, 7))], {}),
+    ("build_zr4_slow", [box((0, 5), (None, 5), (0, 1))], {}),
+    ("build_zr4_fast", [box((None, 5), (None, 5), (None, 1))], {}),
+    ("build_zr6", [box((0, 5), (0, None), (0, 1))], {}),
+    ("build_topk_stab", [Box2(0, (None, 5), (0, 5), weight=3)], {}),
+    ("build_pl3", [box((0, 5), (0, 5), (0, None))], {"universes": (8, 8, 8)}),
+    ("build_stab_count", [Box2(0, (0, 5), (None, 5))], {}),
+]
+
+
+@pytest.mark.parametrize("builder,boxes,kwargs", OUTSIDE_FORM, ids=[b for b, _, _ in OUTSIDE_FORM])
+def test_box_outside_form_rejected(builder, boxes, kwargs):
+    with pytest.raises(ValidationError):
+        getattr(boxstab, builder)(boxes, **kwargs)
 
 
 class TestContains:

@@ -21,7 +21,7 @@ from boxstab.stab6 import build_zr4_slow, build_zr6, query_zr4_slow, query_zr6
 from boxstab.topk import build_topk_stab, query_topk_stab
 from gridclamp import clamp_cells
 
-GRIDDED = ModelParams(grid_override=4, tau=8, plateau_leaf=False)
+GRIDDED = ModelParams(grid_override=4, tau=8)
 F = 4
 NQ = 200
 

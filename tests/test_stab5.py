@@ -17,8 +17,8 @@ from boxstab.stab5 import (
 )
 from gridclamp import clamp_cells
 
-DEEP = ModelParams(tau=8, plateau_leaf=False)
-GRIDDED = ModelParams(tau=8, plateau_leaf=False, grid_override=5)
+DEEP = ModelParams(tau=8, grid_override=2)
+GRIDDED = ModelParams(tau=8, grid_override=5)
 
 
 def queries(U, seed, k=300):
@@ -101,7 +101,8 @@ class TestStab5Tree:
 
     @pytest.mark.parametrize("n", [64, 300, 1200])
     def test_oracle_deep_tree(self, n):
-        # plateau disabled: the grid machinery (stages, Top(c), slow
+        # grid_override bypasses the plateau leaf (the formula's side is 2
+        # at these sizes): the grid machinery (stages, Top(c), slow
         # fallback, dominance slabs) is actually exercised
         inst = gen("stab5", n, 3 * n, seed=7 * n)
         rects = list(inst.boxes)
@@ -231,7 +232,7 @@ def test_grid_counters_pinned():
     # summed counters of 200 seeded queries on a gridded tree: how the slab
     # structures report must not change what the walk charges
     inst = gen("stab5", 600, 1200, seed=7)
-    t = build_stab5(list(inst.boxes), ModelParams(grid_override=3, tau=8, plateau_leaf=False))
+    t = build_stab5(list(inst.boxes), ModelParams(grid_override=3, tau=8))
     c = Counters()
     for q in queries(1200, 9, k=200):
         query_stab5(t, q, c)

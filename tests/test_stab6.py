@@ -99,7 +99,7 @@ class TestZR4Fast:
         assert all(bs[i] <= bs[i + 1] for i in range(len(bs) - 1))
 
 
-GRIDDED = ModelParams(tau=8, plateau_leaf=False, grid_override=4)
+GRIDDED = ModelParams(tau=8, grid_override=4)
 
 
 class TestZR6:

@@ -64,7 +64,7 @@ def test_bits_stored_pinned(structure, fanout, params, bits):
     assert row.build(inst, params, 16).bits_stored == bits
 
 
-GRIDDED = ModelParams(grid_override=4, tau=8, plateau_leaf=False)
+GRIDDED = ModelParams(grid_override=4, tau=8)
 
 
 @pytest.mark.parametrize("structure", ["stab5", "zr6", "topkstab"])

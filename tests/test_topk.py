@@ -184,7 +184,7 @@ class TestWeightStream:
             assert all(ws[i] >= ws[i + 1] for i in range(len(ws) - 1))
 
 
-GRIDDED = ModelParams(tau=8, plateau_leaf=False, grid_override=4)
+GRIDDED = ModelParams(tau=8, grid_override=4)
 
 
 class TestTopKStab:

@@ -25,7 +25,7 @@ DECISIONS = {
     "zr4_fallback": ("stab6", ZR4Fast, int),
     "visit": ("stab6", ITNode, type(None)),
 }
-GRIDDED = ModelParams(tau=8, plateau_leaf=False, grid_override=4)
+GRIDDED = ModelParams(tau=8, grid_override=4)
 
 
 def _queries(U, seed, count=200, f=None):
