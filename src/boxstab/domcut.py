@@ -48,23 +48,16 @@ class Dominance3:
     prefix whole: a y search finds the block's y-suffix, whose z values are
     filtered with one vector compare; the prefix's last partial block is
     scanned.
+
+    Every axis asks >=; a caller that needs <= on an axis negates that
+    coordinate of the points and of the query (``stab5.reflect_ge``).
     """
 
     BLOCK = 256
 
-    def __init__(self, points, ids=None, reflect=(False, False, False), universes=None):
+    def __init__(self, points, ids=None):
         pts = np.asarray(points, dtype=np.int64).reshape(-1, 3)
         self.n = len(pts)
-        # per axis, U - 1 if the axis is reflected (v -> U - 1 - v), else None
-        self._mirror = None
-        if any(reflect):
-            if universes is None:
-                raise ValidationError("reflection requires universes")
-            self._mirror = tuple(u - 1 if r else None for r, u in zip(reflect, universes))
-            pts = pts.copy()
-            for a, m in enumerate(self._mirror):
-                if m is not None:
-                    pts[:, a] = m - pts[:, a]
         self.ids = (
             np.arange(self.n, dtype=np.int64)
             if ids is None
@@ -86,23 +79,12 @@ class Dominance3:
             o = s + np.argsort(self.py[s : s + B], kind="stable")
             self.blocks.append((self.py[o], self.pz[o], self.pid[o]))
 
-    def _reflect_q(self, q):
-        if self._mirror is None:
-            return q
-        mx, my, mz = self._mirror
-        qx, qy, qz = q
-        return (
-            qx if mx is None else mx - qx,
-            qy if my is None else my - qy,
-            qz if mz is None else mz - qz,
-        )
-
     def query(self, q, counters: Counters | None = None) -> list[int]:
         if counters is not None:
             counters.dominance_query()
         if self.n == 0:
             return []
-        qx, qy, qz = self._reflect_q(q)
+        qx, qy, qz = q
         K = self.n - int(self.xasc.searchsorted(qx))
         if counters is not None:
             counters.charge_search(self.n)
@@ -126,8 +108,8 @@ class Dominance3:
         return out
 
 
-def build_dominance3(points, ids=None, reflect=(False, False, False), universes=None) -> Dominance3:
-    return Dominance3(points, ids=ids, reflect=reflect, universes=universes)
+def build_dominance3(points, ids=None) -> Dominance3:
+    return Dominance3(points, ids=ids)
 
 
 def query_dominance3(d: Dominance3, q, counters: Counters | None = None) -> list[int]:

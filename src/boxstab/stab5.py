@@ -13,6 +13,12 @@ breaks every piece against it:
   and - when a side of the piece is already unbounded - 3-sided remainders
   stored here in per-slab orientation-keyed dominance structures.
 
+Per direction the pieces form one table: the whole pieces that fit one
+column (row), then the low and the high side pieces, each row with a
+destination slab and a forward flag.  One grouping step (``_groups``) sends
+the forwarded rows to their child by destination, and another gathers the
+rest by (destination, orientation) into the slab pieces.
+
 Stored grid rectangles feed per-cell Top(c) lists (the entries with the
 largest z upper bound) and one slow structure; a query scans Top(c) until an
 entry misses and falls back to the slow structure when it exhausts a
@@ -182,31 +188,42 @@ def xy_path(root, qx, qy):
             yield doms[key], key
 
 
+def reflect_ge(key, x, y):
+    """Negate the coordinates of the 'ge' sides of orientation ``key``, so a
+    3-sided piece of any orientation becomes a dominance-style one."""
+    return (-x if key[0] == "ge" else x), (-y if key[1] == "ge" else y)
+
+
+def _dom5(key, xs, ys, zs, ids) -> Dominance3:
+    """Dominance3 of the pieces of orientation ``key``, its 'ge' sides
+    negated (reflect_ge); ``_dom5_query`` negates the query the same way."""
+    xs, ys = reflect_ge(key, xs, ys)
+    return Dominance3(np.stack([xs, ys, zs], axis=1), ids=ids)
+
+
+def _dom5_query(d: Dominance3, key, q, counters):
+    return d.query((*reflect_ge(key, q[0], q[1]), q[2]), counters)
+
+
 class SlowStab5:
     """Exact 5-sided stabbing in O(log^2) dominance queries plus output."""
 
     def __init__(self, it: dict, ux: int, uy: int, uz: int):
         self.n = len(it["orig"])
         self.bits_stored = self.n * (6 * bit_width(max(ux, uy, uz) + 1))
-        ux, uy, uz = max(2, 2 * ux), max(2, 2 * uy), max(2, 2 * uz)
 
         def dom(xs, ys, here, key):
-            # sentinel bounds stay in: NEG on a reflected axis and POS on a
+            # sentinel bounds stay in: NEG on a negated axis and POS on a
             # plain axis both compare as always-satisfied
-            return Dominance3(
-                np.stack([xs, ys, here["z2"]], axis=1),
-                ids=here["orig"],
-                reflect=(key[0] == "ge", key[1] == "ge", False),
-                universes=(ux, uy, uz),
-            )
+            return _dom5(key, xs, ys, here["z2"], here["orig"])
 
-        self.root = xy_tree(it, ux, uy, dom)
+        self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
     def query(self, q, counters: Counters | None = None, out=None):
         if out is None:
             out = []
-        for d, _ in xy_path(self.root, q[0], q[1]):
-            out.extend(d.query(q, counters))
+        for d, key in xy_path(self.root, q[0], q[1]):
+            out.extend(_dom5_query(d, key, q, counters))
         return out
 
 
@@ -256,22 +273,16 @@ class GridNode:
         return None if self.leaf is None else self.leaf.it
 
 
-def reflect_ge(key, x, y):
-    """Negate the coordinates of the 'ge' sides of orientation ``key``, so a
-    3-sided piece of any orientation becomes a dominance-style one."""
-    return (-x if key[0] == "ge" else x), (-y if key[1] == "ge" else y)
-
-
 class GridKind:
     """What one grid tree adds to the shared recursion.
 
     ``axis_keys`` groups the item fields a node rank-reduces, one group per
     axis; the query coordinates past those axes stay raw.  ``leaf(it)``
     builds a leaf, whose ``query(lq, counters, out)`` adds its matches to
-    ``out``.  ``slab(pieces, key, axes)`` builds the structure of one
-    slab's 3-sided pieces of orientation ``key`` from their field arrays
-    (``xb``/``yb``, the x and y bound, and the items' other fields by
-    name), and ``slab_query(s, key, lq, counters, out)``
+    ``out``.  ``slab(pieces, key)`` builds the structure of one slab's
+    3-sided pieces of orientation ``key`` from their rows of the piece
+    table, as field arrays: ``xb``/``yb``, the x and y bound, then the
+    items' other fields by name.  ``slab_query(s, key, lq, counters, out)``
     adds its matches.  A cell keeps the first ``cell_cap(m)`` grid
     items in ``cell_order(gi)``; it is keyed by (column, row) plus one value
     per ``cell_spans`` field range, matched by the raw query coordinates.
@@ -337,18 +348,15 @@ def build_grid(it: dict, kind: GridKind, params: ModelParams, depth: int = 0) ->
 
     node.lines_x = lines_x
     node.lines_y = lines_y
-    node.col_slabs = _build_slabs(kind, parts["col_stored3"], node.axes)
-    node.row_slabs = _build_slabs(kind, parts["row_stored3"], node.axes)
+    (col_items, col_stored), (row_items, row_stored) = parts["col"], parts["row"]
+    node.col_slabs = _build_slabs(kind, col_stored)
+    node.row_slabs = _build_slabs(kind, row_stored)
     gi = node.grid_items = parts["grid"]
     node.cap = kind.cell_cap(m)
     node.cells = _cell_lists(gi, kind.cell_order(gi), node.cap, kind.cell_spans)
     node.slow = kind.slow(gi, node.axes) if len(gi["orig"]) else None
-    node.col_children = {
-        k: build_grid(sub, kind, params, depth + 1) for k, sub in parts["col_children"].items()
-    }
-    node.row_children = {
-        k: build_grid(sub, kind, params, depth + 1) for k, sub in parts["row_children"].items()
-    }
+    node.col_children = {k: build_grid(sub, kind, params, depth + 1) for k, sub in col_items.items()}
+    node.row_children = {k: build_grid(sub, kind, params, depth + 1) for k, sub in row_items.items()}
     return node
 
 
@@ -377,27 +385,57 @@ def _cell_lists(gi: dict, order, cap: int, spans) -> dict:
     return {k: np.asarray(v, dtype=np.int64) for k, v in cells.items()}
 
 
-def _build_slabs(kind: GridKind, stored: dict, axes) -> dict:
-    """stored: slab -> (xside, yside) -> pieces (``_slab_pieces``)."""
+def _build_slabs(kind: GridKind, stored: dict) -> dict:
+    """stored: slab -> (xside, yside) -> pieces (``_route``)."""
     return {
-        slab: {key: kind.slab(pieces, key, axes) for key, pieces in by_orient.items()}
+        slab: {key: kind.slab(pieces, key) for key, pieces in by_orient.items()}
         for slab, by_orient in stored.items()
     }
 
 
-def _slab_pieces(stored3: dict, payload: dict) -> dict:
-    """slab -> key -> lists of (row, xb, yb) as field arrays: ``xb``,
-    ``yb``, then the ``payload`` fields of those rows, by name."""
-    out: dict[int, dict] = {}
-    for slab, by_orient in stored3.items():
-        for key, rows in by_orient.items():
-            r = np.asarray(rows, dtype=np.int64)
-            out.setdefault(slab, {})[key] = {"xb": r[:, 1], "yb": r[:, 2], **_subset(payload, r[:, 0])}
-    return out
+def _groups(keys):
+    """(key, ascending rows) per distinct value of ``keys``, in order of
+    first appearance."""
+    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    parts = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
+    for j in np.argsort(first).tolist():
+        yield uniq[j].item(), parts[j]
+
+
+_XY = ("x1", "x2", "y1", "y2")
+# orientation key of a 3-sided piece by code 2*(x1 bounded) + (y1 bounded)
+_ORIENT = (("le", "le"), ("le", "ge"), ("ge", "le"), ("ge", "ge"))
+
+
+def _route(*blocks):
+    """(children, stored) of one direction's piece table, the concatenated
+    ``blocks`` of (fields, dest, forward).  A forwarded row goes to child
+    ``dest``; any other row is a 3-sided piece stored in slab ``dest``
+    under its orientation key, bounded per axis (``xb``, ``yb``) by its one
+    finite side, followed by its fields past x and y."""
+    t = _concat([fields for fields, _, _ in blocks])
+    dest = np.concatenate([d for _, d, _ in blocks])
+    fwd = np.concatenate([w for _, _, w in blocks])
+    ahead = np.nonzero(fwd)[0]
+    children = {d: _subset(t, ahead[rows]) for d, rows in _groups(dest[ahead])}
+    kept = np.nonzero(~fwd)[0]
+    s = _subset(t, kept)
+    xge, yge = s["x1"] > NEG, s["y1"] > NEG
+    xb, yb = np.where(xge, s["x1"], s["x2"]), np.where(yge, s["y1"], s["y2"])
+    payload = {k: v for k, v in s.items() if k not in _XY}
+    stored: dict[int, dict] = {}
+    for k, rows in _groups(4 * dest[kept] + 2 * xge + yge):
+        stored.setdefault(k // 4, {})[_ORIENT[k % 4]] = {
+            "xb": xb[rows], "yb": yb[rows], **_subset(payload, rows)
+        }
+    return children, stored
 
 
 def _classify_break(it: dict, lines_x, lines_y) -> dict:
-    """Stage I-III classification of every arriving piece (vectorized)."""
+    """Stage I-III break of every arriving piece: the grid rectangles kept
+    here, and per direction (``col``, ``row``) the children's items and the
+    stored slab pieces of one piece table (``_route``): the whole items
+    that fit one column (row), then the low and the high side pieces."""
     cA = np.searchsorted(lines_x, it["x1"], side="right")
     cB = np.searchsorted(lines_x, it["x2"], side="right")
     rA = np.searchsorted(lines_y, it["y1"], side="right")
@@ -414,121 +452,60 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
         or (fits_row.all() and len(np.unique(rA)) == 1)
     )
 
-    col_children: dict[int, list] = {}
-    row_children: dict[int, list] = {}
+    sub = _subset(it, breaks)
+    payload = {k: v for k, v in sub.items() if k not in _XY}
+    scA, scB, srA, srB = cA[breaks], cB[breaks], rA[breaks], rB[breaks]
+    x_lo_b = sub["x1"] > NEG
+    x_hi_b = sub["x2"] < POS
+    y_lo_b = sub["y1"] > NEG
+    y_hi_b = sub["y2"] < POS
 
-    def _add_child(children, dest, sub):
-        children.setdefault(dest, []).append(sub)
+    # center strips in doubled-rank value space
+    cLo = np.where(x_lo_b, scA + 1, 0)
+    cHi = np.where(x_hi_b, scB - 1, len(lines_x))
+    rLo = np.where(y_lo_b, srA + 1, 0)
+    rHi = np.where(y_hi_b, srB - 1, len(lines_y))
+    nx = len(lines_x)
+    ny = len(lines_y)
+    cx1 = np.where(cLo >= 1, lines_x[np.minimum(np.maximum(cLo, 1), nx) - 1], NEG)
+    cx2 = np.where(cHi <= nx - 1, lines_x[np.minimum(np.maximum(cHi, 0), nx - 1)] - 1, POS)
+    cy1 = np.where(rLo >= 1, lines_y[np.minimum(np.maximum(rLo, 1), ny) - 1], NEG)
+    cy2 = np.where(rHi <= ny - 1, lines_y[np.minimum(np.maximum(rHi, 0), ny - 1)] - 1, POS)
+    center_x_ok = cLo <= cHi
+    center_y_ok = rLo <= rHi
 
-    idx = np.nonzero(fits_col)[0]
-    if len(idx):
-        dests = cA[idx]
-        for d in np.unique(dests).tolist():
-            _add_child(col_children, int(d), _subset(it, idx[dests == d]))
-    idx = np.nonzero(fits_row)[0]
-    if len(idx):
-        dests = rA[idx]
-        for d in np.unique(dests).tolist():
-            _add_child(row_children, int(d), _subset(it, idx[dests == d]))
+    NEGa = np.full(len(sub["orig"]), NEG, dtype=np.int64)
+    POSa = np.full(len(sub["orig"]), POS, dtype=np.int64)
 
-    grid_parts = []
-    col_stored3: dict[int, dict] = {}
-    row_stored3: dict[int, dict] = {}
+    def whole(fits, dest):
+        return _subset(it, fits), dest[fits], np.ones(np.count_nonzero(fits), dtype=bool)
 
-    bidx = np.nonzero(breaks)[0]
-    if len(bidx):
-        sub = _subset(it, bidx)
-        payload = {k: v for k, v in sub.items() if k not in ("x1", "x2", "y1", "y2")}
-        scA, scB, srA, srB = cA[bidx], cB[bidx], rA[bidx], rB[bidx]
-        x_lo_b = sub["x1"] > NEG
-        x_hi_b = sub["x2"] < POS
-        y_lo_b = sub["y1"] > NEG
-        y_hi_b = sub["y2"] < POS
+    def side(has, dest, x1, x2, y1, y2, cross):
+        """The side pieces of the breaking items ``has``: forwarded when
+        their ``cross`` extent is bounded, else 3-sided."""
+        p = {"x1": x1[has], "x2": x2[has], "y1": y1[has], "y2": y2[has], **_subset(payload, has)}
+        return p, dest[has], (p[cross + "1"] > NEG) & (p[cross + "2"] < POS)
 
-        # center strips in doubled-rank value space
-        cLo = np.where(x_lo_b, scA + 1, 0)
-        cHi = np.where(x_hi_b, scB - 1, len(lines_x))
-        rLo = np.where(y_lo_b, srA + 1, 0)
-        rHi = np.where(y_hi_b, srB - 1, len(lines_y))
-        nx = len(lines_x)
-        ny = len(lines_y)
-        cx1 = np.where(cLo >= 1, lines_x[np.minimum(np.maximum(cLo, 1), nx) - 1], NEG)
-        cx2 = np.where(cHi <= nx - 1, lines_x[np.minimum(np.maximum(cHi, 0), nx - 1)] - 1, POS)
-        cy1 = np.where(rLo >= 1, lines_y[np.minimum(np.maximum(rLo, 1), ny) - 1], NEG)
-        cy2 = np.where(rHi <= ny - 1, lines_y[np.minimum(np.maximum(rHi, 0), ny - 1)] - 1, POS)
-        center_x_ok = cLo <= cHi
-        center_y_ok = rLo <= rHi
-
-        nsub = len(sub["orig"])
-        NEGa = np.full(nsub, NEG, dtype=np.int64)
-        POSa = np.full(nsub, POS, dtype=np.int64)
-
-        def _emit_side_pieces(has, dest, px1, px2, py1, py2, children, stored3, cross_is_x):
-            """Forward 4-sided side pieces per slab; pieces whose cross
-            extent is half-unbounded are 3-sided and stored here."""
-            idx = np.nonzero(has)[0]
-            if not len(idx):
-                return
-            if cross_is_x:
-                four = (px1[idx] > NEG) & (px2[idx] < POS)
-            else:
-                four = (py1[idx] > NEG) & (py2[idx] < POS)
-            fidx = idx[four]
-            if len(fidx):
-                piece = {
-                    "x1": px1[fidx], "x2": px2[fidx],
-                    "y1": py1[fidx], "y2": py2[fidx],
-                    **_subset(payload, fidx),
-                }
-                dests = dest[fidx]
-                for d in np.unique(dests).tolist():
-                    _add_child(children, int(d), _subset(piece, dests == d))
-            for i in idx[~four].tolist():
-                xs_key = "ge" if px1[i] > NEG else "le"
-                xb = px1[i] if xs_key == "ge" else px2[i]
-                ys_key = "ge" if py1[i] > NEG else "le"
-                yb = py1[i] if ys_key == "ge" else py2[i]
-                stored3.setdefault(int(dest[i]), {}).setdefault((xs_key, ys_key), []).append(
-                    (i, int(xb), int(yb))
-                )
-
+    g = center_x_ok & center_y_ok
+    return {
         # left / right column pieces keep the full y extent; within their
         # column the split edge becomes an unbounded side
-        _emit_side_pieces(x_lo_b, scA, sub["x1"], POSa, sub["y1"], sub["y2"],
-                          col_children, col_stored3, cross_is_x=False)
-        _emit_side_pieces(x_hi_b, scB, NEGa, sub["x2"], sub["y1"], sub["y2"],
-                          col_children, col_stored3, cross_is_x=False)
+        "col": _route(
+            whole(fits_col, cA),
+            side(x_lo_b, scA, sub["x1"], POSa, sub["y1"], sub["y2"], "y"),
+            side(x_hi_b, scB, NEGa, sub["x2"], sub["y1"], sub["y2"], "y"),
+        ),
         # bottom / top row pieces live in the center x strip
-        _emit_side_pieces(y_lo_b & center_x_ok, srA, cx1, cx2, sub["y1"], POSa,
-                          row_children, row_stored3, cross_is_x=True)
-        _emit_side_pieces(y_hi_b & center_x_ok, srB, cx1, cx2, NEGa, sub["y2"],
-                          row_children, row_stored3, cross_is_x=True)
-
-        gtake = np.nonzero(center_x_ok & center_y_ok)[0]
-        if len(gtake):
-            part = {
-                "x1": cx1[gtake], "x2": cx2[gtake],
-                "y1": cy1[gtake], "y2": cy2[gtake],
-                "cLo": cLo[gtake], "cHi": cHi[gtake],
-                "rLo": rLo[gtake], "rHi": rHi[gtake],
-                **_subset(payload, gtake),
-            }
-            grid_parts.append(part)
-
-        col_stored3 = _slab_pieces(col_stored3, payload)
-        row_stored3 = _slab_pieces(row_stored3, payload)
-
-    if grid_parts:
-        grid = _concat(grid_parts)
-    else:
-        keys = list(it.keys()) + ["cLo", "cHi", "rLo", "rHi"]
-        grid = {k: np.empty(0, dtype=np.int64) for k in keys}
-    return {
-        "col_children": {k: _concat(v) for k, v in col_children.items()},
-        "row_children": {k: _concat(v) for k, v in row_children.items()},
-        "grid": grid,
-        "col_stored3": col_stored3,
-        "row_stored3": row_stored3,
+        "row": _route(
+            whole(fits_row, rA),
+            side(y_lo_b & center_x_ok, srA, cx1, cx2, sub["y1"], POSa, "x"),
+            side(y_hi_b & center_x_ok, srB, cx1, cx2, NEGa, sub["y2"], "x"),
+        ),
+        "grid": {
+            "x1": cx1[g], "x2": cx2[g], "y1": cy1[g], "y2": cy2[g],
+            "cLo": cLo[g], "cHi": cHi[g], "rLo": rLo[g], "rHi": rHi[g],
+            **_subset(payload, g),
+        },
         "stagnant": stagnant,
     }
 
@@ -585,16 +562,11 @@ class Stab5Grid(GridKind):
     axis_keys = (("x1", "x2"), ("y1", "y2"), ("z2",))
     leaf = LeafStab5
 
-    def slab(self, p, key, axes):
-        return Dominance3(
-            np.stack([p["xb"], p["yb"], p["z2"]], axis=1),
-            ids=p["orig"],
-            reflect=(key[0] == "ge", key[1] == "ge", False),
-            universes=tuple(max(2, 2 * len(ax)) for ax in axes),
-        )
+    def slab(self, p, key):
+        return _dom5(key, p["xb"], p["yb"], p["z2"], p["orig"])
 
     def slab_query(self, d, key, lq, counters, out):
-        out.extend(d.query(lq, counters))
+        out.extend(_dom5_query(d, key, lq, counters))
 
     def slow(self, gi, axes):
         return SlowStab5({k: gi[k] for k in _ITEM_KEYS}, *map(len, axes))

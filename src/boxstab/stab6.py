@@ -40,6 +40,7 @@ from .stab5 import (
     GridKind,
     SlowStab5,
     Stab5Tree,
+    _groups,
     _subset,
     build_grid,
     centered_path,
@@ -56,8 +57,8 @@ from .stab5 import (
 class ZR4Slow:
     """Exact z-restricted 4-sided stabbing: per tree node, the crossing
     rectangles split into one-sided halves answered by dominance queries,
-    (x, y, i) with i <= qz where qz <= center and (x, y, j) with j >= qz
-    past it."""
+    (x, y, -i) against -qz (i <= qz) where qz <= center and (x, y, j) with
+    j >= qz past it."""
 
     def __init__(self, rx, ry, ri, rj, rid, f: int):
         self.f = max(1, f)
@@ -68,12 +69,7 @@ class ZR4Slow:
         def halves(here):
             xy = (here["x"], here["y"])
             return (
-                Dominance3(
-                    np.stack([*xy, here["i"]], axis=1),
-                    ids=here["orig"],
-                    reflect=(False, False, True),
-                    universes=(2, 2, self.f),
-                ),
+                Dominance3(np.stack([*xy, -here["i"]], axis=1), ids=here["orig"]),
                 Dominance3(np.stack([*xy, here["j"]], axis=1), ids=here["orig"]),
             )
 
@@ -87,7 +83,10 @@ class ZR4Slow:
         if not 0 <= qz < self.f:
             raise ValidationError(f"qz={qz} outside the z universe [0,{self.f})")
         for (low, high), side in centered_path(self.root, qz):
-            out.extend((low if side == "L" else high).query(q, counters))
+            if side == "L":
+                out.extend(low.query((q[0], q[1], -qz), counters))
+            else:
+                out.extend(high.query(q, counters))
         return out
 
 
@@ -292,7 +291,7 @@ class _ZR6Grid(GridKind):
         self.params = params
         self.t0 = t0
 
-    def slab(self, p, key, axes):
+    def slab(self, p, key):
         sx, sy = reflect_ge(key, p["xb"], p["yb"])
         return ZR4Fast(sx, sy, p["zi"], p["zj"], p["orig"], self.f, self.params, self.t0)
 
@@ -420,6 +419,8 @@ def build_stab6(
     arr = box_arrays(rects)
     require_form(arr, "6-sided stabbing", finite=SIDES)
     f_eff = f if f is not None else params.Z
+    if f_eff < 2:
+        raise ValidationError(f"fan-out f={f_eff} must be at least 2")
     n = len(rects)
     zvals = np.unique(np.concatenate([arr["z1"], arr["z2"]]))
     if n == 0:
@@ -466,44 +467,22 @@ def _build_it(arr, la, lb, lo, hi, f, params):
     if len(m_items["orig"]):
         node.M = _zr6_grid(m_items, nch_actual, params)
 
-    # R(child of z1): 5-sided upward copies; L(child of z2): downward copies
-    by_child_R: dict[int, list[int]] = {}
-    by_child_L: dict[int, list[int]] = {}
-    for i in hidx.tolist():
-        by_child_R.setdefault(int(ck[i]), []).append(i)
-        by_child_L.setdefault(int(cl[i]), []).append(i)
-    node.R = {}
-    node.L = {}
-    for c, rows in by_child_R.items():
-        sel = np.asarray(rows, dtype=np.int64)
-        items = {
-            "x1": arr["x1"][sel], "x2": arr["x2"][sel],
-            "y1": arr["y1"][sel], "y2": arr["y2"][sel],
-            "z2": -arr["z1"][sel],  # z >= z1, negated to canonical
-            "orig": arr["orig"][sel],
-        }
-        node.R[c] = Stab5Tree(items, params)
-    for c, rows in by_child_L.items():
-        sel = np.asarray(rows, dtype=np.int64)
-        items = {
-            "x1": arr["x1"][sel], "x2": arr["x2"][sel],
-            "y1": arr["y1"][sel], "y2": arr["y2"][sel],
-            "z2": arr["z2"][sel],
-            "orig": arr["orig"][sel],
-        }
-        node.L[c] = Stab5Tree(items, params)
+    # R(child of z1): 5-sided upward copies, z >= z1 negated to canonical;
+    # L(child of z2): downward copies
+    xy = {k: arr[k][hidx] for k in ("x1", "x2", "y1", "y2")}
+    up = {**xy, "z2": -arr["z1"][hidx], "orig": arr["orig"][hidx]}
+    down = {**xy, "z2": arr["z2"][hidx], "orig": arr["orig"][hidx]}
+    node.R = {c: Stab5Tree(_subset(up, rows), params) for c, rows in _groups(ck[hidx])}
+    node.L = {c: Stab5Tree(_subset(down, rows), params) for c, rows in _groups(cl[hidx])}
 
     node.children = {}
     rest = np.nonzero(~here)[0]
-    if len(rest):
-        child_of = ck[rest]
-        for c in np.unique(child_of).tolist():
-            rows = rest[child_of == c]
-            sub = {k: v[rows] for k, v in arr.items()}
-            clo = lo + int(c) * size
-            node.children[int(c)] = _build_it(
-                sub, la[rows], lb[rows], clo, min(clo + size, hi), f, params
-            )
+    for c, rows in _groups(ck[rest]):
+        sel = rest[rows]
+        clo = lo + c * size
+        node.children[c] = _build_it(
+            _subset(arr, sel), la[sel], lb[sel], clo, min(clo + size, hi), f, params
+        )
     return node
 
 

@@ -306,7 +306,7 @@ class _TopKGrid(GridKind):
         self.params = params
         self.zr_of = zr_of
 
-    def slab(self, p, key, axes):
+    def slab(self, p, key):
         return _topk_dom(key, p["xb"], p["yb"], p["z2"], p["orig"], self.params)
 
     def slab_query(self, d, key, lq, counters, streams):

@@ -38,6 +38,10 @@ def _mirror(p, reflect):
     return tuple(u - 1 - c if r else c for c, r, u in zip(p, reflect, FULL_U))
 
 
+def _negate(p, reflect):
+    return tuple(-c if r else c for c, r in zip(p, reflect))
+
+
 class TestDominance3:
     def test_all_and_none(self):
         pts = rand_points(50, 20, 0)
@@ -61,10 +65,10 @@ class TestDominance3:
             assert len(res) == len(set(res))
 
     def test_reflection(self):
-        # reflecting an axis on both sides turns >= into <= there
+        # negating an axis on both sides turns >= into <= there
         pts = rand_points(200, 32, 5)
-        U = (32, 32, 32)
-        d = build_dominance3(pts, reflect=(True, False, True), universes=U)
+        reflect = (True, False, True)
+        d = build_dominance3([_negate(p, reflect) for p in pts])
         rng = np.random.default_rng(6)
         for _ in range(100):
             q = tuple(int(v) for v in rng.integers(0, 32, 3))
@@ -73,7 +77,7 @@ class TestDominance3:
                 for i, p in enumerate(pts)
                 if p[0] <= q[0] and p[1] >= q[1] and p[2] <= q[2]
             }
-            assert set(query_dominance3(d, q)) == expect
+            assert set(query_dominance3(d, _negate(q, reflect))) == expect
 
     def test_custom_ids(self):
         pts = [(5, 5, 5), (9, 9, 9)]
@@ -82,12 +86,15 @@ class TestDominance3:
 
     def test_full_blocks_every_orientation(self):
         # queries on and one step beside each full block's extreme y and z,
-        # with x at the block's last point (the block is whole) and one past
+        # with x at the block's last point (the block is whole) and one past;
+        # the points and queries of each orientation are negated on its
+        # reflected axes, and the queries are picked in the mirror image
+        # c -> U - 1 - c, which orders every axis as the negation does
         B = Dominance3.BLOCK
         pts = full_block_points()
         n = len(pts)
         for reflect in itertools.product((False, True), repeat=3):
-            d = build_dominance3(pts, reflect=reflect, universes=FULL_U)
+            d = build_dominance3([_negate(p, reflect) for p in pts])
             inner = [_mirror(p, reflect) for p in pts]
             order = sorted(range(n), key=lambda i: -inner[i][0])
             queries = set()
@@ -100,7 +107,7 @@ class TestDominance3:
                 last_x = block[-1][0]
                 queries.update(itertools.product((last_x, last_x + 1), *near))
             for qi in sorted(queries):
-                res = query_dominance3(d, _mirror(qi, reflect))
+                res = query_dominance3(d, _negate(_mirror(qi, reflect), reflect))
                 assert len(res) == len(set(res)), (reflect, qi)
                 assert set(res) == brute_dominance(inner, qi), (reflect, qi)
 

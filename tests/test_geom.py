@@ -91,10 +91,18 @@ OUTSIDE_FORM = [
     ("build_topk_stab", [Box2(0, (None, 5), (0, 5), weight=3)], {}),
     ("build_pl3", [box((0, 5), (0, 5), (0, None))], {"universes": (8, 8, 8)}),
     ("build_stab_count", [Box2(0, (0, 5), (None, 5))], {}),
+    # a fan-out below 2 cannot split the z leaves
+    ("build_stab6", [box((0, 5), (0, 5), (0, 7))], {"f": 1}),
+    ("build_stab6", [box((0, 5), (0, 5), (0, 7))], {"f": 0}),
+    ("build_stab6", [box((0, 5), (0, 5), (0, 7))], {"f": -1}),
 ]
 
 
-@pytest.mark.parametrize("builder,boxes,kwargs", OUTSIDE_FORM, ids=[b for b, _, _ in OUTSIDE_FORM])
+@pytest.mark.parametrize(
+    "builder,boxes,kwargs",
+    OUTSIDE_FORM,
+    ids=[b + (f"-f{kw['f']}" if "f" in kw else "") for b, _, kw in OUTSIDE_FORM],
+)
 def test_box_outside_form_rejected(builder, boxes, kwargs):
     with pytest.raises(ValidationError):
         getattr(boxstab, builder)(boxes, **kwargs)

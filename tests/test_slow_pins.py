@@ -1,11 +1,13 @@
-"""Pins of the four slow structures behind the grid tree's full cell lists.
+"""Pins of the four slow structures behind the grid tree's full cell lists,
+and of the gridded stab5 and stab6 trees.
 
 Each case answers 200 seeded queries (points up to two steps outside the
 universe included) and pins the summed counters, the structure's
 bits_stored and a digest of the ordered answer lists, so a rewrite of the
-slow structures must keep every answer, its order and every charge.  zr6
-and topkstab clamp their cell lists (cap 1 and 2) so that full lists send
-queries to the slow structure.
+slow structures or of the grid break must keep every answer, its order and
+every charge.  zr6 and topkstab clamp their cell lists (cap 1 and 2) so
+that full lists send queries to the slow structure.  The stab5grid and
+stab6grid answer order follows the order of each slab's orientation keys.
 """
 
 import hashlib
@@ -16,8 +18,8 @@ import pytest
 from boxstab.counters import Counters
 from boxstab.geom import ModelParams
 from boxstab.instances import gen
-from boxstab.stab5 import build_slow5, query_slow5
-from boxstab.stab6 import build_zr4_slow, build_zr6, query_zr4_slow, query_zr6
+from boxstab.stab5 import build_slow5, build_stab5, query_slow5, query_stab5
+from boxstab.stab6 import build_stab6, build_zr4_slow, build_zr6, query_stab6, query_zr4_slow, query_zr6
 from boxstab.topk import build_topk_stab, query_topk_stab
 from gridclamp import clamp_cells
 
@@ -57,7 +59,24 @@ def _topk_slow(n, U, rng):
     return t, cases, query_topk_stab
 
 
-BUILDERS = {"slow5": _slow5, "zr4slow": _zr4_slow, "zr6cover": _zr6_cover, "topkslow": _topk_slow}
+def _stab5_grid(n, U, rng):
+    t = build_stab5(list(gen("stab5", n, U, seed=n + 5).boxes), params=GRIDDED)
+    return t, [(t, q) for q in _points(rng, U, 3)], query_stab5
+
+
+def _stab6_grid(n, U, rng):
+    t = build_stab6(list(gen("stab6", n, U, seed=n + 6).boxes), f=F, params=GRIDDED)
+    return t, [(t, q) for q in _points(rng, U, 3)], query_stab6
+
+
+BUILDERS = {
+    "slow5": _slow5,
+    "zr4slow": _zr4_slow,
+    "zr6cover": _zr6_cover,
+    "topkslow": _topk_slow,
+    "stab5grid": _stab5_grid,
+    "stab6grid": _stab6_grid,
+}
 
 
 def run_case(name, n):
@@ -84,6 +103,12 @@ PINS = {
     ("topkslow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("topkslow", 1): ((1200, 200, 0, 200, 40, 20, 0), 0, "b1ee0a614fa62edd"),
     ("topkslow", 300): ((40452, 1828, 0, 6706, 5293, 2152, 0), 27619, "ddfe355977547196"),
+    ("stab5grid", 0): ((600, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
+    ("stab5grid", 1): ((1600, 200, 0, 200, 0, 4, 0), 12, "8f15aaf46d3dec94"),
+    ("stab5grid", 300): ((43505, 1912, 1384, 10962, 0, 3346, 0), 87810, "630ca47d3cbbabf1"),
+    ("stab6grid", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
+    ("stab6grid", 1): ((1456, 214, 0, 107, 0, 3, 0), 24, "39b3f04287cfebd1"),
+    ("stab6grid", 300): ((75197, 4952, 1972, 14801, 0, 2174, 0), 112642, "99e249b87d78cf5c"),
 }
 
 

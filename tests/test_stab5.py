@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boxstab.counters import Counters
 from boxstab.geom import Box3, ModelParams, ValidationError
 from boxstab.instances import gen
 from boxstab.oracle import brute_stab
 from boxstab.stab5 import (
+    _groups,
     build_leaf5,
     build_slow5,
     build_stab5,
@@ -238,3 +241,14 @@ def test_grid_counters_pinned():
         query_stab5(t, q, c)
     got = (c.predecessor_steps, c.nodes_visited, c.dominance_queries, c.cells_scanned, c.output_size)
     assert got == (74502, 3206, 2473, 22945, 6053)
+
+
+@given(st.lists(st.integers(-3, 5), max_size=40))
+def test_groups_match_dict_loop(keys):
+    # the grid break routes its piece table by these groups: rows ascending
+    # within a key, keys in order of first appearance
+    ref: dict[int, list[int]] = {}
+    for row, k in enumerate(keys):
+        ref.setdefault(k, []).append(row)
+    got = [(k, rows.tolist()) for k, rows in _groups(np.asarray(keys, dtype=np.int64))]
+    assert got == list(ref.items())
