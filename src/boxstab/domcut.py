@@ -134,7 +134,8 @@ class ShallowCutting2:
 
 
 def build_cutting2(points, t: int, cover_floor: tuple[int, int] | None = None) -> ShallowCutting2:
-    """t-shallow cutting of 2-d points (ids are positions).
+    """t-shallow cutting of 2-d points, an (n, 2) array or a list of
+    pairs (ids are positions).
 
     With ``cover_floor`` the staircase is anchored at that lower-left point,
     extending coverage to every integer query >= cover_floor; by default it
@@ -142,14 +143,13 @@ def build_cutting2(points, t: int, cover_floor: tuple[int, int] | None = None) -
     """
     if t < 1:
         raise ValidationError("t must be >= 1")
-    n = len(points)
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    n = len(pts)
     cut = ShallowCutting2(t=t)
     if n == 0:
         return cut
-    px = [int(p[0]) for p in points]
-    py = [int(p[1]) for p in points]
-    fx = cover_floor[0] if cover_floor else min(px)
-    fy = cover_floor[1] if cover_floor else min(py)
+    px, py = pts.T.tolist()
+    fx, fy = cover_floor or (min(px), min(py))
 
     if n <= t:
         cut.corners.append((fx, fy))
@@ -293,7 +293,8 @@ def build_cutting3(points, t: int, cover_floor: tuple[int, int] | None = None) -
     fy = cover_floor[1] if cover_floor else int(pts[:, 1].min())
 
     order = np.argsort(-pts[:, 2], kind="stable")
-    px, py, pz = pts[order, 0], pts[order, 1], pts[order, 2]
+    xy, pz = pts[order, :2], pts[order, 2]
+    px, py = xy.T
     gid = order  # global point index per arrival
     pxl, pyl = px.tolist(), py.tolist()
 
@@ -332,11 +333,9 @@ def build_cutting3(points, t: int, cover_floor: tuple[int, int] | None = None) -
                 box_conf.append(e[2][: pre_len[id(e)]])
                 stair.entries.remove(e)
                 inq_idx = np.nonzero((px[:j] >= a) & (py[:j] >= b))[0]
-                local = build_cutting2(
-                    [(pxl[k], pyl[k]) for k in inq_idx.tolist()], t, cover_floor=(a, b)
-                )
+                local = build_cutting2(xy[inq_idx], t, cover_floor=(a, b))
                 for (la, lb), lc in zip(local.corners, local.conflicts):
-                    stair.insert(la, lb, [int(gid[inq_idx[m]]) for m in lc])
+                    stair.insert(la, lb, gid[inq_idx[lc]].tolist())
                 live_set = {id(x2) for x2 in stair.entries}
         prev_z = zv
         i = j

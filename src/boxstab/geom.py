@@ -60,8 +60,10 @@ def check_point_coord(v) -> None:
     _check_int(v, "coordinate", NEG, POS)
 
 
-def _check_id(v) -> None:
-    # ids travel in the structures' int64 id arrays
+def check_id(v) -> None:
+    """Ids are integers in the int64 range, since they travel in the
+    structures' int64 id arrays; raise ValidationError for any other
+    value."""
     _check_int(v, "id", -(2**63), 2**63 - 1)
 
 
@@ -85,7 +87,7 @@ class Box3:
     weight: int | None = None
 
     def __post_init__(self):
-        _check_id(self.id)
+        check_id(self.id)
         _check_interval("x", self.x)
         _check_interval("y", self.y)
         _check_interval("z", self.z)
@@ -107,7 +109,7 @@ class Box2:
     weight: int | None = None
 
     def __post_init__(self):
-        _check_id(self.id)
+        check_id(self.id)
         _check_interval("x", self.x)
         _check_interval("y", self.y)
         if self.weight is not None:

@@ -49,7 +49,7 @@ class DomCount2:
         ys = np.asarray(ys, dtype=np.int64)
         self.n = len(xs)
         w = coord_width if coord_width is not None else (
-            bit_width(int(xs.max() + 1)) if self.n else 1
+            bit_width(int(max(xs.max(), ys.max()) + 1)) if self.n else 1
         )
         self.bits_stored = 2 * w * self.n
         if self.n == 0:

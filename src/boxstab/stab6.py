@@ -156,9 +156,7 @@ class ZR4Fast:
             if not len(seg):
                 continue
             cut = build_cutting2(
-                list(zip(rx[seg].tolist(), ry[seg].tolist())),
-                self.t0,
-                cover_floor=(-1, -1),
+                np.stack([rx[seg], ry[seg]], axis=1), self.t0, cover_floor=(-1, -1)
             )
             confs = [seg[np.asarray(c, dtype=np.int64)] for c in cut.conflicts]
             cuts.append((cut, confs))

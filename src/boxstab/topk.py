@@ -4,32 +4,38 @@ Weights are lifted to a third coordinate: points are ranked by (weight
 descending, id ascending) and point i gets z = n-1-rank(i), so z order is
 exactly the output order and is duplicate-free.  Top-k 2-d dominance runs on
 two shallow cuttings (levels t1 ~ log n and t2 ~ cbrt(log n)) plus a global
-weight-sorted fallback:
+weight-sorted fallback, walked as tiers:
 
-* k < t2: FIND-ANY on the fine cutting, then a precomputed per-rank-cell
-  dominator list inside the located cell;
-* t2 <= k < t1: FIND-ANY on the coarse cutting, then a weight-descending
-  filtered scan of its conflict list;
-* k >= t1 (or a FIND-ANY miss): the global scan.
+* the fine cutting: FIND-ANY, then a precomputed per-rank-cell dominator
+  list inside the located cell;
+* the coarse cutting: FIND-ANY, then a weight-descending filtered scan of
+  its conflict list;
+* the global scan.
 
-If the query dominates fewer than k points the located list is provably
-complete, so the answer is exact with no retries.
+A query for k starts at the fine tier if k < t2, at the coarse tier if
+k < t1, else at the scan; a stream starts at the fine tier.  A located list
+shorter than its cutting's level is provably complete, so the walk stops
+there; otherwise the next tier yields what the ones before it did not, and
+a FIND-ANY miss passes to the next tier.
 
 Top-k stabbing runs the one grid tree of stab5.py, shared with stab5 and
-zr6, on the lifted rectangles; every visited node contributes pausable
-weight-descending streams (its Top(c) list with a transparent switch to the
-slow structure, the per-slab top-k dominance structures, or a leaf scan),
-merged by a binary heap.
+zr6, on the lifted rectangles; every visited node contributes
+weight-descending (weight, id) streams (its Top(c) list with a transparent
+switch to the slow structure, the per-slab top-k dominance structures, or a
+leaf scan), where a piece's weight is its rectangle's global z rank, merged
+by a binary heap.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
+from itertools import islice
 
 import numpy as np
 
 from .counters import Counters, charge_output
-from .domcut import ShallowCutting3, build_cutting3, find_any
+from .domcut import build_cutting3, find_any
 from .geom import (
     SIDES,
     Box2,
@@ -37,6 +43,7 @@ from .geom import (
     DEFAULT_PARAMS,
     ValidationError,
     box_arrays,
+    check_id,
     check_point_coord,
     check_weight,
     require_form,
@@ -56,16 +63,14 @@ from .stab5 import (
 
 def weight_rank_lift(ids, weights) -> np.ndarray:
     """z values: n-1-rank under (weight desc, id asc); distinct by design."""
-    n = len(ids)
-    order = sorted(range(n), key=lambda i: (-int(weights[i]), int(ids[i])))
-    z = np.empty(n, dtype=np.int64)
-    for pos, i in enumerate(order):
-        z[i] = n - 1 - pos
+    order = np.lexsort((ids, -np.asarray(weights, dtype=np.int64)))
+    z = np.empty(len(order), dtype=np.int64)
+    z[order] = np.arange(len(order) - 1, -1, -1)
     return z
 
 
 class WeightStream:
-    """Pausable cursor over a weight-descending sequence of (zrank, id)."""
+    """Pausable cursor over a weight-descending sequence of (weight, id)."""
 
     def __init__(self, it):
         self._it = iter(it)
@@ -91,138 +96,102 @@ class WeightStream:
 
 
 class TopKDominance:
-    def __init__(self, points, params: ModelParams = DEFAULT_PARAMS):
-        """points: iterable of (id, (x, y), weight)."""
-        for p in points:
-            for v in p[1]:
-                check_point_coord(v)
-            check_weight(p[2])
-        self.n = n = len(points)
-        self.ids = np.asarray([p[0] for p in points], dtype=np.int64)
+    def __init__(self, ids, xs, ys, ws, params: ModelParams = DEFAULT_PARAMS):
+        """Points from int64 arrays of ids, coordinates and weights, kept in
+        output order (weight desc, id asc): a point's index is its rank, so
+        every ascending index list is weight-sorted."""
+        order = np.lexsort((ids, -ws))
+        self.n = n = len(order)
+        self.ids = ids[order]
+        self.pw = ws[order]
         # half-unbounded pieces arrive with +-sentinel coordinates; clamp to
         # half range so cutting arithmetic (v+1, corner boundaries) stays
         # strictly inside the sentinel band while comparisons are unchanged
-        self.px = np.clip(
-            np.asarray([p[1][0] for p in points], dtype=np.int64), NEG // 2, POS // 2
-        )
-        self.py = np.clip(
-            np.asarray([p[1][1] for p in points], dtype=np.int64), NEG // 2, POS // 2
-        )
-        self.pw = np.asarray([p[2] for p in points], dtype=np.int64)
+        self.px = np.clip(xs[order], NEG // 2, POS // 2)
+        self.py = np.clip(ys[order], NEG // 2, POS // 2)
         self.t1 = params.t1(max(2, n))
         self.t2 = params.t2(max(2, n))
-        self.zr = weight_rank_lift(self.ids, self.pw) if n else np.empty(0, dtype=np.int64)
-        self.order = np.argsort(-self.zr, kind="stable")  # weight desc, id asc
-        lifted = np.stack([self.px, self.py, self.zr], axis=1) if n else np.empty((0, 3))
+        lifted = np.stack([self.px, self.py, np.arange(n - 1, -1, -1)], axis=1)
         # the cuttings must cover every integer query point, not just the
         # points' own rank grid, or the located cell's conflict list can miss
         # dominators of queries that fall between coordinates
         floor = (NEG, NEG)
-        self.p1 = build_cutting3(lifted, self.t1, cover_floor=floor) if n else ShallowCutting3(t=self.t1)
-        self.p2 = build_cutting3(lifted, self.t2, cover_floor=floor) if n else ShallowCutting3(t=self.t2)
-        self._sort_conflicts(self.p1)
-        self._sort_conflicts(self.p2)
-        self.cell_tables = [self._rank_table(conf) for conf in self.p2.conflicts]
-        self.bits_stored = getattr(self.p1, "bits_stored", 0) + getattr(self.p2, "bits_stored", 0)
+        self.p1 = build_cutting3(lifted, self.t1, cover_floor=floor)
+        self.p2 = build_cutting3(lifted, self.t2, cover_floor=floor)
+        for cut in (self.p1, self.p2):
+            cut.conflicts = [np.sort(np.array(c, dtype=np.int64)) for c in cut.conflicts]
+        self.cell_tables = [self._rank_table(rows) for rows in self.p2.conflicts]
+        self.bits_stored = self.p1.bits_stored + self.p2.bits_stored
 
-    def _sort_conflicts(self, cut):
-        cut.conflicts = [
-            sorted(conf, key=lambda i: -int(self.zr[i])) for conf in cut.conflicts
-        ]
-
-    def _rank_table(self, conf):
+    def _rank_table(self, rows):
         """Per rank cell of the conflict list's grid, the full weight-sorted
         dominator list."""
-        rows = np.asarray(conf, dtype=np.int64)
-        if not len(rows):
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), {(0, 0): []})
-        cx = np.unique(self.px[rows])
-        cy = np.unique(self.py[rows])
-        xr = np.searchsorted(cx, self.px[rows])
-        yr = np.searchsorted(cy, self.py[rows])
-        table = {}
-        for i in range(len(cx) + 1):
-            for j in range(len(cy) + 1):
-                table[(i, j)] = [int(rows[m]) for m in range(len(rows)) if xr[m] >= i and yr[m] >= j]
+        pts = list(zip(rows.tolist(), self.px[rows].tolist(), self.py[rows].tolist()))
+        cx = sorted({x for _, x, _ in pts})
+        cy = sorted({y for _, _, y in pts})
+        # rank cell (i, j) holds the points of x rank >= i and y rank >= j;
+        # the last rank of each axis lies past every point (POS > POS // 2)
+        table = {
+            (i, j): [r for r, x, y in pts if x >= a and y >= b]
+            for i, a in enumerate(cx + [POS])
+            for j, b in enumerate(cy + [POS])
+        }
         return (cx, cy, table)
 
-    # -- query helpers ------------------------------------------------------
-
-    def _cell_list_p1(self, label, qx, qy):
-        conf = self.p1.conflicts[label]
-        return [int(r) for r in conf if self.px[r] >= qx and self.py[r] >= qy]
-
-    def _cell_list_p2(self, label, qx, qy, counters):
-        cx, cy, table = self.cell_tables[label]
-        i = int(np.searchsorted(cx, qx, side="left"))
-        j = int(np.searchsorted(cy, qy, side="left"))
-        if counters is not None:
-            counters.charge_search(len(cx))
-            counters.charge_search(len(cy))
-        return table[(i, j)]
-
-    def _slow_list(self, qx, qy, counters, limit=None):
-        if not self.n:
-            return []
+    def _rows(self, qx, qy, tier, counters):
+        """Indices of the points dominating (qx, qy), weight descending,
+        walked from ``tier``: 0 the fine cutting, 1 the coarse one, 2 the
+        global scan (see the module docstring)."""
+        done = 0
+        for tier in range(tier, 2):
+            cut, level = ((self.p2, self.t2), (self.p1, self.t1))[tier]
+            label = find_any(cut, qx, qy, counters)
+            if label is None:
+                continue
+            if tier == 0:
+                cx, cy, table = self.cell_tables[label]
+                rows = table[bisect_left(cx, qx), bisect_left(cy, qy)]
+                if counters is not None:
+                    counters.charge_search(len(cx))
+                    counters.charge_search(len(cy))
+            else:
+                conf = cut.conflicts[label]
+                if counters is not None:
+                    counters.scan_cells(len(conf))
+                rows = conf[(self.px[conf] >= qx) & (self.py[conf] >= qy)].tolist()
+            yield from rows[done:level]
+            if len(rows) < level:
+                return  # provably complete
+            done = level
         if counters is not None:
             counters.scan_cells(self.n)
-        sel = self.order[(self.px[self.order] >= qx) & (self.py[self.order] >= qy)]
-        return sel.tolist() if limit is None else sel[:limit].tolist()
+        yield from np.flatnonzero((self.px >= qx) & (self.py >= qy))[done:].tolist()
 
     def query(self, q, k: int, counters: Counters | None = None) -> list[int]:
         """The k heaviest points dominating q, weight desc / id asc."""
-        if k <= 0 or not self.n:
+        if k <= 0:
             return []
-        qx, qy = int(q[0]), int(q[1])
-        rows = None
-        if k < self.t2:
-            label = find_any(self.p2, qx, qy, counters)
-            if label is not None:
-                rows = self._cell_list_p2(label, qx, qy, counters)
-        if rows is None and k < self.t1:
-            label = find_any(self.p1, qx, qy, counters)
-            if label is not None:
-                if counters is not None:
-                    counters.scan_cells(len(self.p1.conflicts[label]))
-                rows = self._cell_list_p1(label, qx, qy)
-        if rows is None:
-            rows = self._slow_list(qx, qy, counters, limit=k)
-        return [int(self.ids[r]) for r in rows[:k]]
+        tier = 0 if k < self.t2 else 1 if k < self.t1 else 2
+        rows = list(islice(self._rows(int(q[0]), int(q[1]), tier, counters), k))
+        return self.ids[rows].tolist()
 
-    def stream(self, q, counters: Counters | None = None) -> WeightStream:
-        """All dominating points, weight descending, produced tier by tier."""
-        qx, qy = int(q[0]), int(q[1])
-
-        def gen():
-            emitted = 0
-            if self.n:
-                label = find_any(self.p2, qx, qy, counters)
-                if label is not None:
-                    rows = self._cell_list_p2(label, qx, qy, counters)
-                    safe = min(len(rows), self.t2)
-                    for r in rows[emitted:safe]:
-                        yield (int(self.zr[r]), int(self.ids[r]))
-                    if len(rows) < self.t2:
-                        return  # provably complete
-                    emitted = safe
-            if self.n:
-                label = find_any(self.p1, qx, qy, counters)
-                if label is not None:
-                    rows = self._cell_list_p1(label, qx, qy)
-                    safe = min(len(rows), self.t1)
-                    for r in rows[emitted:safe]:
-                        yield (int(self.zr[r]), int(self.ids[r]))
-                    if len(rows) < self.t1:
-                        return
-                    emitted = safe
-            for r in self._slow_list(qx, qy, counters)[emitted:]:
-                yield (int(self.zr[r]), int(self.ids[r]))
-
-        return WeightStream(gen())
+    def stream(self, q, counters: Counters | None = None):
+        """(weight, id) of every dominating point, weight descending,
+        produced tier by tier."""
+        for r in self._rows(int(q[0]), int(q[1]), 0, counters):
+            yield int(self.pw[r]), int(self.ids[r])
 
 
 def build_topk_dom(points, params: ModelParams = DEFAULT_PARAMS) -> TopKDominance:
-    return TopKDominance(points, params)
+    """Top-k dominance over (id, (x, y), weight) tuples, each value checked
+    against its domain."""
+    for i, (x, y), w in points:
+        check_id(i)
+        check_point_coord(x)
+        check_point_coord(y)
+        check_weight(w)
+    a = np.array([(i, x, y, w) for i, (x, y), w in points], dtype=np.int64)
+    return TopKDominance(*a.reshape(-1, 4).T, params)
 
 
 def query_topk_dom(s: TopKDominance, q, k: int, counters: Counters | None = None) -> list[int]:
@@ -232,7 +201,7 @@ def query_topk_dom(s: TopKDominance, q, k: int, counters: Counters | None = None
 def open_stream(source, q, counters: Counters | None = None) -> WeightStream:
     """Weight-descending stream of the matches of q in ``source``."""
     if isinstance(source, TopKDominance):
-        return source.stream(q, counters)
+        return WeightStream(source.stream(q, counters))
     raise ValidationError(f"cannot stream from {type(source).__name__}")
 
 
@@ -244,12 +213,11 @@ def _topk_dom(key, xs, ys, ws, ids, params) -> TopKDominance:
     """TopKDominance of the points (xs, ys) weighted ws, the 'ge' sides of
     orientation ``key`` negated (reflect_ge) so dominance is uniform."""
     xs, ys = reflect_ge(key, xs, ys)
-    pts = list(zip(ids.tolist(), zip(xs.tolist(), ys.tolist()), ws.tolist()))
-    return TopKDominance(pts, params)
+    return TopKDominance(ids, xs, ys, ws, params)
 
 
-def _topk_stream(d: TopKDominance, key, lq, counters, zr_of) -> WeightStream:
-    return _rezrank(d.stream(reflect_ge(key, lq[0], lq[1]), counters), zr_of)
+def _topk_stream(d: TopKDominance, key, lq, counters):
+    return d.stream(reflect_ge(key, lq[0], lq[1]), counters)
 
 
 class _TopKSlow:
@@ -263,13 +231,8 @@ class _TopKSlow:
 
         self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
-    def streams(self, lq, counters, zr_of):
-        return [_topk_stream(d, key, lq, counters, zr_of) for d, key in xy_path(self.root, lq[0], lq[1])]
-
-
-def _rezrank(stream: WeightStream, zr_of) -> WeightStream:
-    """Map a nested structure's local z ordering back to global z ranks."""
-    return WeightStream((zr_of[orig], orig) for _, orig in iter(stream.next, None))
+    def streams(self, lq, counters):
+        return [_topk_stream(d, key, lq, counters) for d, key in xy_path(self.root, lq[0], lq[1])]
 
 
 class _TopKLeaf:
@@ -280,18 +243,15 @@ class _TopKLeaf:
         self.it = {k: v[order] for k, v in it.items()}
 
     def query(self, lq, counters, streams):
-        streams.append(WeightStream(self._scan(lq, counters)))
+        streams.append(self._scan(lq, counters))
 
     def _scan(self, lq, counters):
         it = self.it
-        if not len(it["orig"]):
-            return
         if counters is not None:
             counters.scan_cells(len(it["orig"]))
         qx, qy = lq
         m = (it["x1"] <= qx) & (it["x2"] >= qx) & (it["y1"] <= qy) & (it["y2"] >= qy)
-        for i in np.nonzero(m)[0].tolist():
-            yield (int(it["z2"][i]), int(it["orig"][i]))
+        yield from zip(it["z2"][m].tolist(), it["orig"][m].tolist())
 
 
 class _TopKGrid(GridKind):
@@ -302,36 +262,32 @@ class _TopKGrid(GridKind):
 
     leaf = _TopKLeaf
 
-    def __init__(self, params: ModelParams, zr_of: dict):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.zr_of = zr_of
 
     def slab(self, p, key):
         return _topk_dom(key, p["xb"], p["yb"], p["z2"], p["orig"], self.params)
 
     def slab_query(self, d, key, lq, counters, streams):
-        streams.append(_topk_stream(d, key, lq, counters, self.zr_of))
+        streams.append(_topk_stream(d, key, lq, counters))
 
     def slow(self, gi, axes):
         return _TopKSlow({k: gi[k] for k in _ITEM_KEYS}, len(axes[0]), len(axes[1]), self.params)
 
     def cell_query(self, node, cell, lst, lq, counters, trace, streams):
-        streams.append(WeightStream(self._cell_stream(node, lst, lq, counters)))
+        streams.append(self._cell_stream(node, lst, lq, counters))
 
     def _cell_stream(self, node, lst, lq, counters):
         gi = node.grid_items
-        for i in lst.tolist():
+        for v in zip(gi["z2"][lst].tolist(), gi["orig"][lst].tolist()):
             if counters is not None:
                 counters.scan_cells(1)
-            yield (int(gi["z2"][i]), int(gi["orig"][i]))
+            yield v
         if len(lst) < node.cap:
             return
-        # a full list: the slow structure's stream past the entries shown
-        merged = _merge_streams(node.slow.streams(lq, counters, self.zr_of))
-        for _ in range(len(lst)):
-            merged.next()
-        while (v := merged.next()) is not None:
-            yield v
+        # a full list: the slow structure's stream past the entries shown;
+        # the slow structure's own merge charges no heap operations
+        yield from islice(_merge(node.slow.streams(lq, counters), None), len(lst), None)
 
 
 class TopKStab:
@@ -340,10 +296,9 @@ class TopKStab:
         a = box_arrays(rects, dims=2)
         require_form(a, "top-k stabbing", finite=SIDES[:4])
         ws = [r.weight if r.weight is not None else 0 for r in rects]
-        zr = weight_rank_lift(a["orig"], np.asarray(ws))
-        self.zr_of = dict(zip(a["orig"].tolist(), zr.tolist()))
+        zr = weight_rank_lift(a["orig"], ws)
         it = {"x1": a["x1"], "x2": a["x2"], "y1": a["y1"], "y2": a["y2"], "z2": zr, "orig": a["orig"]}
-        self.root = build_grid(it, _TopKGrid(params, self.zr_of), params) if self.n else None
+        self.root = build_grid(it, _TopKGrid(params), params) if self.n else None
 
     @property
     def bits_stored(self) -> int:
@@ -351,29 +306,28 @@ class TopKStab:
         Top lists and the slow structures are not charged."""
         return grid_bits(self.root) if self.root is not None else 0
 
-    def collect_streams(self, q, counters):
-        streams = []
-        _query_node(self.root, (int(q[0]), int(q[1])), counters, None, streams)
-        return streams
 
+def _merge(streams, counters):
+    """The (weight, id) pairs of weight-descending iterators, merged by one
+    heap.  An answer is yielded before its stream advances, so a caller that
+    stops after it never reads that stream further."""
+    heap = []
 
-def _merge_streams(streams) -> WeightStream:
-    def gen():
-        heap = []
-        for si, s in enumerate(streams):
-            v = s.peek()
-            if v is not None:
-                heap.append((-v[0], v[1], si))
-        heapq.heapify(heap)
-        while heap:
-            nz, orig, si = heapq.heappop(heap)
-            yield (-nz, orig)
-            streams[si].next()
-            v = streams[si].peek()
-            if v is not None:
-                heapq.heappush(heap, (-v[0], v[1], si))
+    def push(si):
+        v = next(streams[si], None)
+        if v is not None:
+            heapq.heappush(heap, (-v[0], v[1], si))
+            if counters is not None:
+                counters.heap_op()
 
-    return WeightStream(gen())
+    for si in range(len(streams)):
+        push(si)
+    while heap:
+        nw, orig, si = heapq.heappop(heap)
+        if counters is not None:
+            counters.heap_op()
+        yield -nw, orig
+        push(si)
 
 
 def build_topk_stab(rects: list[Box2], params: ModelParams = DEFAULT_PARAMS) -> TopKStab:
@@ -384,25 +338,6 @@ def query_topk_stab(tree: TopKStab, q, k: int, counters: Counters | None = None)
     """The k heaviest rectangles stabbed by q, weight desc / id asc."""
     if k <= 0 or tree.root is None:
         return []
-    streams = tree.collect_streams(q, counters)
-    heap = []
-    for si, s in enumerate(streams):
-        v = s.peek()
-        if v is not None:
-            heap.append((-v[0], v[1], si))
-            if counters is not None:
-                counters.heap_op()
-    heapq.heapify(heap)
-    out = []
-    while heap and len(out) < k:
-        nz, orig, si = heapq.heappop(heap)
-        if counters is not None:
-            counters.heap_op()
-        out.append(orig)
-        streams[si].next()
-        v = streams[si].peek()
-        if v is not None:
-            heapq.heappush(heap, (-v[0], v[1], si))
-            if counters is not None:
-                counters.heap_op()
-    return charge_output(out, counters)
+    streams = []
+    _query_node(tree.root, (int(q[0]), int(q[1])), counters, None, streams)
+    return charge_output([orig for _, orig in islice(_merge(streams, counters), k)], counters)

@@ -48,6 +48,11 @@ class TestDomCount2:
     def test_empty(self):
         assert DomCount2([], []).count(5, 5) == 0
 
+    def test_default_width_covers_both_axes(self):
+        # 2 points * 2 coordinates * 17 bits for a largest coordinate of 100000
+        assert DomCount2([0, 1], [0, 100000]).bits_stored == 68
+        assert DomCount2([0, 100000], [0, 1]).bits_stored == 68
+
     def test_counts_monotone(self):
         xs = [3, 7, 7, 9]
         ys = [1, 5, 2, 8]

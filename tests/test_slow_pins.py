@@ -102,7 +102,7 @@ PINS = {
     ("zr6cover", 300): ((37529, 1927, 2329, 15148, 0, 3380, 0), 25178, "d986dfc533d96889"),
     ("topkslow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("topkslow", 1): ((1200, 200, 0, 200, 40, 20, 0), 0, "b1ee0a614fa62edd"),
-    ("topkslow", 300): ((40452, 1828, 0, 6706, 5293, 2152, 0), 27619, "ddfe355977547196"),
+    ("topkslow", 300): ((40320, 1828, 0, 9749, 5178, 2152, 0), 27619, "ddfe355977547196"),
     ("stab5grid", 0): ((600, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("stab5grid", 1): ((1600, 200, 0, 200, 0, 4, 0), 12, "8f15aaf46d3dec94"),
     ("stab5grid", 300): ((43505, 1912, 1384, 10962, 0, 3346, 0), 87810, "630ca47d3cbbabf1"),

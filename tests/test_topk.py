@@ -144,6 +144,20 @@ class TestCoordinateDomain:
         assert query_topk_dom(s, (POS, POS), 1) == [0]
 
 
+class TestIdDomain:
+    # ids travel in int64 arrays, so an id is an integer in the int64 range;
+    # numpy would otherwise overflow, truncate a float or parse a string
+    @pytest.mark.parametrize("i", [2**63, -(2**63) - 1, 1.5, "a"])
+    def test_topkdom_rejects(self, i):
+        with pytest.raises(ValidationError):
+            build_topk_dom([(i, (1, 1), 3), (1, (2, 2), 4)])
+
+    def test_int64_extremes(self):
+        pts = [(2**63 - 1, (1, 1), 3), (-(2**63), (2, 2), 4)]
+        s = build_topk_dom(pts)
+        assert query_topk_dom(s, (0, 0), 2) == [-(2**63), 2**63 - 1]
+
+
 class TestWeightStream:
     def test_empty(self):
         s = WeightStream(iter([]))
@@ -175,13 +189,40 @@ class TestWeightStream:
         for _ in range(60):
             q = (int(rng.integers(0, 800)), int(rng.integers(0, 800)))
             st = open_stream(s, q)
-            got = []
+            pairs = []
             while (v := st.next()) is not None:
-                got.append(v[1])
+                pairs.append(v)
+            got = [g for _, g in pairs]
             expect = brute_topk_dominance(pts, q, len(pts))
             assert got == expect
-            ws = [dict((p[0], p[2]) for p in pts)[g] for g in got]
+            weight = dict((p[0], p[2]) for p in pts)
+            assert all(w == weight[g] for w, g in pairs)
+            ws = [w for w, _ in pairs]
             assert all(ws[i] >= ws[i + 1] for i in range(len(ws) - 1))
+
+    def test_coarse_tier_charges_its_scan(self):
+        # past the fine cutting's t2 answers the stream reads the coarse
+        # cell's whole conflict list, charged like query's coarse tier
+        from boxstab.domcut import find_any
+        from boxstab.oracle import brute_dominance
+
+        pts = weighted_points(800, 1600, 9)
+        s = build_topk_dom(pts)
+        coords = [p[1] for p in pts]
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(300):
+            q = (int(rng.integers(600, 1600)), int(rng.integers(600, 1600)))
+            if not s.t2 < len(brute_dominance(coords, q)) <= s.t1:
+                continue
+            label = find_any(s.p1, q[0], q[1])
+            c = Counters()
+            st = open_stream(s, q, c)
+            drained = [st.next() for _ in range(s.t2 + 1)]
+            assert [g for _, g in drained] == brute_topk_dominance(pts, q, s.t2 + 1)
+            assert c.cells_scanned == len(s.p1.conflicts[label])
+            checked += 1
+        assert checked > 10
 
 
 GRIDDED = ModelParams(tau=8, grid_override=4)
