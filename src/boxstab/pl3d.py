@@ -23,7 +23,7 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width
 from .geom import AXES, SIDES, Box3, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
-from .range2d import PL2, StabEmpty2
+from .range2d import PL2, StabEmpty2, int64_array
 
 _OTHER = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
@@ -138,8 +138,8 @@ def _build(coords, ids, U, params, bits):
                 coord_width=max(widths[p], widths[q]),
             )
             bits["stab2"] += node.stab[k].bits_stored
-            # sc is a fresh array (fancy indexing) that StabEmpty2 keeps
-            # only sorted copies of, so it is rebased in place
+            # sc is a fresh array (fancy indexing) that StabEmpty2 does not
+            # keep, so it is rebased in place
             sc[:, 2 * axis] -= k * width
             sc[:, 2 * axis + 1] -= k * width
             child_U = tuple(width if a == axis else U[a] for a in range(3))
@@ -178,7 +178,7 @@ def _build(coords, ids, U, params, bits):
                 )
                 bits["pl2"] += pl2s[k].bits_stored
             bits["piece_map"] += len(order) * (2 * widths[axis] + id_w + pair_w)
-            return pl2s, ext_lo[order], ext_hi[order], ids[order]
+            return pl2s, int64_array(ext_lo[order]), int64_array(ext_hi[order]), int64_array(ids[order])
 
         node.left_pl2, node.l_lo, node.l_hi, node.l_orig = build_side(
             lo_slab,
@@ -197,7 +197,7 @@ def _build(coords, ids, U, params, bits):
             mc[:, 2 * axis] = lo_slab[has_mid] + 1
             mc[:, 2 * axis + 1] = hi_slab[has_mid] - 1
             mid_U = tuple(s if a == axis else U[a] for a in range(3))
-            node.mid_orig = ids[has_mid]
+            node.mid_orig = int64_array(ids[has_mid])
             bits["piece_map"] += len(has_mid) * (bit_width(len(has_mid) + 1) + pair_w)
             node.middle_child = _build(mc, np.arange(len(has_mid)), mid_U, params, bits)
     return node
@@ -242,14 +242,14 @@ def _query(node, q, counters, trace):
         if pid is not None and node.l_lo[pid] <= qa <= node.l_hi[pid]:
             if counters is not None:
                 counters.charge_search(len(node.l_orig))  # piece-pair lookup
-            return int(node.l_orig[pid])
+            return node.l_orig[pid]
     pl2 = node.right_pl2.get(k)
     if pl2 is not None:
         pid = pl2.query(proj[0], proj[1], counters)
         if pid is not None and node.r_lo[pid] <= qa <= node.r_hi[pid]:
             if counters is not None:
                 counters.charge_search(len(node.r_orig))
-            return int(node.r_orig[pid])
+            return node.r_orig[pid]
 
     stab = node.stab.get(k)
     nonempty = stab is not None and not stab.empty(proj[0], proj[1], counters)
@@ -269,4 +269,4 @@ def _query(node, q, counters, trace):
         return None
     if counters is not None:
         counters.charge_search(len(node.mid_orig))
-    return int(node.mid_orig[sub])
+    return node.mid_orig[sub]

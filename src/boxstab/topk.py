@@ -183,14 +183,20 @@ class TopKDominance:
 
 
 def build_topk_dom(points, params: ModelParams = DEFAULT_PARAMS) -> TopKDominance:
-    """Top-k dominance over (id, (x, y), weight) tuples, each value checked
-    against its domain."""
-    for i, (x, y), w in points:
+    """Top-k dominance over (id, (x, y), weight) tuples, each tuple's shape
+    and each value checked against its domain."""
+    rows = []
+    for p in points:
+        try:
+            i, (x, y), w = p
+        except (TypeError, ValueError):
+            raise ValidationError(f"point {p!r} is not an (id, (x, y), weight) tuple") from None
         check_id(i)
         check_point_coord(x)
         check_point_coord(y)
         check_weight(w)
-    a = np.array([(i, x, y, w) for i, (x, y), w in points], dtype=np.int64)
+        rows.append((i, x, y, w))
+    a = np.array(rows, dtype=np.int64)
     return TopKDominance(*a.reshape(-1, 4).T, params)
 
 

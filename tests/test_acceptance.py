@@ -158,6 +158,7 @@ def pl3d_scaling():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_1_and_6_and_7_oracle_equivalence():
     """Criteria 1 (oracle equivalence), 6 (Lemma 2.3 dichotomy on the pl3d
     queries) and 7 (ZR4Fast candidate bounds and fallback soundness), which
@@ -345,6 +346,7 @@ def test_criterion_2_shallow_cutting_properties():
             f"(n,t) in {{256,1024,4096}}x{{4,16,64}}, 2 seeds, exhaustive coverage; {details}")
 
 
+@pytest.mark.slow
 def test_criterion_3_pl3d_query_recurrence(pl3d_scaling):
     ratios = {n: d["mean_comparisons"] / math.log2(n) for n, d in pl3d_scaling.items()}
     lo, hi = min(ratios.values()), max(ratios.values())
@@ -352,6 +354,7 @@ def test_criterion_3_pl3d_query_recurrence(pl3d_scaling):
             f"C(n)/log2 n over n=4^5..4^10: min {lo:.1f}, max {hi:.1f}, ratio {hi / lo:.2f} <= 2.5")
 
 
+@pytest.mark.slow
 def test_criterion_4_pl3d_space(pl3d_scaling):
     ok = True
     details = []
@@ -366,6 +369,7 @@ def test_criterion_4_pl3d_space(pl3d_scaling):
     _report("4 (pl3d space)", ok, "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_5_stab5_structural():
     rng = np.random.default_rng(99)
     ok = True

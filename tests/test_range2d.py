@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boxstab.counters import Counters
-from boxstab.geom import Box2
+from boxstab.geom import Box2, ValidationError
 from boxstab.instances import gen
 from boxstab.oracle import NotDisjointError, brute_count2, brute_locate2
 from boxstab.range2d import (
@@ -53,6 +53,25 @@ class TestDomCount2:
         assert DomCount2([0, 1], [0, 100000]).bits_stored == 68
         assert DomCount2([0, 100000], [0, 1]).bits_stored == 68
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([0, 1], [-(2**33) + 7, 5]),
+        ([-(2**31) - 1, 1], [0, 5]),
+        ([0, 1], [0, 2**31 - 1]),
+        ([2**40, 1], [0, 5]),
+    ])
+    def test_rejects_outside_int32(self, xs, ys):
+        # a y below -2^31 used to wrap silently in the int32 levels
+        with pytest.raises(ValidationError):
+            DomCount2(xs, ys)
+
+    def test_int32_extremes(self):
+        xs = [-(2**31), 0, 2**31 - 2]
+        ys = [2**31 - 2, -(2**31), 0]
+        d = DomCount2(xs, ys)
+        for a in (-(2**40), -(2**31), -1, 0, 2**31 - 2, 2**40):
+            for b in (-(2**40), -(2**31), -1, 0, 2**31 - 2, 2**31 - 1, 2**40):
+                assert d.count(a, b) == sum(x <= a and y <= b for x, y in zip(xs, ys)), (a, b)
+
     def test_counts_monotone(self):
         xs = [3, 7, 7, 9]
         ys = [1, 5, 2, 8]
@@ -92,6 +111,28 @@ class TestPL2:
         assert query_pl2(pl, (-100, 1)) == 0
         assert query_pl2(pl, (100, 2)) == 1
         assert query_pl2(pl, (2, 9)) is None
+
+
+def _attrs(obj):
+    return [getattr(obj, k) for k in getattr(obj, "__slots__", ())] + list(getattr(obj, "__dict__", {}).values())
+
+
+@pytest.mark.parametrize("build", [
+    lambda rects: build_pl2(rects),
+    lambda rects: build_stab_count(rects),
+    lambda rects: DomCount2([r.x[0] for r in rects], [r.y[1] for r in rects]),
+], ids=["PL2", "StabEmpty2", "DomCount2"])
+def test_built_structures_keep_no_numpy_array(build):
+    # the query path walks stdlib arrays only: no numpy copy stays beside
+    # them, in the structure or in any boxstab object it reaches
+    todo = [build(gen("pl-disjoint", 300, 600, seed=4, flat=True).boxes2())]
+    while todo:
+        obj = todo.pop()
+        for v in _attrs(obj):
+            for e in v if isinstance(v, list) else [v]:
+                assert not isinstance(e, np.ndarray), type(obj).__name__
+                if type(e).__module__.startswith("boxstab."):
+                    todo.append(e)
 
 
 class TestStabCount:

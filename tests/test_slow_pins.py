@@ -1,13 +1,16 @@
 """Pins of the four slow structures behind the grid tree's full cell lists,
-and of the gridded stab5 and stab6 trees.
+of the gridded stab5 and stab6 trees, and of the structures that query the
+range2d layer (pl3d, pl2, stab2count and cut3's find-any subdivision).
 
 Each case answers 200 seeded queries (points up to two steps outside the
 universe included) and pins the summed counters, the structure's
 bits_stored and a digest of the ordered answer lists, so a rewrite of the
-slow structures or of the grid break must keep every answer, its order and
-every charge.  zr6 and topkstab clamp their cell lists (cap 1 and 2) so
-that full lists send queries to the slow structure.  The stab5grid and
-stab6grid answer order follows the order of each slab's orientation keys.
+slow structures, of the grid break or of range2d's storage must keep every
+answer, its order and every charge.  zr6 and topkstab clamp their cell
+lists (cap 1 and 2) so that full lists send queries to the slow structure.
+The stab5grid and stab6grid answer order follows the order of each slab's
+orientation keys.  The range2d cases build and query through
+``verify.STRUCTURES``, so pl3d answers raw points through rank space.
 """
 
 import hashlib
@@ -16,11 +19,12 @@ import numpy as np
 import pytest
 
 from boxstab.counters import Counters
-from boxstab.geom import ModelParams
+from boxstab.geom import DEFAULT_PARAMS, ModelParams
 from boxstab.instances import gen
 from boxstab.stab5 import build_slow5, build_stab5, query_slow5, query_stab5
 from boxstab.stab6 import build_stab6, build_zr4_slow, build_zr6, query_stab6, query_zr4_slow, query_zr6
 from boxstab.topk import build_topk_stab, query_topk_stab
+from boxstab.verify import STRUCTURES
 from gridclamp import clamp_cells
 
 GRIDDED = ModelParams(grid_override=4, tau=8)
@@ -69,6 +73,19 @@ def _stab6_grid(n, U, rng):
     return t, [(t, q) for q in _points(rng, U, 3)], query_stab6
 
 
+def _row(name, params=DEFAULT_PARAMS, level=8):
+    """A structure-table row built over a seeded instance of its kind."""
+    row = STRUCTURES[name]
+
+    def build(n, U, rng):
+        inst = gen(row.kind, n, U, seed=n + 7, flat=row.flat)
+        s = row.build(inst, params, level)
+        cases = [(s, case) for q in _points(rng, U, 3) for case in row.cases(q, s, (), rng)]
+        return s, cases, row.query
+
+    return build
+
+
 BUILDERS = {
     "slow5": _slow5,
     "zr4slow": _zr4_slow,
@@ -76,6 +93,11 @@ BUILDERS = {
     "topkslow": _topk_slow,
     "stab5grid": _stab5_grid,
     "stab6grid": _stab6_grid,
+    "pl3d": _row("pl3d"),
+    "pl3dtau4": _row("pl3d", ModelParams(tau=4)),
+    "pl2": _row("pl2"),
+    "stab2count": _row("stab2count"),
+    "cut3": _row("cut3"),
 }
 
 
@@ -109,6 +131,21 @@ PINS = {
     ("stab6grid", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("stab6grid", 1): ((1456, 214, 0, 107, 0, 3, 0), 24, "39b3f04287cfebd1"),
     ("stab6grid", 300): ((75197, 4952, 1972, 14801, 0, 2174, 0), 112642, "99e249b87d78cf5c"),
+    ("pl3d", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
+    ("pl3d", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127"),
+    ("pl3d", 300): ((16158, 449, 0, 774, 0, 197, 0), 79688, "2bb46e28b138072d"),
+    ("pl3dtau4", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
+    ("pl3dtau4", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127"),
+    ("pl3dtau4", 300): ((17000, 483, 0, 70, 0, 197, 0), 97815, "2bb46e28b138072d"),
+    ("pl2", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
+    ("pl2", 1): ((400, 0, 0, 0, 0, 0, 0), 129, "24ef5553a538abeb"),
+    ("pl2", 300): ((2629, 0, 0, 0, 0, 0, 0), 41100, "70d4a9656680c9be"),
+    ("stab2count", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "3e273723fa2057ff"),
+    ("stab2count", 1): ((1600, 0, 0, 0, 0, 0, 0), 384, "c2cee6f47cada6d9"),
+    ("stab2count", 300): ((15366, 0, 0, 0, 0, 0, 0), 115200, "e862765b30d6b9bb"),
+    ("cut3", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
+    ("cut3", 1): ((400, 0, 0, 0, 0, 0, 0), 10, "711902bc45883953"),
+    ("cut3", 300): ((2775, 0, 0, 0, 0, 0, 0), 18318, "bca0eb4a3df67aaf"),
 }
 
 

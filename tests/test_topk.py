@@ -144,6 +144,13 @@ class TestCoordinateDomain:
         assert query_topk_dom(s, (POS, POS), 1) == [0]
 
 
+class TestPointShape:
+    @pytest.mark.parametrize("point", [(0, (1, 2, 3), 4), (0, (1,), 4), (0, 1, 4), (0, (1, 2)), 7])
+    def test_topkdom_rejects_malformed_tuple(self, point):
+        with pytest.raises(ValidationError):
+            build_topk_dom([point])
+
+
 class TestIdDomain:
     # ids travel in int64 arrays, so an id is an integer in the int64 range;
     # numpy would otherwise overflow, truncate a float or parse a string
