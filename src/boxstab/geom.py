@@ -185,6 +185,65 @@ def box_arrays(boxes, dims: int = 3) -> dict:
     return out
 
 
+# A leaf of at most LEAF_ROWS rows is stored as row tuples and scanned by
+# one comprehension; a larger one as columns and scanned by one numpy mask.
+# Timed per query, the two tie at about 144-160 rows (ROADMAP.md, open item
+# 1, has the table).
+LEAF_ROWS = 144
+
+
+class Leaf:
+    """The base case of every recursion: rows [x1,x2] x [y1,y2] x [z1,z2],
+    each with a payload, answered by one closed-interval test per axis.
+
+    A side is an int64 array or one int for every row; an unbounded or
+    absent side is the NEG or POS sentinel.  ``payload`` holds one or more
+    arrays.  ``query(q, counters)`` charges ``scan_cells(n)`` and returns
+    the payloads of the rows containing the point q, in stored order: an int
+    per row for one payload array, a tuple for more.  Rows are kept in one
+    form only, chosen by their count (LEAF_ROWS): ``rows`` or ``cols``."""
+
+    __slots__ = ("n", "rows", "cols", "payload")
+
+    def __init__(self, x1, x2, y1, y2, z1, z2, *payload):
+        self.n = n = len(payload[0])
+        sides = (x1, x2, y1, y2, z1, z2)
+        self.rows = self.cols = self.payload = None
+        if n > LEAF_ROWS:
+            self.cols = sides
+            self.payload = payload
+            return
+        vals = [p.tolist() for p in payload]
+        self.rows = list(zip(
+            *(s.tolist() if isinstance(s, np.ndarray) else [s] * n for s in sides),
+            vals[0] if len(vals) == 1 else zip(*vals),
+        ))
+
+    def query(self, q, counters: Counters | None = None) -> list:
+        if counters is not None:
+            counters.scan_cells(self.n)
+        qx, qy, qz = q
+        if self.rows is not None:
+            return [
+                p for x1, x2, y1, y2, z1, z2, p in self.rows
+                if x1 <= qx <= x2 and y1 <= qy <= y2 and z1 <= qz <= z2
+            ]
+        # a side shared by every row is one Python test, not a pass of the mask
+        m = None
+        for side, v, lower in zip(self.cols, (qx, qx, qy, qy, qz, qz), (True, False) * 3):
+            t = side <= v if lower else side >= v
+            if not isinstance(t, np.ndarray):
+                if not t:
+                    return []
+            elif m is None:
+                m = t
+            else:
+                m &= t
+        idx = np.arange(self.n) if m is None else np.flatnonzero(m)
+        hits = [p[idx].tolist() for p in self.payload]
+        return hits[0] if len(hits) == 1 else list(zip(*hits))
+
+
 def _sentinel(side: str) -> int:
     return NEG if side.endswith("1") else POS
 

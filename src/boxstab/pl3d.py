@@ -12,7 +12,9 @@ middle boxes and an empty answer rules out the slab's short boxes, by
 disjointness.
 
 Internally boxes travel as (n, 6) integer arrays; ids returned by children
-are decoded through per-node piece tables.
+are decoded through per-node piece tables.  A leaf (at most tau boxes, or a
+universe of side at most 2) keeps its boxes as ``leaf_coords``, a
+``geom.Leaf`` whose first hit is the owning box.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width
-from .geom import AXES, SIDES, Box3, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
+from .geom import AXES, SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
 from .range2d import PL2, StabEmpty2, int64_array
 
 _OTHER = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
@@ -30,7 +32,7 @@ _OTHER = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 class PL3Node:
     __slots__ = (
-        "n", "U", "axis", "s", "width", "nslabs", "leaf_coords", "leaf_ids",
+        "n", "U", "axis", "s", "width", "nslabs", "leaf_coords",
         "left_pl2", "right_pl2", "stab", "short_children", "middle_child",
         "l_lo", "l_hi", "l_orig", "r_lo", "r_hi", "r_orig", "mid_orig",
     )
@@ -96,8 +98,7 @@ def _build(coords, ids, U, params, bits):
 
     if n <= params.tau or max(U) <= 2:
         node.axis = -1
-        node.leaf_coords = coords
-        node.leaf_ids = ids
+        node.leaf_coords = Leaf(*coords.T, ids)
         bits["leaf"] += n * (2 * sum(widths) + bit_width(n + 1))
         return node
     node.leaf_coords = None
@@ -203,21 +204,6 @@ def _build(coords, ids, U, params, bits):
     return node
 
 
-def _leaf_scan(node, q, counters):
-    c = node.leaf_coords
-    if not len(c):
-        return None
-    if counters is not None:
-        counters.scan_cells(len(c))
-    m = (
-        (c[:, 0] <= q[0]) & (c[:, 1] >= q[0])
-        & (c[:, 2] <= q[1]) & (c[:, 3] >= q[1])
-        & (c[:, 4] <= q[2]) & (c[:, 5] >= q[2])
-    )
-    hits = np.nonzero(m)[0]
-    return int(node.leaf_ids[hits[0]]) if len(hits) else None
-
-
 def query_pl3(pl3: PL3, q, counters: Counters | None = None, trace: list | None = None):
     """Locate q (rank-space coordinates); returns the owning box id or None."""
     return _query(pl3.root, tuple(q), counters, trace)
@@ -227,7 +213,8 @@ def _query(node, q, counters, trace):
     if counters is not None:
         counters.visit_node()
     if node.leaf_coords is not None:
-        return _leaf_scan(node, q, counters)
+        hits = node.leaf_coords.query(q, counters)
+        return hits[0] if hits else None
     axis = node.axis
     qa = q[axis]
     if qa < 0 or qa >= node.U[axis]:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3
-from .geom import Box3, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
+from .geom import Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
 from .range2d import NEG, POS
 
 
@@ -227,34 +227,6 @@ class SlowStab5:
         return out
 
 
-class LeafStab5:
-    """Flat rank-reduced array, scanned linearly."""
-
-    def __init__(self, it: dict):
-        self.it = it
-        n = len(it["orig"])
-        w = bit_width(2 * n + 2)
-        self.n = n
-        self.bits_stored = n * 6 * w
-
-    def query(self, q, counters: Counters | None = None, out=None):
-        if out is None:
-            out = []
-        it = self.it
-        if not self.n:
-            return out
-        if counters is not None:
-            counters.scan_cells(self.n)
-        qx, qy, qz = q
-        m = (
-            (it["x1"] <= qx) & (it["x2"] >= qx)
-            & (it["y1"] <= qy) & (it["y2"] >= qy)
-            & (it["z2"] >= qz)
-        )
-        out.extend(it["orig"][np.nonzero(m)[0]].tolist())
-        return out
-
-
 # ---------------------------------------------------------------------------
 # the grid recursion, shared by the 5-sided, z-restricted 6-sided and top-k
 # stabbing trees
@@ -269,8 +241,9 @@ class GridNode:
 
     @property
     def leaf_items(self):
-        """The leaf's rank-reduced item arrays, or None at a grid node."""
-        return None if self.leaf is None else self.leaf.it
+        """The node's ``geom.Leaf``, or None at a grid node (same as
+        ``leaf``)."""
+        return self.leaf
 
 
 class GridKind:
@@ -278,8 +251,9 @@ class GridKind:
 
     ``axis_keys`` groups the item fields a node rank-reduces, one group per
     axis; the query coordinates past those axes stay raw.  ``leaf(it)``
-    builds a leaf, whose ``query(lq, counters, out)`` adds its matches to
-    ``out``.  ``slab(pieces, key)`` builds the structure of one slab's
+    builds a leaf's ``geom.Leaf`` and ``leaf_query(leaf, lq, counters,
+    out)`` adds its hits to ``out`` (by default, the ids ``leaf.query``
+    returns).  ``slab(pieces, key)`` builds the structure of one slab's
     3-sided pieces of orientation ``key`` from their rows of the piece
     table, as field arrays: ``xb``/``yb``, the x and y bound, then the
     items' other fields by name.  ``slab_query(s, key, lq, counters, out)``
@@ -299,6 +273,9 @@ class GridKind:
 
     def cell_order(self, gi):
         return np.lexsort((gi["orig"], -gi["z2"]))
+
+    def leaf_query(self, leaf, lq, counters, out):
+        out.extend(leaf.query(lq, counters))
 
     def cell_cap(self, m: int) -> int:
         return top_list_cap(m)
@@ -519,7 +496,7 @@ def _query_node(node: GridNode, q, counters, trace, out):
     na = len(node.axes)
     lq = tuple(map(locate_coord, node.axes, q, repeat(counters))) + q[na:]
     if node.leaf is not None:
-        node.leaf.query(lq, counters, out)
+        node.kind.leaf_query(node.leaf, lq, counters, out)
         return
 
     col = int(node.lines_x.searchsorted(lq[0], side="right"))
@@ -560,7 +537,9 @@ class Stab5Grid(GridKind):
     cell, and a SlowStab5 behind full lists; every part is charged."""
 
     axis_keys = (("x1", "x2"), ("y1", "y2"), ("z2",))
-    leaf = LeafStab5
+
+    def leaf(self, it):
+        return Leaf(it["x1"], it["x2"], it["y1"], it["y2"], NEG, it["z2"], it["orig"])
 
     def slab(self, p, key):
         return _dom5(key, p["xb"], p["yb"], p["z2"], p["orig"])
@@ -586,7 +565,7 @@ class Stab5Grid(GridKind):
 
     def bits(self, node) -> int:
         if node.leaf is not None:
-            return node.leaf.bits_stored
+            return _leaf_bits(node.m)
         w = bit_width(2 * node.m + 2)
         dom = sum(d.n for slab in _slab_structs(node) for d in slab.values())
         top = sum(len(lst) for lst in node.cells.values())
@@ -596,6 +575,11 @@ class Stab5Grid(GridKind):
 
 
 _STAB5 = Stab5Grid()
+
+
+def _leaf_bits(m: int) -> int:
+    """A 5-sided leaf of m items: six doubled-rank words per item."""
+    return m * 6 * bit_width(2 * m + 2)
 
 
 class Stab5Tree:
@@ -630,10 +614,10 @@ def query_stab5(tree: Stab5Tree, q, counters: Counters | None = None, trace: lis
 
 
 class _Standalone:
-    def __init__(self, inner, axes):
-        self.inner = inner
+    def __init__(self, query, bits_stored, axes):
+        self._query = query
+        self.bits_stored = bits_stored
         self.axes = axes
-        self.bits_stored = inner.bits_stored
 
     def query(self, q, counters: Counters | None = None) -> list[int]:
         xs, ys, zs = self.axes
@@ -642,7 +626,7 @@ class _Standalone:
             locate_coord(ys, q[1], counters),
             locate_coord(zs, q[2], counters),
         )
-        return charge_output(self.inner.query(lq, counters), counters)
+        return charge_output(self._query(lq, counters), counters)
 
 
 def build_slow5(rects: list[Box3]) -> _Standalone:
@@ -652,7 +636,7 @@ def build_slow5(rects: list[Box3]) -> _Standalone:
     require_form(a, "5-sided slow stabbing", unbounded=("z1",))
     rit, axes = _rank_reduce({k: a[k] for k in _ITEM_KEYS}, Stab5Grid.axis_keys)
     inner = SlowStab5(rit, len(axes[0]), len(axes[1]), len(axes[2]))
-    return _Standalone(inner, axes)
+    return _Standalone(inner.query, inner.bits_stored, axes)
 
 
 def query_slow5(s: _Standalone, q, counters: Counters | None = None) -> list[int]:
@@ -665,7 +649,7 @@ def build_leaf5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> _Sta
     a = box_arrays(rects)
     require_form(a, **_CANONICAL)
     rit, axes = _rank_reduce({k: a[k] for k in _ITEM_KEYS}, Stab5Grid.axis_keys)
-    return _Standalone(LeafStab5(rit), axes)
+    return _Standalone(_STAB5.leaf(rit).query, _leaf_bits(len(rects)), axes)
 
 
 def query_leaf5(l: _Standalone, q, counters: Counters | None = None) -> list[int]:

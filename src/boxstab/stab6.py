@@ -21,6 +21,10 @@ M(v) is a z-restricted 6-sided tree, and L and R are 5-sided trees; both
 are the one grid tree of stab5.py, which zr6 supplies with ZR4Fast slab
 structures, Cover(c, z) lists and the _ZR6Slow fallback.
 
+A leaf of the z tree holds the rectangles of one z slot as one
+``geom.Leaf`` over their raw coordinates; the leaves of M, L and R are the
+grid tree's.
+
 ZR4Slow and _ZR6Slow are stab5.py's centered interval tree over z in
 [0, f) (Lemma F.3): a node splits the rectangles containing its center into
 one-sided halves, and a query asks the half on its side of each center.
@@ -35,7 +39,7 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
-from .geom import SIDES, Box3, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
+from .geom import SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
 from .stab5 import (
     GridKind,
     SlowStab5,
@@ -254,27 +258,6 @@ class _ZR6Slow:
                 high.query((qx, qy, qz), counters, out)
 
 
-class _ZR6Leaf:
-    """Flat rank-reduced array, scanned linearly."""
-
-    def __init__(self, it: dict):
-        self.it = it
-
-    def query(self, lq, counters, out):
-        it = self.it
-        if not len(it["orig"]):
-            return
-        if counters is not None:
-            counters.scan_cells(len(it["orig"]))
-        qx, qy, qz = lq
-        msk = (
-            (it["x1"] <= qx) & (it["x2"] >= qx)
-            & (it["y1"] <= qy) & (it["y2"] >= qy)
-            & (it["zi"] <= qz) & (it["zj"] >= qz)
-        )
-        out.extend(it["orig"][np.nonzero(msk)[0]].tolist())
-
-
 class _ZR6Grid(GridKind):
     """The z-restricted 6-sided tree over z universe [0, f): ZR4Fast per
     slab orientation, Cover(c, z) lists of the log m lowest ids per cell and
@@ -282,12 +265,14 @@ class _ZR6Grid(GridKind):
     charged."""
 
     cell_spans = (("zi", "zj"),)
-    leaf = _ZR6Leaf
 
     def __init__(self, f: int, params: ModelParams, t0: int):
         self.f = f
         self.params = params
         self.t0 = t0
+
+    def leaf(self, it):
+        return Leaf(it["x1"], it["x2"], it["y1"], it["y2"], it["zi"], it["zj"], it["orig"])
 
     def slab(self, p, key):
         sx, sy = reflect_ge(key, p["xb"], p["yb"])
@@ -372,7 +357,7 @@ class IntervalTreeZ:
         self.root = root
         self.n = n
         self.f = f
-        self.zvals = zvals  # sorted distinct z endpoints (the leaf order)
+        self.zvals = zvals  # sorted distinct z endpoints (the leaf order), a list
 
     @property
     def bits_stored(self) -> int:
@@ -422,12 +407,12 @@ def build_stab6(
     n = len(rects)
     zvals = np.unique(np.concatenate([arr["z1"], arr["z2"]]))
     if n == 0:
-        return IntervalTreeZ(None, 0, f_eff, zvals)
+        return IntervalTreeZ(None, 0, f_eff, [])
 
     la = np.searchsorted(zvals, arr["z1"])
     lb = np.searchsorted(zvals, arr["z2"])
     root = _build_it(arr, la, lb, 0, len(zvals), f_eff, params)
-    return IntervalTreeZ(root, n, f_eff, zvals)
+    return IntervalTreeZ(root, n, f_eff, zvals.tolist())
 
 
 def _build_it(arr, la, lb, lo, hi, f, params):
@@ -435,7 +420,7 @@ def _build_it(arr, la, lb, lo, hi, f, params):
     node.lo = lo
     node.hi = hi
     if hi - lo <= 1:
-        node.leaf_items = arr
+        node.leaf_items = Leaf(*(arr[k] for k in SIDES), arr["orig"])
         node.s_count = len(arr["orig"])
         node.children = {}
         node.M = node.L = node.R = None
@@ -491,7 +476,7 @@ def query_stab6(
     qx, qy, qz = q
     if it.root is None:
         return out
-    li = int(np.searchsorted(it.zvals, qz, side="right")) - 1
+    li = bisect_right(it.zvals, qz) - 1
     if counters is not None:
         counters.charge_search(len(it.zvals))
     if li < 0:
@@ -505,16 +490,7 @@ def query_stab6(
         if trace is not None:
             trace.append(TraceEvent("stab6", node, "visit", None, (qx, qy, qz)))
         if node.leaf_items is not None:
-            itearr = node.leaf_items
-            if len(itearr["orig"]):
-                if counters is not None:
-                    counters.scan_cells(len(itearr["orig"]))
-                msk = (
-                    (itearr["x1"] <= qx) & (itearr["x2"] >= qx)
-                    & (itearr["y1"] <= qy) & (itearr["y2"] >= qy)
-                    & (itearr["z1"] <= qz) & (itearr["z2"] >= qz)
-                )
-                out.extend(itearr["orig"][np.nonzero(msk)[0]].tolist())
+            out.extend(node.leaf_items.query(q, counters))
             break
         c = int((li - node.lo) // node.child_size)
         if node.M is not None:

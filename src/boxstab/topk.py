@@ -22,7 +22,8 @@ Top-k stabbing runs the one grid tree of stab5.py, shared with stab5 and
 zr6, on the lifted rectangles; every visited node contributes
 weight-descending (weight, id) streams (its Top(c) list with a transparent
 switch to the slow structure, the per-slab top-k dominance structures, or a
-leaf scan), where a piece's weight is its rectangle's global z rank, merged
+leaf's ``geom.Leaf``, its rows in weight order and its z side [NEG, POS]),
+where a piece's weight is its rectangle's global z rank, merged
 by a binary heap.
 """
 
@@ -41,6 +42,7 @@ from .geom import (
     Box2,
     ModelParams,
     DEFAULT_PARAMS,
+    Leaf,
     ValidationError,
     box_arrays,
     check_id,
@@ -53,6 +55,7 @@ from .stab5 import (
     _ITEM_KEYS,
     GridKind,
     _query_node,
+    _subset,
     build_grid,
     grid_bits,
     reflect_ge,
@@ -241,35 +244,23 @@ class _TopKSlow:
         return [_topk_stream(d, key, lq, counters) for d, key in xy_path(self.root, lq[0], lq[1])]
 
 
-class _TopKLeaf:
-    """Weight-sorted rank-reduced array, streamed by a filtered scan."""
-
-    def __init__(self, it: dict):
-        order = np.argsort(-it["z2"], kind="stable")
-        self.it = {k: v[order] for k, v in it.items()}
-
-    def query(self, lq, counters, streams):
-        streams.append(self._scan(lq, counters))
-
-    def _scan(self, lq, counters):
-        it = self.it
-        if counters is not None:
-            counters.scan_cells(len(it["orig"]))
-        qx, qy = lq
-        m = (it["x1"] <= qx) & (it["x2"] >= qx) & (it["y1"] <= qy) & (it["y2"] >= qy)
-        yield from zip(it["z2"][m].tolist(), it["orig"][m].tolist())
-
-
 class _TopKGrid(GridKind):
     """The top-k tree over weight-lifted rectangles: a visited node adds
     weight-descending streams instead of ids.  TopKDominance per slab
     orientation, Top(c) lists that switch over to the _TopKSlow streams
     when full, and only the TopKDominance pieces charged."""
 
-    leaf = _TopKLeaf
-
     def __init__(self, params: ModelParams):
         self.params = params
+
+    def leaf(self, it):
+        """Rows in weight order, each with its (weight, id); the z side
+        [NEG, POS] holds the query's z of 0."""
+        s = _subset(it, np.argsort(-it["z2"], kind="stable"))
+        return Leaf(s["x1"], s["x2"], s["y1"], s["y2"], NEG, POS, s["z2"], s["orig"])
+
+    def leaf_query(self, leaf, lq, counters, streams):
+        streams.append(iter(leaf.query((*lq, 0), counters)))
 
     def slab(self, p, key):
         return _topk_dom(key, p["xb"], p["yb"], p["z2"], p["orig"], self.params)

@@ -131,13 +131,13 @@ class TestVerifyCLI:
         inst = gen("stab5", 64, 256, seed=9)
 
         def tamper(tree):
-            node = tree.inner if hasattr(tree, "inner") else tree.root
-            while getattr(node, "leaf", None) is None and getattr(node, "it", None) is None:
+            node = tree.root
+            while node.leaf is None:
                 node = next(iter(node.col_children.values()), None) or next(
                     iter(node.row_children.values())
                 )
-            leaf = getattr(node, "leaf", node)
-            leaf.it["orig"][0] += 1  # mislabel one rectangle
+            rows = node.leaf.rows
+            rows[0] = (*rows[0][:-1], rows[0][-1] + 1)  # mislabel one rectangle
 
         rep = verify("stab5", inst, 100, seed=11, tamper=tamper)
         assert not rep.passed

@@ -57,7 +57,7 @@ class TestBuild:
         assert 0 in root.left_pl2 and 3 in root.right_pl2
         assert root.middle_child is not None
         mc = root.middle_child
-        assert mc.leaf_coords[0, 0] == 1 and mc.leaf_coords[0, 1] == 2
+        assert mc.leaf_coords.rows[0][:2] == (1, 2)
         assert query_pl3(pl, (7, 2, 2)) == 0
         assert query_pl3(pl, (0, 0, 0)) == 1
         assert query_pl3(pl, (0, 1, 1)) is None

@@ -189,24 +189,24 @@ class TestStab6:
         k = (la - root.lo) // root.child_size
         l = (lb - root.lo) // root.child_size
         assert k < l
-        assert 99 in root.R[k].root.leaf.it["orig"]
-        assert 99 in root.L[l].root.leaf.it["orig"]
+        assert 99 in [r[-1] for r in root.R[k].root.leaf.rows]
+        assert 99 in [r[-1] for r in root.L[l].root.leaf.rows]
 
-        def m_has(node):
+        def m_span(node):
+            """(zi, zj) of rectangle 99 in the zr6 tree of ``node``."""
             if node.leaf_items is not None:
-                return (99 in node.leaf_items["orig"], node.leaf_items)
-            if 99 in node.grid_items["orig"]:
-                return (True, node.grid_items)
+                return next(((zi, zj) for *_, zi, zj, o in node.leaf_items.rows if o == 99), None)
+            items = node.grid_items
+            if 99 in items["orig"]:
+                row = list(items["orig"]).index(99)
+                return (int(items["zi"][row]), int(items["zj"][row]))
             for ch in list(node.col_children.values()) + list(node.row_children.values()):
-                got = m_has(ch)
-                if got[0]:
+                got = m_span(ch)
+                if got is not None:
                     return got
-            return (False, None)
+            return None
 
-        found, items = m_has(root.M)
-        assert found
-        row = list(items["orig"]).index(99)
-        assert (int(items["zi"][row]), int(items["zj"][row])) == (k + 1, l - 1)
+        assert m_span(root.M) == (k + 1, l - 1)
         # the three parts answer disjoint z ranges: every query hits once
         for qz in range(0, 34):
             got = query_stab6(t, (5, 5, qz))
@@ -224,6 +224,17 @@ class TestStab6:
             got = query_stab6(t, q)
             assert len(got) == len(set(got)), q
             assert set(got) == brute_stab(rects, q), q
+
+    @pytest.mark.parametrize("params", [ModelParams(), GRIDDED], ids=["default", "gridded"])
+    def test_far_z_like_oracle(self, params):
+        # the z walk locates qz with bisect on Python ints; z values past
+        # int64 reach the M, L and R trees and the leaves unchanged
+        rects = list(gen("stab6", 300, 1200, seed=3).boxes)
+        t = build_stab6(rects, f=4, params=params)
+        for qz in (2**70, -(2**70), 2**63, -(2**63) - 1):
+            for qx, qy in ((5, 5), (600, 600), (2**70, 600), (600, -(2**70))):
+                got = query_stab6(t, (qx, qy, qz))
+                assert set(got) == brute_stab(rects, (qx, qy, qz)) and len(got) == len(set(got))
 
     def test_path_length(self):
         inst = gen("stab6", 1024, 4096, seed=21)
