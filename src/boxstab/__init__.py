@@ -14,15 +14,10 @@ from .geom import (
     ModelParams,
     RankSpace,
     ValidationError,
-    classify_sides,
     contains,
     contains2,
-    normalize_orientation,
-    orientation_of,
     rank_locate,
     rank_reduce,
-    reflect_box,
-    reflect_point,
 )
 from .oracle import (
     NotDisjointError,
@@ -121,14 +116,11 @@ __all__ = [
     "build_zr4_fast",
     "build_zr4_slow",
     "build_zr6",
-    "classify_sides",
     "contains",
     "contains2",
     "dominance_count",
     "find_any",
-    "normalize_orientation",
     "open_stream",
-    "orientation_of",
     "query_dominance3",
     "query_leaf5",
     "query_pl2",
@@ -145,7 +137,5 @@ __all__ = [
     "query_zr6",
     "rank_locate",
     "rank_reduce",
-    "reflect_box",
-    "reflect_point",
     "verify_cutting",
 ]

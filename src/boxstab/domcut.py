@@ -26,8 +26,9 @@ exceed the ideal constant; the verifier's slack-8 bound is the contract.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class Dominance3:
     scanned.
 
     Every axis asks >=; a caller that needs <= on an axis negates that
-    coordinate of the points and of the query (``stab5.reflect_ge``).
+    coordinate of the points and of the query, as stab5's grid walk does.
     """
 
     BLOCK = 256
@@ -235,6 +236,10 @@ class ShallowCutting3:
     bits_stored: int = 0
 
 
+def _neg_b(entry) -> int:
+    return -entry[1]
+
+
 class _Stair:
     """Live 2-d staircase of pareto-minimal corners (a ascending, b strictly
     descending).  A corner dominated by another live corner may be dropped
@@ -244,31 +249,14 @@ class _Stair:
     def __init__(self):
         self.entries: list[list] = []  # [a, b, conflict_ids]
 
-    def _first_b_le(self, y: int) -> int:
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][1] <= y:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def _last_a_le(self, x: int) -> int:
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][0] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo - 1
+        return bisect_right(self.entries, x, key=itemgetter(0)) - 1
 
     def touch_range(self, x: int, y: int) -> range:
-        """Indices of corners dominated by the point (x, y): a contiguous run."""
-        hi = self._last_a_le(x)
-        lo = self._first_b_le(y)
-        return range(lo, hi + 1)
+        """Indices of corners dominated by the point (x, y): a contiguous run
+        from the first corner with b <= y to the last with a <= x."""
+        lo = bisect_left(self.entries, -y, key=_neg_b)
+        return range(lo, self._last_a_le(x) + 1)
 
     def insert(self, a: int, b: int, conf: list) -> None:
         pos = self._last_a_le(a)

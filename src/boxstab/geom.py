@@ -1,10 +1,17 @@
-"""Coordinate model, box taxonomy, rank-space reduction and orientation handling.
+"""Coordinate model, the box-to-array boundary, leaves, containment and
+rank-space reduction.
 
-Coordinates are unsigned integers on a grid ``[0, U)``.  Unbounded sides of a
-box are represented as ``None``: a ``None`` lower bound means the side extends
-to -inf, a ``None`` upper bound to +inf.  All finite intervals are closed at
+Coordinates are integers strictly between the NEG and POS sentinels; the
+generators draw them from a grid ``[0, U)``.  Unbounded sides of a box are
+represented as ``None``: a ``None`` lower bound means the side extends to
+-inf, a ``None`` upper bound to +inf.  All finite intervals are closed at
 both endpoints; sets of point-location inputs must be disjoint over the
 integer points of the grid.
+
+Each stabbing builder accepts one orientation of unbounded sides.  Another
+orientation maps to it by negating every axis whose unbounded side points
+to +inf (c -> -c swaps the two sides) and permuting the axes, with the
+query mapped the same way; no universe is needed.
 
 Everything here is immutable after construction and safe for concurrent
 read-only use.
@@ -93,9 +100,6 @@ class Box3:
         _check_interval("z", self.z)
         if self.weight is not None:
             check_weight(self.weight)
-
-    def sidedness(self) -> int:
-        return sum(b is not None for iv in (self.x, self.y, self.z) for b in iv)
 
     def interval(self, axis: int) -> Interval:
         return (self.x, self.y, self.z)[axis]
@@ -261,12 +265,7 @@ def require_form(a: dict, form: str, finite=(), unbounded=()) -> None:
 
 
 # ---------------------------------------------------------------------------
-# classification and containment
-
-
-def classify_sides(b: Box3) -> int:
-    """Number of finite bounds among the six sides, in {3,4,5,6}."""
-    return b.sidedness()
+# containment
 
 
 def _in_interval(iv: Interval, v: int) -> bool:
@@ -366,61 +365,3 @@ def rank_reduce_arrays(coords):
         reduced[:, 2 * a] = np.searchsorted(vals, coords[:, 2 * a])
         reduced[:, 2 * a + 1] = np.searchsorted(vals, coords[:, 2 * a + 1])
     return axes, reduced
-
-
-# ---------------------------------------------------------------------------
-# orientation normalization
-#
-# An orientation code is a 3-character string over {'b','l','h'}: per axis,
-# 'b' = bounded on both sides, 'l' = unbounded toward -inf, 'h' = unbounded
-# toward +inf.  Canonical form has every unbounded side toward -inf, so
-# normalization reflects exactly the 'h' axes via c -> U-1-c.
-
-
-def orientation_of(b: Box3) -> str:
-    code = []
-    for a in range(3):
-        lo, hi = b.interval(a)
-        if lo is None and hi is None:
-            raise ValidationError("axis unbounded on both sides has no orientation")
-        code.append("b" if (lo is not None and hi is not None) else ("l" if lo is None else "h"))
-    return "".join(code)
-
-
-def _reflect_iv(iv: Interval, U: int) -> Interval:
-    lo, hi = iv
-    nlo = None if hi is None else U - 1 - hi
-    nhi = None if lo is None else U - 1 - lo
-    return (nlo, nhi)
-
-
-def reflect_box(b: Box3, axes: tuple[bool, bool, bool], universes: tuple[int, int, int]) -> Box3:
-    """Reflect the chosen axes (c -> U-1-c); involutive."""
-    ivs = [b.x, b.y, b.z]
-    out = [
-        _reflect_iv(ivs[a], universes[a]) if axes[a] else ivs[a] for a in range(3)
-    ]
-    return Box3(b.id, out[0], out[1], out[2], b.weight)
-
-
-def reflect_point(
-    q: tuple[int, int, int], axes: tuple[bool, bool, bool], universes: tuple[int, int, int]
-) -> tuple[int, int, int]:
-    return tuple(
-        universes[a] - 1 - q[a] if axes[a] else q[a] for a in range(3)
-    )  # type: ignore[return-value]
-
-
-def normalize_orientation(b: Box3, code: str, universes: tuple[int, int, int]) -> Box3:
-    """Reflect every 'h' axis of ``code`` so all unbounded sides point to -inf.
-
-    Raises if ``code`` does not describe the box's actual unbounded sides.
-    """
-    if len(code) != 3 or any(c not in "blh" for c in code):
-        raise ValidationError(f"bad orientation code {code!r}")
-    if orientation_of(b) != code:
-        raise ValidationError(
-            f"orientation code {code!r} inconsistent with box sides {orientation_of(b)!r}"
-        )
-    axes = tuple(c == "h" for c in code)
-    return reflect_box(b, axes, universes)  # type: ignore[arg-type]

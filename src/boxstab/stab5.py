@@ -11,7 +11,13 @@ breaks every piece against it:
 * a piece crossing lines both ways splits into a grid rectangle (stored
   here), side pieces that are 4-sided within their column/row (forwarded),
   and - when a side of the piece is already unbounded - 3-sided remainders
-  stored here in per-slab orientation-keyed dominance structures.
+  stored here in per-slab dominance structures, one per orientation.
+
+Negation is the one orientation rule: a 3-sided piece's finite side is
+stored as -x1 where its x extent is [x1, +inf) ('ge') and as x2 where it
+is (-inf, x2] ('le'), the same in y, and a query meets it negated the same
+way (``reflect_ge``), so every per-slab structure answers dominance
+(stored >= query) on both axes.
 
 Per direction the pieces form one table: the whole pieces that fit one
 column (row), then the low and the high side pieces, each row with a
@@ -161,17 +167,16 @@ def centered_path(node, q):
 
 def xy_tree(it: dict, ux: int, uy: int, dom):
     """Lemma 3.1 nesting: an x tree whose payload is a y tree whose payload
-    maps each orientation key to ``dom(xs, ys, here, key)``.  A query at or
-    left of an x center meets x2 >= center, so only x1 <= qx is left to
-    test: key 'ge' with bounds xs = x1; past the center, key 'le' with
-    x2; likewise in y.  The keys are those of the grid's slab pieces."""
+    maps each orientation key to ``dom(xs, ys, here)``, the bounds in
+    dominance form.  A query at or left of an x center meets x2 >= center,
+    so only x1 <= qx is left to test: key 'ge' with xs = -x1; past the
+    center, key 'le' with xs = x2; likewise in y.  The keys are those of
+    the grid's slab pieces."""
 
     def doms(here):
-        return {
-            (kx, ky): dom(here[bx], here[by], here, (kx, ky))
-            for kx, bx in (("ge", "x1"), ("le", "x2"))
-            for ky, by in (("ge", "y1"), ("le", "y2"))
-        }
+        xs = (("ge", -here["x1"]), ("le", here["x2"]))
+        ys = (("ge", -here["y1"]), ("le", here["y2"]))
+        return {(kx, ky): dom(bx, by, here) for kx, bx in xs for ky, by in ys}
 
     return centered_tree(it, "x1", "x2", 0, ux, lambda xs: centered_tree(xs, "y1", "y2", 0, uy, doms))
 
@@ -180,29 +185,19 @@ _SIDE_KEY = {"L": "ge", "R": "le"}
 
 
 def xy_path(root, qx, qy):
-    """(structure, key) of every dominance structure on the search path of
-    (qx, qy), x node by x node."""
+    """(structure, (x, y)) of every dominance structure on the search path
+    of (qx, qy), x node by x node, with the query in that structure's
+    dominance form."""
     for ytree, sx in centered_path(root, qx):
         for doms, sy in centered_path(ytree, qy):
             key = (_SIDE_KEY[sx], _SIDE_KEY[sy])
-            yield doms[key], key
+            yield doms[key], reflect_ge(key, qx, qy)
 
 
 def reflect_ge(key, x, y):
     """Negate the coordinates of the 'ge' sides of orientation ``key``, so a
     3-sided piece of any orientation becomes a dominance-style one."""
     return (-x if key[0] == "ge" else x), (-y if key[1] == "ge" else y)
-
-
-def _dom5(key, xs, ys, zs, ids) -> Dominance3:
-    """Dominance3 of the pieces of orientation ``key``, its 'ge' sides
-    negated (reflect_ge); ``_dom5_query`` negates the query the same way."""
-    xs, ys = reflect_ge(key, xs, ys)
-    return Dominance3(np.stack([xs, ys, zs], axis=1), ids=ids)
-
-
-def _dom5_query(d: Dominance3, key, q, counters):
-    return d.query((*reflect_ge(key, q[0], q[1]), q[2]), counters)
 
 
 class SlowStab5:
@@ -212,18 +207,18 @@ class SlowStab5:
         self.n = len(it["orig"])
         self.bits_stored = self.n * (6 * bit_width(max(ux, uy, uz) + 1))
 
-        def dom(xs, ys, here, key):
-            # sentinel bounds stay in: NEG on a negated axis and POS on a
+        def dom(xs, ys, here):
+            # sentinel bounds stay in: -NEG on a negated axis and POS on a
             # plain axis both compare as always-satisfied
-            return _dom5(key, xs, ys, here["z2"], here["orig"])
+            return Dominance3(np.stack([xs, ys, here["z2"]], axis=1), ids=here["orig"])
 
         self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
     def query(self, q, counters: Counters | None = None, out=None):
         if out is None:
             out = []
-        for d, key in xy_path(self.root, q[0], q[1]):
-            out.extend(_dom5_query(d, key, q, counters))
+        for d, sq in xy_path(self.root, q[0], q[1]):
+            out.extend(d.query((*sq, q[2]), counters))
         return out
 
 
@@ -253,13 +248,14 @@ class GridKind:
     axis; the query coordinates past those axes stay raw.  ``leaf(it)``
     builds a leaf's ``geom.Leaf`` and ``leaf_query(leaf, lq, counters,
     out)`` adds its hits to ``out`` (by default, the ids ``leaf.query``
-    returns).  ``slab(pieces, key)`` builds the structure of one slab's
-    3-sided pieces of orientation ``key`` from their rows of the piece
-    table, as field arrays: ``xb``/``yb``, the x and y bound, then the
-    items' other fields by name.  ``slab_query(s, key, lq, counters, out)``
-    adds its matches.  A cell keeps the first ``cell_cap(m)`` grid
-    items in ``cell_order(gi)``; it is keyed by (column, row) plus one value
-    per ``cell_spans`` field range, matched by the raw query coordinates.
+    returns).  ``slab(pieces)`` builds the structure of one slab's 3-sided
+    pieces of one orientation from their rows of the piece table, as field
+    arrays: ``xb``/``yb``, the x and y bound in dominance form, then the
+    items' other fields by name.  ``slab_query(s, sq, counters, out)`` adds
+    its matches of ``sq``, the query with its x and y in the same form.  A
+    cell keeps the first ``cell_cap(m)`` grid items in ``cell_order(gi)``;
+    it is keyed by (column, row) plus one value per ``cell_spans`` field
+    range, matched by the raw query coordinates.
     ``cell_query(node, cell, lst, lq, counters, trace, out)`` adds a cell's
     matches and falls back to ``node.slow``, built by ``slow(gi, axes)``.
     ``bits(node)`` is the payload a node is charged.
@@ -365,7 +361,7 @@ def _cell_lists(gi: dict, order, cap: int, spans) -> dict:
 def _build_slabs(kind: GridKind, stored: dict) -> dict:
     """stored: slab -> (xside, yside) -> pieces (``_route``)."""
     return {
-        slab: {key: kind.slab(pieces, key) for key, pieces in by_orient.items()}
+        slab: {key: kind.slab(pieces) for key, pieces in by_orient.items()}
         for slab, by_orient in stored.items()
     }
 
@@ -389,7 +385,8 @@ def _route(*blocks):
     ``blocks`` of (fields, dest, forward).  A forwarded row goes to child
     ``dest``; any other row is a 3-sided piece stored in slab ``dest``
     under its orientation key, bounded per axis (``xb``, ``yb``) by its one
-    finite side, followed by its fields past x and y."""
+    finite side in dominance form (-x1 on a 'ge' side, x2 on a 'le' one),
+    followed by its fields past x and y."""
     t = _concat([fields for fields, _, _ in blocks])
     dest = np.concatenate([d for _, d, _ in blocks])
     fwd = np.concatenate([w for _, _, w in blocks])
@@ -398,7 +395,7 @@ def _route(*blocks):
     kept = np.nonzero(~fwd)[0]
     s = _subset(t, kept)
     xge, yge = s["x1"] > NEG, s["y1"] > NEG
-    xb, yb = np.where(xge, s["x1"], s["x2"]), np.where(yge, s["y1"], s["y2"])
+    xb, yb = np.where(xge, -s["x1"], s["x2"]), np.where(yge, -s["y1"], s["y2"])
     payload = {k: v for k, v in s.items() if k not in _XY}
     stored: dict[int, dict] = {}
     for k, rows in _groups(4 * dest[kept] + 2 * xge + yge):
@@ -510,7 +507,7 @@ def _query_node(node: GridNode, q, counters, trace, out):
         structs = slabs.get(slab)
         if structs:
             for key, s in structs.items():
-                kind.slab_query(s, key, lq, counters, out)
+                kind.slab_query(s, reflect_ge(key, lq[0], lq[1]) + lq[2:], counters, out)
 
     cell = (col, row) + lq[na:]
     lst = node.cells.get(cell)
@@ -541,11 +538,11 @@ class Stab5Grid(GridKind):
     def leaf(self, it):
         return Leaf(it["x1"], it["x2"], it["y1"], it["y2"], NEG, it["z2"], it["orig"])
 
-    def slab(self, p, key):
-        return _dom5(key, p["xb"], p["yb"], p["z2"], p["orig"])
+    def slab(self, p):
+        return Dominance3(np.stack([p["xb"], p["yb"], p["z2"]], axis=1), ids=p["orig"])
 
-    def slab_query(self, d, key, lq, counters, out):
-        out.extend(_dom5_query(d, key, lq, counters))
+    def slab_query(self, d, sq, counters, out):
+        out.extend(d.query(sq, counters))
 
     def slow(self, gi, axes):
         return SlowStab5({k: gi[k] for k in _ITEM_KEYS}, *map(len, axes))

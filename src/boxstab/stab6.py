@@ -50,7 +50,6 @@ from .stab5 import (
     centered_path,
     centered_tree,
     grid_bits,
-    reflect_ge,
 )
 
 
@@ -274,13 +273,11 @@ class _ZR6Grid(GridKind):
     def leaf(self, it):
         return Leaf(it["x1"], it["x2"], it["y1"], it["y2"], it["zi"], it["zj"], it["orig"])
 
-    def slab(self, p, key):
-        sx, sy = reflect_ge(key, p["xb"], p["yb"])
-        return ZR4Fast(sx, sy, p["zi"], p["zj"], p["orig"], self.f, self.params, self.t0)
+    def slab(self, p):
+        return ZR4Fast(p["xb"], p["yb"], p["zi"], p["zj"], p["orig"], self.f, self.params, self.t0)
 
-    def slab_query(self, s, key, lq, counters, out):
-        sqx, sqy = reflect_ge(key, lq[0], lq[1])
-        s.query((sqx, sqy, lq[2]), counters, out=out)
+    def slab_query(self, s, sq, counters, out):
+        s.query(sq, counters, out=out)
 
     def cell_order(self, gi):
         return np.argsort(gi["orig"], kind="stable")  # keep the lowest ids

@@ -58,7 +58,6 @@ from .stab5 import (
     _subset,
     build_grid,
     grid_bits,
-    reflect_ge,
     xy_path,
     xy_tree,
 )
@@ -218,30 +217,19 @@ def open_stream(source, q, counters: Counters | None = None) -> WeightStream:
 # top-k 2-d rectangle stabbing
 
 
-def _topk_dom(key, xs, ys, ws, ids, params) -> TopKDominance:
-    """TopKDominance of the points (xs, ys) weighted ws, the 'ge' sides of
-    orientation ``key`` negated (reflect_ge) so dominance is uniform."""
-    xs, ys = reflect_ge(key, xs, ys)
-    return TopKDominance(ids, xs, ys, ws, params)
-
-
-def _topk_stream(d: TopKDominance, key, lq, counters):
-    return d.stream(reflect_ge(key, lq[0], lq[1]), counters)
-
-
 class _TopKSlow:
     """Lemma 3.1's nested x/y centered tree (stab5.xy_tree) with one top-k
     dominance structure per (x-node, y-node, orientation); a query gets one
     stream per structure on its search path."""
 
     def __init__(self, it, ux, uy, params):
-        def dom(xs, ys, here, key):
-            return _topk_dom(key, xs, ys, here["z2"], here["orig"], params)
+        def dom(xs, ys, here):
+            return TopKDominance(here["orig"], xs, ys, here["z2"], params)
 
         self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
     def streams(self, lq, counters):
-        return [_topk_stream(d, key, lq, counters) for d, key in xy_path(self.root, lq[0], lq[1])]
+        return [d.stream(sq, counters) for d, sq in xy_path(self.root, lq[0], lq[1])]
 
 
 class _TopKGrid(GridKind):
@@ -262,11 +250,11 @@ class _TopKGrid(GridKind):
     def leaf_query(self, leaf, lq, counters, streams):
         streams.append(iter(leaf.query((*lq, 0), counters)))
 
-    def slab(self, p, key):
-        return _topk_dom(key, p["xb"], p["yb"], p["z2"], p["orig"], self.params)
+    def slab(self, p):
+        return TopKDominance(p["orig"], p["xb"], p["yb"], p["z2"], self.params)
 
-    def slab_query(self, d, key, lq, counters, streams):
-        streams.append(_topk_stream(d, key, lq, counters))
+    def slab_query(self, d, sq, counters, streams):
+        streams.append(d.stream(sq, counters))
 
     def slow(self, gi, axes):
         return _TopKSlow({k: gi[k] for k in _ITEM_KEYS}, len(axes[0]), len(axes[1]), self.params)

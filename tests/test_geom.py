@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from boxstab.geom import (
     Box2,
     Box3,
     ModelParams,
     ValidationError,
-    classify_sides,
     contains,
-    normalize_orientation,
-    orientation_of,
     rank_locate,
     rank_reduce,
-    reflect_box,
-    reflect_point,
 )
 import boxstab
 from boxstab.oracle import brute_stab
@@ -27,22 +20,11 @@ def box(x, y, z, id=0):
     return Box3(id, x, y, z)
 
 
-class TestClassifySides:
-    def test_six_sided(self):
-        assert classify_sides(box((0, 1), (0, 1), (0, 1))) == 6
-
-    def test_five_sided(self):
-        assert classify_sides(box((0, 1), (0, 1), (None, 1))) == 5
-
-    def test_three_sided(self):
-        assert classify_sides(box((None, 1), (None, 1), (None, 1))) == 3
-
+class TestCoordinateDomain:
     def test_malformed_raises(self):
         with pytest.raises(ValidationError):
             box((2, 1), (0, 1), (0, 1))
 
-
-class TestCoordinateDomain:
     @pytest.mark.parametrize("x,y", [((0, 2**62), (0, 5)), ((0, 3), (-(2**62), 5)), ((2**63, None), (0, 5))])
     def test_endpoint_at_or_beyond_sentinel_rejected(self, x, y):
         with pytest.raises(ValidationError):
@@ -195,41 +177,6 @@ def test_rank_roundtrip_containment():
             assert ok == raw, (q, b)
 
 
-class TestOrientation:
-    def test_reflect_high_to_low(self):
-        b = box((3, None), (0, 1), (0, 1))
-        out = normalize_orientation(b, "hbb", (8, 8, 8))
-        assert out.x == (None, 4)
-
-    def test_identity_code(self):
-        b = box((None, 4), (0, 1), (0, 1))
-        assert normalize_orientation(b, "lbb", (8, 8, 8)) == b
-
-    def test_involution(self):
-        b = box((3, None), (None, 5), (0, 6))
-        axes = (True, True, False)
-        U = (16, 16, 16)
-        assert reflect_box(reflect_box(b, axes, U), axes, U) == b
-
-    def test_inconsistent_code_raises(self):
-        with pytest.raises(ValidationError):
-            normalize_orientation(box((0, 1), (0, 1), (0, 1)), "hbb", (8, 8, 8))
-
-
-@given(
-    st.tuples(st.integers(0, 30), st.integers(0, 30)).map(lambda t: tuple(sorted(t))),
-    st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30)),
-    st.tuples(st.booleans(), st.booleans(), st.booleans()),
-)
-@settings(deadline=None, max_examples=200)
-def test_reflection_preserves_containment(xiv, q, axes):
-    U = (31, 31, 31)
-    b = Box3(0, xiv, (2, 20), (None, 25))
-    rb = reflect_box(b, axes, U)
-    rq = reflect_point(q, axes, U)
-    assert contains(b, q) == contains(rb, rq)
-
-
 class TestModelParams:
     def test_default_Z(self):
         assert ModelParams().Z == 2
@@ -243,6 +190,3 @@ class TestModelParams:
         p = ModelParams()
         assert p.t1(4096) == 12
         assert p.t2(4096) == 3
-
-    def test_orientation_of(self):
-        assert orientation_of(box((0, 1), (None, 2), (3, None))) == "blh"

@@ -1,4 +1,5 @@
-"""Import hygiene: no module-level import binds a name its module never uses.
+"""Import hygiene: no module-level import binds a name its module never
+uses, and every public export resolves.
 
 No linter ships with the project, so this parses every library and test
 module with ``ast``.  ``from __future__`` imports and the names a module
@@ -9,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import boxstab
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "boxstab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -45,3 +48,8 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def test_every_public_export_resolves():
+    # a stale re-export fails here, not in a user's ``from boxstab import *``
+    assert [name for name in boxstab.__all__ if not hasattr(boxstab, name)] == []

@@ -151,28 +151,6 @@ class TestStab5Tree:
         for q in queries(6, 13, 200):
             assert set(query_stab5(t, q)) == brute_stab(rects, q)
 
-    def test_all_orientations_via_reflection(self):
-        # any 5-sided orientation maps to canonical by axis permutation plus
-        # reflection at the API boundary
-        from boxstab.geom import reflect_box, reflect_point
-
-        rng = np.random.default_rng(17)
-        U = 128
-        for axes in [(True, False, False), (False, True, False), (False, False, True)]:
-            rects = []
-            for i in range(200):
-                x = sorted(rng.integers(0, U, 2).tolist())
-                y = sorted(rng.integers(0, U, 2).tolist())
-                z2 = int(rng.integers(0, U))
-                rects.append(Box3(i, tuple(x), tuple(y), (None, z2)))
-            refl = [reflect_box(r, axes, (U, U, U)) for r in rects]
-            # reflected boxes have a +inf side on reflected axes; reflect back
-            # to canonical before building, queries reflected the same way
-            t = build_stab5(rects, params=DEEP)
-            for q in queries(U, 23, 60):
-                rq = reflect_point(q, axes, (U, U, U))
-                assert set(query_stab5(t, q)) == brute_stab(refl, rq)
-
     def test_fallback_soundness(self):
         # whenever the Top(c) fallback fires, at least cap grid
         # rectangles of that node are stabbed; at this scale the natural cap
@@ -224,6 +202,47 @@ class TestStab5Tree:
         query_stab5(t, (5, 5, 5), c)
         assert c.nodes_visited <= 4 * math.log2(n) + 8
         assert t.bits_stored <= 40 * n * math.log2(n)
+
+
+def _negated(iv):
+    lo, hi = iv
+    return (None if hi is None else -hi, None if lo is None else -lo)
+
+
+@pytest.mark.parametrize(
+    "axis,up", [(a, up) for a in range(3) for up in (False, True)],
+    ids=[f"{'xyz'[a]}{'+' if up else '-'}inf" for a in range(3) for up in (False, True)],
+)
+def test_every_orientation_by_negation_and_permutation(axis, up):
+    # a box unbounded on ``axis`` toward -inf, or +inf when ``up``, becomes
+    # canonical by negating that axis when ``up`` and moving it to z; the
+    # query is mapped the same way
+    perm = [a for a in range(3) if a != axis] + [axis]
+
+    def canonical_box(b):
+        ivs = [_negated(iv) if up and a == axis else iv for a, iv in enumerate((b.x, b.y, b.z))]
+        return Box3(b.id, *(ivs[a] for a in perm))
+
+    def canonical_point(q):
+        q = [-c if up and a == axis else c for a, c in enumerate(q)]
+        return tuple(q[a] for a in perm)
+
+    U = 64
+    rng = np.random.default_rng(17 + 2 * axis + up)
+    boxes = []
+    for i in range(200):
+        ivs = [tuple(sorted(rng.integers(0, U, 2).tolist())) for _ in range(3)]
+        c = int(rng.integers(0, U))
+        ivs[axis] = (c, None) if up else (None, c)
+        boxes.append(Box3(i, *ivs))
+    canon = [canonical_box(b) for b in boxes]
+    tree = build_stab5(canon, params=DEEP)
+    slow = build_slow5(canon)
+    for q in queries(U, 23, 100):
+        expect = sorted(brute_stab(boxes, q))
+        cq = canonical_point(q)
+        assert sorted(query_stab5(tree, cq)) == expect, q
+        assert sorted(query_slow5(slow, cq)) == expect, q
 
 
 def test_top_cap_formula():
