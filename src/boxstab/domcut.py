@@ -1,9 +1,11 @@
 """3-d dominance reporting and 2-d/3-d shallow cuttings with FIND-ANY.
 
-Dominance reporting cuts the points, x descending, into canonical blocks of
-a fixed size, each kept sorted by y and nothing more.  A query reports the
-whole blocks of its x prefix with one y search per block and one vector z
-compare over that block's y-suffix, and scans the prefix's partial block.
+Dominance reporting keeps the points x descending in flat stdlib columns
+and finds a query's x prefix with one bisect.  From a fixed size on, it also
+cuts them into canonical blocks, each a y-sorted copy and nothing more: a
+query reports the whole blocks of its x prefix with one y search per block
+and one vector z compare over that block's y-suffix.  The rows of the prefix
+past its whole blocks are scanned.
 
 The 2-d cutting sweeps distinct x descending and emits a corner whenever
 ceil(t/2) points have accumulated since the last one (plus a forced final
@@ -34,66 +36,79 @@ import numpy as np
 
 from .counters import Counters, bit_width, charge_output
 from .geom import ValidationError
-from .range2d import NEG, POS, PL2
+from .range2d import NEG, POS, PL2, int64_array
 
 
 # ---------------------------------------------------------------------------
 # 3-d dominance reporting
 
 
+# A query's rows past its last whole block are scanned by one comprehension
+# when fewer than SCAN_ROWS, else by one numpy mask over zero-copy views of
+# the columns.  The two tie at 48-56 rows: us per scan, min of 25
+# interleaved timeit rounds over 255-point columns of four-digit values, on
+# a shared 2-vCPU guest (ROADMAP.md, open item 2, has the table).
+SCAN_ROWS = 48
+_I64 = np.dtype(np.int64)
+
+
 class Dominance3:
     """Report all points >= q component-wise, exactly.
 
-    Points in x-descending order are chunked into fixed-size canonical
-    blocks, each a y-sorted arrangement.  A query takes the blocks of its x
-    prefix whole: a y search finds the block's y-suffix, whose z values are
-    filtered with one vector compare; the prefix's last partial block is
-    scanned.
-
     Every axis asks >=; a caller that needs <= on an axis negates that
     coordinate of the points and of the query, as stab5's grid walk does.
+    The points are kept x descending, ties in input order, as ``array('q')``
+    columns of -x (ascending), y, z and id, so a query's x prefix, the K
+    points with x >= qx, is found by one ``bisect``.  Two forms, by size:
+
+    * fewer than ``BLOCK`` points: nothing else; a query scans its K-row
+      prefix;
+    * otherwise the points are also cut into canonical blocks of ``BLOCK``,
+      each a y-sorted numpy copy: a query takes the whole blocks of its
+      prefix with one y search and one vector z compare over the block's
+      y-suffix, and scans the rows past them.
+
+    A query reports block by block, then the scanned rows in stored order,
+    and charges one search over the n points, one over each whole block,
+    and one cell per scanned row.
     """
 
     BLOCK = 256
 
-    def __init__(self, points, ids=None):
-        pts = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-        self.n = len(pts)
-        self.ids = (
-            np.arange(self.n, dtype=np.int64)
-            if ids is None
-            else np.asarray(ids, dtype=np.int64)
-        )
-        w = bit_width(int(pts.max() + 1)) if self.n else 1
-        self.bits_stored = self.n * (3 * w + bit_width(self.n + 1))
-        if self.n == 0:
-            return
-        order = np.argsort(-pts[:, 0], kind="stable")
-        self.px = pts[order, 0]
-        self.py = pts[order, 1]
-        self.pz = pts[order, 2]
-        self.pid = self.ids[order]
-        self.xasc = np.sort(pts[:, 0])
-        B = self.BLOCK
+    __slots__ = ("n", "bits_stored", "negx", "py", "pz", "pid", "blocks")
+
+    def __init__(self, xs, ys, zs, ids):
+        """The points of the int64 columns of x, y, z and id."""
+        self.n = n = len(xs)
+        negx = -xs
+        order = np.argsort(negx, kind="stable")
+        self.negx = int64_array(negx[order])
+        py, pz, pid = ys[order], zs[order], ids[order]
+        self.py, self.pz, self.pid = map(int64_array, (py, pz, pid))
         self.blocks = []
-        for s in range(0, self.n - B + 1, B):
-            o = s + np.argsort(self.py[s : s + B], kind="stable")
-            self.blocks.append((self.py[o], self.pz[o], self.pid[o]))
+        if n < self.BLOCK:
+            top = max(-self.negx[0], max(self.py), max(self.pz)) if n else 0
+        else:
+            top = max(-self.negx[0], int(py.max()), int(pz.max()))
+            B = self.BLOCK
+            for s in range(0, n - B + 1, B):
+                o = s + np.argsort(py[s : s + B], kind="stable")
+                self.blocks.append((py[o], pz[o], pid[o]))
+        self.bits_stored = n * (3 * bit_width(top + 1) + bit_width(n + 1))
 
     def query(self, q, counters: Counters | None = None) -> list[int]:
         if counters is not None:
             counters.dominance_query()
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return []
         qx, qy, qz = q
-        K = self.n - int(self.xasc.searchsorted(qx))
+        K = bisect_right(self.negx, -qx)
         if counters is not None:
-            counters.charge_search(self.n)
-        if K == 0:
-            return []
-        out: list[int] = []
+            counters.charge_search(n)
         B = self.BLOCK
         full = K // B
+        out: list[int] = []
         for ys, zs, ids_b in self.blocks[:full]:
             lo = int(ys.searchsorted(qy))
             if counters is not None:
@@ -101,16 +116,29 @@ class Dominance3:
             if lo < B:
                 out.extend(ids_b[lo:][zs[lo:] >= qz].tolist())
         s = full * B
-        if s < K:
-            mask = (self.py[s:K] >= qy) & (self.pz[s:K] >= qz)
-            if counters is not None:
-                counters.scan_cells(K - s)
-            out.extend(self.pid[s:K][mask].tolist())
+        if s == K:
+            return out
+        if counters is not None:
+            counters.scan_cells(K - s)
+        py, pz, pid = self.py, self.pz, self.pid
+        if K - s < SCAN_ROWS:
+            hits = [pid[i] for i in range(s, K) if py[i] >= qy and pz[i] >= qz]
+        else:
+            m = np.frombuffer(py, _I64, K - s, 8 * s) >= qy
+            m &= np.frombuffer(pz, _I64, K - s, 8 * s) >= qz
+            hits = np.frombuffer(pid, _I64, K - s, 8 * s)[m].tolist()
+        if not out:
+            return hits
+        out.extend(hits)
         return out
 
 
 def build_dominance3(points, ids=None) -> Dominance3:
-    return Dominance3(points, ids=ids)
+    """Dominance3 over 3-d points, an (n, 3) array or a list of triples;
+    ids default to positions."""
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 3)
+    ids = np.arange(len(pts), dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
+    return Dominance3(*pts.T, ids)
 
 
 def query_dominance3(d: Dominance3, q, counters: Counters | None = None) -> list[int]:

@@ -39,8 +39,10 @@ from .oracle import NotDisjointError
 
 
 def int64_array(a) -> array:
-    """The values of ``a`` as an ``array('q')``, copied once."""
-    return array("q", np.asarray(a, dtype=np.int64).tobytes())
+    """The values of ``a`` as an ``array('q')`` of exactly their length: an
+    array built from bytes keeps growth room, 3 to 7 spare words plus 1/16,
+    and the slice copies it without."""
+    return array("q", np.asarray(a, dtype=np.int64).tobytes())[:]
 
 
 # ---------------------------------------------------------------------------

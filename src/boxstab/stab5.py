@@ -16,7 +16,8 @@ breaks every piece against it:
 Negation is the one orientation rule: a 3-sided piece's finite side is
 stored as -x1 where its x extent is [x1, +inf) ('ge') and as x2 where it
 is (-inf, x2] ('le'), the same in y, and a query meets it negated the same
-way (``reflect_ge``), so every per-slab structure answers dominance
+way (by the signs stored beside each slab structure, and by ``reflect_ge``
+in the slow structures), so every per-slab structure answers dominance
 (stored >= query) on both axes.
 
 Per direction the pieces form one table: the whole pieces that fit one
@@ -41,6 +42,10 @@ Every node uses a doubled rank space: the i-th distinct coordinate becomes
 between, so closed-interval tests and "one below a grid line" boundaries
 stay exact for arbitrary integer queries.
 
+The walk reads flat stdlib arrays only: a node's rank axes, grid lines,
+cell lists (one table per node, ``GridNode``) and grid items are
+``array('q')``s, and every search on the query path is a ``bisect``.
+
 Besides the tau threshold, a node becomes a leaf when
 m <= 1.5625*log2(m)^4: there the grid formula yields g < 3 and the quantile
 bound ceil(2m/g) stops shrinking, so bottoming out is what keeps the
@@ -50,14 +55,15 @@ visited-node and depth budgets of the query recurrence.
 from __future__ import annotations
 
 import math
-from itertools import product, repeat
+from bisect import bisect_left, bisect_right
+from operator import neg
 
 import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3
 from .geom import Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
-from .range2d import NEG, POS
+from .range2d import NEG, POS, int64_array
 
 
 def grid_side(m: int) -> int:
@@ -93,41 +99,31 @@ def _concat(parts: list[dict]) -> dict:
     return {k: np.concatenate([p[k] for p in parts]) for k in keys}
 
 
-def _rank_axis(values: list[np.ndarray]) -> np.ndarray:
-    finite = np.concatenate([v[(v > NEG) & (v < POS)] for v in values])
-    return np.unique(finite)
-
-
-def _to_even_rank(ax: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    mask = (v > NEG) & (v < POS)
-    out[mask] = 2 * np.searchsorted(ax, v[mask])
-    return out
-
-
-def locate_coord(ax: np.ndarray, v: int, counters: Counters | None = None) -> int:
-    """Doubled-rank coordinate of v in this axis: 2i on an exact hit of the
-    i-th distinct value, the odd gap coordinate otherwise (-1 below all)."""
+def locate_coord(ax, v: int, counters: Counters | None = None) -> int:
+    """Doubled-rank coordinate of v in the ``array('q')`` axis ``ax``: 2i on
+    an exact hit of the i-th distinct value, the odd gap coordinate
+    otherwise (-1 below all)."""
     if counters is not None:
         counters.charge_search(len(ax))
-    # the array method skips np.searchsorted's dispatch, which costs more
-    # than the search itself on these small axes
-    i = int(ax.searchsorted(v, side="right")) - 1
-    if i >= 0 and ax[i] == v:
-        return 2 * i
-    return 2 * i + 1
+    j = bisect_right(ax, v)
+    return 2 * j - 2 if j and ax[j - 1] == v else 2 * j - 1
 
 
 def _rank_reduce(it: dict, axis_keys):
-    """Items in doubled rank space, and each axis's distinct raw values;
-    ``axis_keys`` groups the fields ranked together, one group per axis."""
+    """Items in doubled rank space, and each axis's distinct raw values as
+    an ``array('q')``; ``axis_keys`` groups the fields ranked together, one
+    group per axis."""
     out = dict(it)
     axes = []
+    m = len(it["orig"])
     for keys in axis_keys:
-        ax = _rank_axis([it[k] for k in keys])
-        for k in keys:
-            out[k] = _to_even_rank(ax, it[k])
-        axes.append(ax)
+        vals = np.concatenate([it[k] for k in keys])
+        finite = (vals > NEG) & (vals < POS)
+        ax, rank = np.unique(vals[finite], return_inverse=True)
+        vals[finite] = 2 * rank
+        for i, k in enumerate(keys):
+            out[k] = vals[i * m : (i + 1) * m]
+        axes.append(int64_array(ax))
     return out, tuple(axes)
 
 
@@ -210,7 +206,7 @@ class SlowStab5:
         def dom(xs, ys, here):
             # sentinel bounds stay in: -NEG on a negated axis and POS on a
             # plain axis both compare as always-satisfied
-            return Dominance3(np.stack([xs, ys, here["z2"]], axis=1), ids=here["orig"])
+            return Dominance3(xs, ys, here["z2"], here["orig"])
 
         self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
@@ -228,10 +224,19 @@ class SlowStab5:
 
 
 class GridNode:
+    """One node of a grid tree.  A grid node keeps its rank ``axes`` and
+    grid lines as ``array('q')``, its slab structures per column (row) as a
+    list indexed by slab of ``(structure, sx, sy)`` triples, the signs that
+    put a query in the structure's dominance form, and its grid items as
+    ``array('q')`` columns in cell order.  Its cell lists are one flat
+    table: the list of cell number c is entries ``cell_start[c]`` to
+    ``cell_start[c + 1]`` of ``cell_items``, grid-item indices, ascending,
+    and of ``cell_ids``, those items' ids."""
+
     __slots__ = (
-        "m", "kind", "axes", "leaf", "lines_x", "lines_y", "cells", "cap",
-        "slow", "col_slabs", "row_slabs", "col_children", "row_children",
-        "grid_items",
+        "m", "kind", "axes", "leaf", "lines_x", "lines_y", "cell_start",
+        "cell_items", "cell_ids", "span", "cap", "slow", "col_slabs",
+        "row_slabs", "col_children", "row_children", "grid_items",
     )
 
     @property
@@ -252,12 +257,14 @@ class GridKind:
     pieces of one orientation from their rows of the piece table, as field
     arrays: ``xb``/``yb``, the x and y bound in dominance form, then the
     items' other fields by name.  ``slab_query(s, sq, counters, out)`` adds
-    its matches of ``sq``, the query with its x and y in the same form.  A
-    cell keeps the first ``cell_cap(m)`` grid items in ``cell_order(gi)``;
-    it is keyed by (column, row) plus one value per ``cell_spans`` field
-    range, matched by the raw query coordinates.
-    ``cell_query(node, cell, lst, lq, counters, trace, out)`` adds a cell's
-    matches and falls back to ``node.slow``, built by ``slow(gi, axes)``.
+    its matches of ``sq``, the query with its x and y in the same form.
+    The grid items are stored in ``cell_order(gi)``, and a cell keeps the
+    first ``cell_cap(m)`` of those covering it; it is keyed by (column,
+    row), and by one value in the ``cell_span`` field range when the kind
+    has one, matched by the first raw query coordinate.
+    ``cell_query(node, cell, lo, hi, lq, counters, trace, out)`` adds the
+    matches of the cell keyed ``cell``, entries ``lo:hi`` of the node's cell
+    table, and falls back to ``node.slow``, built by ``slow(gi, axes)``.
     ``bits(node)`` is the payload a node is charged.
 
     By default the cells hold Top(c) lists: z2 descending, then id, cut at
@@ -265,7 +272,7 @@ class GridKind:
     """
 
     axis_keys = (("x1", "x2"), ("y1", "y2"))
-    cell_spans = ()
+    cell_span = None
 
     def cell_order(self, gi):
         return np.lexsort((gi["orig"], -gi["z2"]))
@@ -279,11 +286,11 @@ class GridKind:
     def bits(self, node) -> int:
         if node.leaf is not None:
             return 0
-        return sum(s.bits_stored for slab in _slab_structs(node) for s in slab.values())
+        return sum(s.bits_stored for s in _slab_structs(node))
 
 
 def _slab_structs(node):
-    return (*node.col_slabs.values(), *node.row_slabs.values())
+    return (s for slab in (*node.col_slabs, *node.row_slabs) for s, _, _ in slab)
 
 
 def grid_nodes(root):
@@ -298,6 +305,10 @@ def grid_nodes(root):
 
 def grid_bits(root) -> int:
     return sum(node.kind.bits(node) for node in grid_nodes(root))
+
+
+# the cell range of a grid item, used while its cells are listed
+_CELL_RANGE = ("cLo", "cHi", "rLo", "rHi")
 
 
 def build_grid(it: dict, kind: GridKind, params: ModelParams, depth: int = 0) -> GridNode:
@@ -319,15 +330,19 @@ def build_grid(it: dict, kind: GridKind, params: ModelParams, depth: int = 0) ->
         node.leaf = kind.leaf(rit)
         return node
 
-    node.lines_x = lines_x
-    node.lines_y = lines_y
+    node.lines_x = int64_array(lines_x)
+    node.lines_y = int64_array(lines_y)
     (col_items, col_stored), (row_items, row_stored) = parts["col"], parts["row"]
-    node.col_slabs = _build_slabs(kind, col_stored)
-    node.row_slabs = _build_slabs(kind, row_stored)
-    gi = node.grid_items = parts["grid"]
+    node.col_slabs = _build_slabs(kind, col_stored, len(lines_x) + 1)
+    node.row_slabs = _build_slabs(kind, row_stored, len(lines_y) + 1)
+    gi = parts["grid"]
     node.cap = kind.cell_cap(m)
-    node.cells = _cell_lists(gi, kind.cell_order(gi), node.cap, kind.cell_spans)
+    # the slow structure reports ties in the order the break left the items
     node.slow = kind.slow(gi, node.axes) if len(gi["orig"]) else None
+    gi = _subset(gi, kind.cell_order(gi))
+    node.span, start, items = _cell_table(gi, node.cap, len(lines_x) + 1, len(lines_y) + 1, kind.cell_span)
+    node.cell_start, node.cell_items, node.cell_ids = map(int64_array, (start, items, gi["orig"][items]))
+    node.grid_items = {k: int64_array(v) for k, v in gi.items() if k not in _CELL_RANGE}
     node.col_children = {k: build_grid(sub, kind, params, depth + 1) for k, sub in col_items.items()}
     node.row_children = {k: build_grid(sub, kind, params, depth + 1) for k, sub in row_items.items()}
     return node
@@ -344,26 +359,52 @@ def _quantile_lines(lo: np.ndarray, hi: np.ndarray, g: int) -> np.ndarray:
     return np.unique(e[chunk::chunk])
 
 
-def _cell_lists(gi: dict, order, cap: int, spans) -> dict:
-    """cell key -> the first ``cap`` grid-item indices covering the cell, in
-    ``order``.  A key is (column, row) plus one value per ``spans`` range."""
-    ranges = [("cLo", "cHi"), ("rLo", "rHi"), *spans]
-    bounds = [(gi[lo].tolist(), gi[hi].tolist()) for lo, hi in ranges]
-    cells: dict[tuple, list[int]] = {}
-    for i in order.tolist():
-        for key in product(*(range(lo[i], hi[i] + 1) for lo, hi in bounds)):
-            lst = cells.setdefault(key, [])
-            if len(lst) < cap:
-                lst.append(i)
-    return {k: np.asarray(v, dtype=np.int64) for k, v in cells.items()}
+def _cell_table(gi: dict, cap: int, cols: int, rows: int, span_keys):
+    """(span, cell_start, cell_items) of the grid items ``gi``, in stored
+    order: per cell, the first ``cap`` items covering it, ascending, as
+    int64 arrays.  The cell of column c and row r is number ``c * rows +
+    r``; a kind that also keys cells by the ``span_keys`` field range
+    numbers the cell of value z in it ``(c * rows + r) * span + z``,
+    ``span`` being one past the largest value of that range (1 for other
+    kinds)."""
+    ranges = [("cLo", "cHi", cols), ("rLo", "rHi", rows)]
+    span = 1
+    if span_keys is not None:
+        hi = gi[span_keys[1]]
+        span = int(hi.max()) + 1 if len(hi) else 0
+        ranges.append((*span_keys, span))
+    # every (item, cell) pair, items ascending: item i covers the box of
+    # cells gi[lo][i] .. gi[hi][i] on each keyed axis
+    sizes = [gi[hi] - gi[lo] + 1 for lo, hi, _ in ranges]
+    per = np.prod(sizes, axis=0)
+    item = np.repeat(np.arange(len(per)), per)
+    rest = np.arange(len(item)) - np.repeat(np.cumsum(per) - per, per)
+    cell = np.zeros(len(item), dtype=np.int64)
+    mult = 1
+    for (lo, _, count), size in zip(ranges[::-1], sizes[::-1]):
+        width = size[item]
+        cell += (gi[lo][item] + rest % width) * mult
+        rest //= width
+        mult *= count
+    order = np.argsort(cell, kind="stable")
+    cell, item = cell[order], item[order]
+    counts = np.bincount(cell, minlength=mult)
+    keep = np.arange(len(cell)) - (np.cumsum(counts) - counts)[cell] < cap
+    start = np.zeros(mult + 1, dtype=np.int64)
+    np.cumsum(np.minimum(counts, cap), out=start[1:])
+    return span, start, item[keep]
 
 
-def _build_slabs(kind: GridKind, stored: dict) -> dict:
-    """stored: slab -> (xside, yside) -> pieces (``_route``)."""
-    return {
-        slab: {key: kind.slab(pieces) for key, pieces in by_orient.items()}
-        for slab, by_orient in stored.items()
-    }
+def _build_slabs(kind: GridKind, stored: dict, count: int) -> list:
+    """Per slab 0..count-1, the ``(structure, sx, sy)`` of each orientation
+    of its stored pieces (``_route``), sx and sy -1 on a 'ge' side."""
+    slabs = [()] * count
+    for slab, by_orient in stored.items():
+        slabs[slab] = tuple(
+            (kind.slab(pieces), -1 if kx == "ge" else 1, -1 if ky == "ge" else 1)
+            for (kx, ky), pieces in by_orient.items()
+        )
+    return slabs
 
 
 def _groups(keys):
@@ -490,29 +531,40 @@ def _query_node(node: GridNode, q, counters, trace, out):
     the raw ones."""
     if counters is not None:
         counters.visit_node()
-    na = len(node.axes)
-    lq = tuple(map(locate_coord, node.axes, q, repeat(counters))) + q[na:]
+    axes = node.axes
+    na = len(axes)
+    lq = list(q)
+    for a in range(na):
+        lq[a] = locate_coord(axes[a], lq[a], counters)
+    lq = tuple(lq)
+    kind = node.kind
     if node.leaf is not None:
-        node.kind.leaf_query(node.leaf, lq, counters, out)
+        kind.leaf_query(node.leaf, lq, counters, out)
         return
 
-    col = int(node.lines_x.searchsorted(lq[0], side="right"))
-    row = int(node.lines_y.searchsorted(lq[1], side="right"))
+    x, y = lq[0], lq[1]
+    lines_y = node.lines_y
+    col = bisect_right(node.lines_x, x)
+    row = bisect_right(lines_y, y)
     if counters is not None:
         counters.charge_search(len(node.lines_x))
-        counters.charge_search(len(node.lines_y))
+        counters.charge_search(len(lines_y))
 
-    kind = node.kind
-    for slabs, slab in ((node.col_slabs, col), (node.row_slabs, row)):
-        structs = slabs.get(slab)
-        if structs:
-            for key, s in structs.items():
-                kind.slab_query(s, reflect_ge(key, lq[0], lq[1]) + lq[2:], counters, out)
+    rest = lq[2:]
+    for slab in (node.col_slabs[col], node.row_slabs[row]):
+        for s, sx, sy in slab:
+            kind.slab_query(s, (sx * x, sy * y) + rest, counters, out)
 
-    cell = (col, row) + lq[na:]
-    lst = node.cells.get(cell)
-    if lst is not None:
-        kind.cell_query(node, cell, lst, lq, counters, trace, out)
+    extra = lq[na:]
+    cell = col * (len(lines_y) + 1) + row
+    if extra:
+        z = extra[0]
+        cell = cell * node.span + z if 0 <= z < node.span else None
+    if cell is not None:
+        start = node.cell_start
+        lo, hi = start[cell], start[cell + 1]
+        if lo < hi:
+            kind.cell_query(node, (col, row) + extra, lo, hi, lq, counters, trace, out)
 
     child = node.col_children.get(col)
     if child is not None:
@@ -539,7 +591,7 @@ class Stab5Grid(GridKind):
         return Leaf(it["x1"], it["x2"], it["y1"], it["y2"], NEG, it["z2"], it["orig"])
 
     def slab(self, p):
-        return Dominance3(np.stack([p["xb"], p["yb"], p["z2"]], axis=1), ids=p["orig"])
+        return Dominance3(p["xb"], p["yb"], p["z2"], p["orig"])
 
     def slab_query(self, d, sq, counters, out):
         out.extend(d.query(sq, counters))
@@ -547,28 +599,30 @@ class Stab5Grid(GridKind):
     def slow(self, gi, axes):
         return SlowStab5({k: gi[k] for k in _ITEM_KEYS}, *map(len, axes))
 
-    def cell_query(self, node, cell, lst, lq, counters, trace, out):
+    def cell_query(self, node, cell, lo, hi, lq, counters, trace, out):
         gi = node.grid_items
-        # the list is z2-descending, so the hits are a prefix
-        reported = int(np.count_nonzero(gi["z2"][lst] >= lq[2]))
+        items = node.cell_items
+        # the grid items are stored z2 descending, so those with z2 >= qz
+        # are a prefix of them, and the cell's hits a prefix of its list
+        end = bisect_right(gi["z2"], -lq[2], key=neg)
+        reported = bisect_left(items, end, lo, hi) - lo
         if counters is not None:
-            counters.scan_cells(min(reported + 1, len(lst)))
-        if reported == len(lst) == node.cap:
+            counters.scan_cells(min(reported + 1, hi - lo))
+        if reported == hi - lo == node.cap:
             if trace is not None:
                 trace.append(TraceEvent("stab5", node, "top_fallback", cell, lq))
             node.slow.query(lq, counters, out)
         else:
-            out.extend(gi["orig"][lst[:reported]].tolist())
+            out.extend(node.cell_ids[lo : lo + reported])
 
     def bits(self, node) -> int:
         if node.leaf is not None:
             return _leaf_bits(node.m)
         w = bit_width(2 * node.m + 2)
-        dom = sum(d.n for slab in _slab_structs(node) for d in slab.values())
-        top = sum(len(lst) for lst in node.cells.values())
+        dom = sum(d.n for d in _slab_structs(node))
         # words: 4 per dominance point; per grid item 7 (coords plus decode
         # pointer) and a slow-structure pointer; 1 per Top-list entry
-        return (4 * dom + 8 * len(node.grid_items["orig"]) + top) * w
+        return (4 * dom + 8 * len(node.grid_items["orig"]) + len(node.cell_items)) * w
 
 
 _STAB5 = Stab5Grid()

@@ -72,8 +72,8 @@ class ZR4Slow:
         def halves(here):
             xy = (here["x"], here["y"])
             return (
-                Dominance3(np.stack([*xy, -here["i"]], axis=1), ids=here["orig"]),
-                Dominance3(np.stack([*xy, here["j"]], axis=1), ids=here["orig"]),
+                Dominance3(*xy, -here["i"], here["orig"]),
+                Dominance3(*xy, here["j"], here["orig"]),
             )
 
         it = {"x": rx, "y": ry, "i": ri, "j": rj, "orig": rid}
@@ -263,7 +263,7 @@ class _ZR6Grid(GridKind):
     z, and a _ZR6Slow behind full lists; only the ZR4Fast pieces are
     charged."""
 
-    cell_spans = (("zi", "zj"),)
+    cell_span = ("zi", "zj")
 
     def __init__(self, f: int, params: ModelParams, t0: int):
         self.f = f
@@ -288,15 +288,15 @@ class _ZR6Grid(GridKind):
     def slow(self, gi, axes):
         return _ZR6Slow(gi, len(axes[0]), len(axes[1]), self.f)
 
-    def cell_query(self, node, cell, lst, lq, counters, trace, out):
+    def cell_query(self, node, cell, lo, hi, lq, counters, trace, out):
         if counters is not None:
-            counters.scan_cells(len(lst))
-        if len(lst) == node.cap:
+            counters.scan_cells(hi - lo)
+        if hi - lo == node.cap:
             if trace is not None:
                 trace.append(TraceEvent("stab6", node, "cover_fallback", cell, lq))
             node.slow.query(*lq, counters, out)
         else:
-            out.extend(node.grid_items["orig"][lst].tolist())
+            out.extend(node.cell_ids[lo:hi])
 
 
 class ZR6Tree:

@@ -259,20 +259,20 @@ class _TopKGrid(GridKind):
     def slow(self, gi, axes):
         return _TopKSlow({k: gi[k] for k in _ITEM_KEYS}, len(axes[0]), len(axes[1]), self.params)
 
-    def cell_query(self, node, cell, lst, lq, counters, trace, streams):
-        streams.append(self._cell_stream(node, lst, lq, counters))
+    def cell_query(self, node, cell, lo, hi, lq, counters, trace, streams):
+        streams.append(self._cell_stream(node, lo, hi, lq, counters))
 
-    def _cell_stream(self, node, lst, lq, counters):
-        gi = node.grid_items
-        for v in zip(gi["z2"][lst].tolist(), gi["orig"][lst].tolist()):
+    def _cell_stream(self, node, lo, hi, lq, counters):
+        z2 = node.grid_items["z2"]
+        for i, orig in zip(node.cell_items[lo:hi], node.cell_ids[lo:hi]):
             if counters is not None:
                 counters.scan_cells(1)
-            yield v
-        if len(lst) < node.cap:
+            yield z2[i], orig
+        if hi - lo < node.cap:
             return
         # a full list: the slow structure's stream past the entries shown;
         # the slow structure's own merge charges no heap operations
-        yield from islice(_merge(node.slow.streams(lq, counters), None), len(lst), None)
+        yield from islice(_merge(node.slow.streams(lq, counters), None), hi - lo, None)
 
 
 class TopKStab:

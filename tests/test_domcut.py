@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 from boxstab.counters import Counters
 from boxstab.domcut import (
@@ -121,6 +122,38 @@ class TestDominance3:
             query_dominance3(d, tuple(int(rng.integers(-1, u + 1)) for u in FULL_U), c)
         got = (c.predecessor_steps, c.nodes_visited, c.dominance_queries, c.cells_scanned, c.output_size)
         assert got == (6720, 0, 200, 25973, 39398)
+
+
+# Every size around the block boundary, on a 6-value grid: long runs of
+# ties on every axis.  Summed counters of each size's 200 seeded queries.
+BOUNDARY_PINS = {
+    1: (400, 0, 200, 107, 54),
+    7: (800, 0, 200, 987, 250),
+    Dominance3.BLOCK - 1: (1800, 0, 200, 29636, 8642),
+    Dominance3.BLOCK: (2510, 0, 200, 14823, 9033),
+    Dominance3.BLOCK + 1: (2610, 0, 200, 13667, 8992),
+}
+
+
+@pytest.mark.parametrize("n", list(BOUNDARY_PINS))
+def test_block_boundary_answers_and_counters(n):
+    # below BLOCK points the answer is the x prefix in stored order: x
+    # descending, ties by input position; from BLOCK points on, whole blocks
+    # report first, so only the set is fixed
+    pts = rand_points(n, 6, n)
+    d = build_dominance3(pts)
+    rng = np.random.default_rng(n + 1)
+    c = Counters()
+    for _ in range(200):
+        q = tuple(int(v) for v in rng.integers(-1, 7, 3))
+        got = query_dominance3(d, q, c)
+        expect = brute_dominance(pts, q)
+        if n < Dominance3.BLOCK:
+            assert got == sorted(expect, key=lambda i: (-pts[i][0], i)), q
+        else:
+            assert len(got) == len(set(got)) and set(got) == expect, q
+    got = (c.predecessor_steps, c.nodes_visited, c.dominance_queries, c.cells_scanned, c.output_size)
+    assert got == BOUNDARY_PINS[n]
 
 
 class TestCutting2:

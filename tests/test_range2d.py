@@ -1,3 +1,6 @@
+import sys
+from array import array
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from boxstab.range2d import (
     build_pl2,
     build_stab_count,
     dominance_count,
+    int64_array,
     query_pl2,
     query_stab_count,
     query_stab_empty,
@@ -133,6 +137,15 @@ def test_built_structures_keep_no_numpy_array(build):
                 assert not isinstance(e, np.ndarray), type(obj).__name__
                 if type(e).__module__.startswith("boxstab."):
                     todo.append(e)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 100])
+def test_int64_array_keeps_no_growth_room(n):
+    # the grid tree holds ~90k of these at stab5-grid's size: spare words
+    # past the values are memory nothing reads
+    a = int64_array(np.arange(n) - 3)
+    assert a.tolist() == list(range(-3, n - 3))
+    assert sys.getsizeof(a) == sys.getsizeof(array("q", list(range(n))))
 
 
 class TestStabCount:

@@ -4,20 +4,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxstab.counters import Counters
-from boxstab.geom import Box3, ModelParams, ValidationError
+from boxstab.domcut import Dominance3
+from boxstab.geom import NEG, POS, Box3, ModelParams, ValidationError
 from boxstab.instances import gen
 from boxstab.oracle import brute_stab
 from boxstab.stab5 import (
+    GridKind,
+    GridNode,
     _groups,
     build_leaf5,
     build_slow5,
     build_stab5,
+    grid_nodes,
     grid_side,
     query_leaf5,
     query_slow5,
     query_stab5,
     top_list_cap,
 )
+from boxstab.stab6 import _ZR6Grid
+from boxstab.verify import STRUCTURES
 from gridclamp import clamp_cells
 
 DEEP = ModelParams(tau=8, grid_override=2)
@@ -181,7 +187,7 @@ class TestStab5Tree:
                     continue
                 node, lq = ev.node, ev.q
                 fired += 1
-                gi = node.grid_items
+                gi = {k: np.asarray(v) for k, v in node.grid_items.items()}
                 stabbed = int(
                     np.sum(
                         (gi["x1"] <= lq[0]) & (gi["x2"] >= lq[0])
@@ -271,3 +277,81 @@ def test_groups_match_dict_loop(keys):
         ref.setdefault(k, []).append(row)
     got = [(k, rows.tolist()) for k, rows in _groups(np.asarray(keys, dtype=np.int64))]
     assert got == list(ref.items())
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through boxstab objects' slots
+    and attributes, tuples, lists and dict values."""
+    seen, todo = set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif type(obj).__module__.startswith("boxstab."):
+            slots = [k for cls in type(obj).__mro__ for k in getattr(cls, "__slots__", ())]
+            todo.extend(getattr(obj, k) for k in slots if hasattr(obj, k))
+            todo.extend(getattr(obj, "__dict__", {}).values())
+
+
+def test_grid_tree_keeps_no_numpy_array():
+    # the grid walk reads stdlib arrays only: a grid node's axes, lines,
+    # cell table and grid items, and every Dominance3 of fewer than BLOCK
+    # points, hold no numpy array
+    t = build_stab5(list(gen("stab5", 300, 900, seed=4).boxes), DEEP)
+    objs = list(_reachable(t))
+    nodes = [o for o in objs if isinstance(o, GridNode) and o.leaf is None]
+    small = [o for o in objs if isinstance(o, Dominance3) and o.n < Dominance3.BLOCK]
+    assert len(nodes) > 1 and len(small) > 1
+    for node in nodes:
+        fields = [*node.axes, node.lines_x, node.lines_y, node.cell_start, node.cell_items, node.cell_ids]
+        for v in fields + list(node.grid_items.values()):
+            assert not isinstance(v, np.ndarray)
+    for d in small:
+        for k in Dominance3.__slots__:
+            assert not isinstance(getattr(d, k), np.ndarray), k
+
+
+def _covers(node, i, col, row, z):
+    """Whether grid item i of ``node`` covers the cell (col, row) (and the
+    span value z), from its stored rectangle and the node's lines."""
+    gi = node.grid_items
+    cells = []
+    for lines, lo, hi, c in ((node.lines_x, "x1", "x2", col), (node.lines_y, "y1", "y2", row)):
+        first = lines[c - 1] if c > 0 else NEG
+        last = lines[c] - 1 if c < len(lines) else POS
+        cells.append(gi[lo][i] <= first and last <= gi[hi][i])
+    if z is not None:
+        cells.append(gi["zi"][i] <= z <= gi["zj"][i])
+    return all(cells)
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+@pytest.mark.parametrize("structure", ["stab5", "zr6", "topkstab"])
+def test_cell_table_lists_the_first_cap_covering_items(structure, cap, monkeypatch):
+    # reference: per cell, scan the grid items in stored order and keep the
+    # first cap that cover it; cap 2 cuts lists that the natural cap leaves
+    # whole
+    if cap is not None:
+        for kind in (GridKind, _ZR6Grid):
+            monkeypatch.setattr(kind, "cell_cap", lambda self, m: cap)
+    row = STRUCTURES[structure]
+    inst = gen(row.kind, 400, 1200, 5, fanout=4)
+    s = row.build(inst, GRIDDED, 4)
+    nodes = [node for node in grid_nodes(s.root) if node.leaf is None and len(node.grid_items["orig"])]
+    assert nodes
+    for node in nodes:
+        rows = len(node.lines_y) + 1
+        spans = range(node.span) if node.kind.cell_span else [None]
+        keys = [(c, r, z) for c in range(len(node.lines_x) + 1) for r in range(rows) for z in spans]
+        assert len(node.cell_start) == len(keys) + 1
+        for cell, (c, r, z) in enumerate(keys):
+            expect = [i for i in range(len(node.grid_items["orig"])) if _covers(node, i, c, r, z)][: node.cap]
+            lo, hi = node.cell_start[cell], node.cell_start[cell + 1]
+            assert list(node.cell_items[lo:hi]) == expect, (c, r, z)
+            assert list(node.cell_ids[lo:hi]) == [node.grid_items["orig"][i] for i in expect]

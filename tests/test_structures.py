@@ -78,4 +78,4 @@ def test_grid_lines_avoid_sentinels(structure):
     assert len(nodes) > 1
     for node in nodes:
         for lines in (node.lines_x, node.lines_y):
-            assert ((lines > NEG) & (lines < POS)).all()
+            assert all(NEG < v < POS for v in lines)
