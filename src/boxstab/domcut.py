@@ -23,6 +23,12 @@ z-corner at the previous distinct z (so the stored conflict list is the
 exact dominator set) and is replaced by rebuilding the t-level staircase
 inside its own quadrant.  Survivors emit at the lowest z.  Cell count can
 exceed the ideal constant; the verifier's slack-8 bound is the contract.
+No conflict list of a 3-d cutting of at most 4t points can overflow, so
+such a cutting is its one floor box, built without the sweep.
+
+Both cuttings run on plain lists of Python ints and search with bisect: the
+array front ends convert their input once, and top-k dominance hands its
+columns to the 3-d core directly.
 """
 
 from __future__ import annotations
@@ -173,82 +179,66 @@ def build_cutting2(points, t: int, cover_floor: tuple[int, int] | None = None) -
     if t < 1:
         raise ValidationError("t must be >= 1")
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
-    n = len(pts)
     cut = ShallowCutting2(t=t)
-    if n == 0:
+    if not len(pts):
         return cut
     px, py = pts.T.tolist()
-    fx, fy = cover_floor or (min(px), min(py))
+    cut.corners, cut.conflicts = _cutting2(px, py, t, *(cover_floor or (min(px), min(py))))
+    w = bit_width(max(max(px), max(py)) + 2)
+    cut.bits_stored = len(cut.corners) * 2 * w + sum(map(len, cut.conflicts)) * bit_width(len(px) + 1)
+    return cut
 
+
+def _cutting2(px: list, py: list, t: int, fx: int, fy: int) -> tuple[list, list]:
+    """Corners (x ascending) and conflict lists (positions) of the t-shallow
+    cutting of the points of columns ``px``, ``py``, anchored at (fx, fy)."""
+    n = len(px)
     if n <= t:
-        cut.corners.append((fx, fy))
-        cut.conflicts.append(list(range(n)))
-        _finish_cutting2(cut, px, py)
-        return cut
-
-    order = sorted(range(n), key=lambda i: -px[i])
+        return [(fx, fy)], [list(range(n))]
+    order = sorted(range(n), key=px.__getitem__, reverse=True)
     s_trigger = max(1, math.ceil(t / 2))
     suffix: list[tuple[int, int]] = []  # (y, id) sorted ascending by y
-    corners_rev: list[tuple[int, int]] = []
-    conflicts_rev: list[list[int]] = []
-
-    def threshold() -> int:
-        if len(suffix) >= 2 * t + 1:
-            return suffix[-(2 * t + 1)][0] + 1
-        return fy
+    corners: list[tuple[int, int]] = []  # built x descending
+    conflicts: list[list[int]] = []
 
     def emit(a: int) -> None:
-        b = threshold()
-        if corners_rev and corners_rev[-1] == (a, b):
+        b = suffix[-(2 * t + 1)][0] + 1 if len(suffix) >= 2 * t + 1 else fy
+        if corners and corners[-1] == (a, b):
             return
         lo = bisect_left(suffix, (b, -1))
-        corners_rev.append((a, b))
-        conflicts_rev.append([pid for _, pid in suffix[lo:]])
+        corners.append((a, b))
+        conflicts.append([pid for _, pid in suffix[lo:]])
 
     # Each emission is a pair: the corner at v+1 takes the threshold of the
     # pre-insert suffix (excluding v's own tie block), covering queries
     # strictly right of v however many points share the column; the corner
     # at v takes the post-insert threshold and covers the column itself.
-    cols: list[list[int]] = []
+    acc = 0
     i = 0
     while i < n:
-        j = i
         v = px[order[i]]
+        j = i + 1
         while j < n and px[order[j]] == v:
             j += 1
-        cols.append(order[i:j])
-        i = j
-
-    acc = 0
-    for ci, block in enumerate(cols):
-        v = px[block[0]]
-        is_last = ci == len(cols) - 1
-        fires = is_last or acc + len(block) >= s_trigger
+        fires = j == n or acc + j - i >= s_trigger
         if fires:
             emit(v + 1)
-        for pid in block:
+        for pid in order[i:j]:
             insort(suffix, (py[pid], pid))
         if fires:
             emit(v)
             acc = 0
-            if is_last and fx < v:
+            if j == n and fx < v:
                 emit(fx)
         else:
-            acc += len(block)
-    cut.corners = corners_rev[::-1]
-    cut.conflicts = conflicts_rev[::-1]
-    _finish_cutting2(cut, px, py)
-    return cut
-
-
-def _finish_cutting2(cut: ShallowCutting2, px, py) -> None:
-    w = bit_width(max(max(px, default=1), max(py, default=1)) + 2)
-    cut.bits_stored = len(cut.corners) * 2 * w + sum(
-        len(c) for c in cut.conflicts
-    ) * bit_width(len(px) + 1)
+            acc += j - i
+        i = j
+    corners.reverse()
+    conflicts.reverse()
     # staircase invariant: x ascending, b non-increasing
-    for (a0, b0), (a1, b1) in zip(cut.corners, cut.corners[1:]):
+    for (a0, b0), (a1, b1) in zip(corners, corners[1:]):
         assert a0 < a1 and b0 >= b1, "cutting staircase violated"
+    return corners, conflicts
 
 
 # ---------------------------------------------------------------------------
@@ -264,115 +254,127 @@ class ShallowCutting3:
     bits_stored: int = 0
 
 
-def _neg_b(entry) -> int:
-    return -entry[1]
+_A = itemgetter(0)
+_NEG_B = itemgetter(1)
 
 
 class _Stair:
     """Live 2-d staircase of pareto-minimal corners (a ascending, b strictly
     descending).  A corner dominated by another live corner may be dropped
     without emitting its box: the dominator's eventual box covers a superset
-    with a z-corner at most as high."""
+    with a z-corner at most as high.  Entries are [a, -b, conflict ids], so
+    both axes bisect ascending."""
 
     def __init__(self):
-        self.entries: list[list] = []  # [a, b, conflict_ids]
+        self.entries: list[list] = []
 
-    def _last_a_le(self, x: int) -> int:
-        return bisect_right(self.entries, x, key=itemgetter(0)) - 1
-
-    def touch_range(self, x: int, y: int) -> range:
-        """Indices of corners dominated by the point (x, y): a contiguous run
-        from the first corner with b <= y to the last with a <= x."""
-        lo = bisect_left(self.entries, -y, key=_neg_b)
-        return range(lo, self._last_a_le(x) + 1)
+    def touched(self, x: int, y: int) -> list[list]:
+        """The corners dominated by the point (x, y): a contiguous run from
+        the first corner with b <= y to the last with a <= x."""
+        e = self.entries
+        return e[bisect_left(e, -y, key=_NEG_B) : bisect_right(e, x, key=_A)]
 
     def insert(self, a: int, b: int, conf: list) -> None:
-        pos = self._last_a_le(a)
-        if pos >= 0 and self.entries[pos][1] <= b:
+        e = self.entries
+        run = bisect_right(e, a, key=_A)
+        if run and -e[run - 1][1] <= b:
             return  # dominated by an existing corner
-        run = pos + 1
         end = run
-        while end < len(self.entries) and self.entries[end][1] >= b:
+        while end < len(e) and -e[end][1] >= b:
             end += 1
-        self.entries[run:end] = [[a, b, conf]]
+        e[run:end] = [[a, -b, conf]]
 
 
 def build_cutting3(points, t: int, cover_floor: tuple[int, int] | None = None) -> ShallowCutting3:
+    """t-shallow cutting of 3-d points, an (n, 3) array or a list of
+    triples (ids are positions), with its FIND-ANY subdivision;
+    ``cover_floor`` as in build_cutting2."""
     if t < 1:
         raise ValidationError("t must be >= 1")
     pts = np.asarray(points, dtype=np.int64).reshape(-1, 3)
-    n = len(pts)
+    return _cutting3(*pts.T.tolist(), t, cover_floor)
+
+
+def _cutting3(xs, ys, zs, t: int, cover_floor: tuple[int, int] | None = None) -> ShallowCutting3:
+    """build_cutting3 over the points of the columns ``xs``, ``ys``, ``zs``,
+    sequences of ints."""
+    n = len(xs)
     cut = ShallowCutting3(t=t)
     if n == 0:
         return cut
-    fx = cover_floor[0] if cover_floor else int(pts[:, 0].min())
-    fy = cover_floor[1] if cover_floor else int(pts[:, 1].min())
+    fx, fy = cover_floor or (min(xs), min(ys))
+    order = sorted(range(n), key=zs.__getitem__, reverse=True)  # ties in input order
+    # with an explicit cover floor the final boxes extend below the lowest z
+    # as well: dominator sets are unchanged, so conflicts stay exact
+    z_floor = NEG if cover_floor is not None else zs[order[-1]]
+    if n <= 4 * t:
+        # no conflict list can overflow: the floor box is the whole cutting
+        boxes = [(fx, fy, z_floor)]
+        box_conf = [[g for g in order if xs[g] >= fx and ys[g] >= fy]]
+    else:
+        boxes, box_conf = _sweep3([xs[g] for g in order], [ys[g] for g in order],
+                                  [zs[g] for g in order], order, t, fx, fy, z_floor)
+    cut.corners, cut.conflicts = boxes, box_conf
+    w = bit_width(max(max(xs), max(ys), max(zs)) + 2)
+    cut.bits_stored = len(boxes) * 3 * w + sum(map(len, box_conf)) * bit_width(n + 1)
+    cut.subdivision = _build_findany_subdivision(boxes, w)
+    return cut
 
-    order = np.argsort(-pts[:, 2], kind="stable")
-    xy, pz = pts[order, :2], pts[order, 2]
-    px, py = xy.T
-    gid = order  # global point index per arrival
-    pxl, pyl = px.tolist(), py.tolist()
 
+def _sweep3(px, py, pz, gid, t, fx, fy, z_floor) -> tuple[list, list]:
+    """Boxes and conflict lists of the 3-d cutting of the points in arrival
+    order (z descending), ``gid`` their ids (see the module docstring)."""
+    n = len(px)
+    lim = 4 * t
     stair = _Stair()
     stair.insert(fx, fy, [])
+    entries = stair.entries
     boxes: list[tuple[int, int, int]] = []
     box_conf: list[list[int]] = []
-
     i = 0
     while i < n:
-        j = i
-        zv = int(pz[i])
+        zv = pz[i]
+        j = i + 1
         while j < n and pz[j] == zv:
             j += 1
-        pre_len: dict[int, int] = {}  # id(entry) -> conflict length before batch
-        touched: list = []
+        full = False
         for k in range(i, j):
-            x, y, g = pxl[k], pyl[k], int(gid[k])
-            for ci in stair.touch_range(x, y):
-                e = stair.entries[ci]
-                if id(e) not in pre_len:
-                    pre_len[id(e)] = len(e[2])
-                    touched.append(e)
-                e[2].append(g)
-        over = [e for e in touched if len(e[2]) > 4 * t]
-        if over:
+            g = gid[k]
+            for e in stair.touched(px[k], py[k]):
+                conf = e[2]
+                conf.append(g)
+                if len(conf) > lim:
+                    full = True
+        if full:
+            batch = range(i, j)
+            touched = {}  # id -> corner, in order of first touch
+            for k in batch:
+                for e in stair.touched(px[k], py[k]):
+                    touched[id(e)] = e
             # z-corner zv+1: the same pre-batch dominator set over integers,
             # and it covers queries strictly between this batch and the last
             emit_c = zv + 1
-            live_set = {id(e) for e in stair.entries}
-            for e in over:
+            live_set = {id(e) for e in entries}
+            for e in [e for e in touched.values() if len(e[2]) > lim]:
                 if id(e) not in live_set:
                     continue  # already dropped by an earlier rebuild this batch
-                a, b = e[0], e[1]
+                a, b, conf = e[0], -e[1], e[2]
                 boxes.append((a, b, emit_c))
-                box_conf.append(e[2][: pre_len[id(e)]])
-                stair.entries.remove(e)
-                inq_idx = np.nonzero((px[:j] >= a) & (py[:j] >= b))[0]
-                local = build_cutting2(xy[inq_idx], t, cover_floor=(a, b))
-                for (la, lb), lc in zip(local.corners, local.conflicts):
-                    stair.insert(la, lb, gid[inq_idx[lc]].tolist())
-                live_set = {id(x2) for x2 in stair.entries}
-        prev_z = zv
+                box_conf.append(conf[: len(conf) - sum(px[k] >= a and py[k] >= b for k in batch)])
+                entries.remove(e)
+                inq = [k for k in range(j) if px[k] >= a and py[k] >= b]
+                corners, confs = _cutting2([px[k] for k in inq], [py[k] for k in inq], t, a, b)
+                for (la, lb), lc in zip(corners, confs):
+                    stair.insert(la, lb, [gid[inq[c]] for c in lc])
+                live_set = {id(x2) for x2 in entries}
         i = j
 
-    # with an explicit cover floor the final boxes extend below the lowest z
-    # as well: dominator sets are unchanged, so conflicts stay exact
-    z_floor = NEG if cover_floor is not None else int(pz[-1])
-    for e in stair.entries:
-        boxes.append((e[0], e[1], z_floor))
-        box_conf.append(e[2])
-
+    for a, nb, conf in entries:
+        boxes.append((a, -nb, z_floor))
+        box_conf.append(conf)
     # overflow-emitted boxes can still be dominated by later, deeper boxes
     keep_idx = _pareto_minima(boxes)
-    cut.corners = [boxes[i] for i in keep_idx]
-    cut.conflicts = [box_conf[i] for i in keep_idx]
-    boxes = cut.corners
-    box_conf = cut.conflicts
-    w = bit_width(int(pts.max()) + 2)
-    cut.bits_stored = len(boxes) * 3 * w + sum(len(c) for c in box_conf) * bit_width(n + 1)
-    cut.subdivision = _build_findany_subdivision(boxes, w)
-    return cut
+    return [boxes[i] for i in keep_idx], [box_conf[i] for i in keep_idx]
 
 
 def _pareto_minima(boxes: list[tuple[int, int, int]]) -> list[int]:
@@ -403,6 +405,9 @@ def _build_findany_subdivision(boxes, coord_width) -> PL2 | None:
     rectangles; the labels realize the minimum-z-corner rule."""
     if not boxes:
         return None
+    if len(boxes) == 1:  # one quadrant, the whole box visible
+        a, b, _ = boxes[0]
+        return PL2([a], [POS], [b], [POS], [0], coord_width=coord_width)
     order = sorted(range(len(boxes)), key=lambda i: (boxes[i][2], i))
     stair: list[tuple[int, int]] = []  # minimal corners, x asc / y desc
     rx1, rx2, ry1, ry2, lab = [], [], [], [], []

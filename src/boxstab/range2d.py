@@ -159,9 +159,10 @@ class DomCount2:
 class PL2:
     """Point location among disjoint (possibly half-unbounded) rectangles.
 
-    Rectangles are given as parallel arrays; unbounded sides use the NEG/POS
-    sentinels.  Build raises NotDisjointError when two rectangles sharing a
-    vertical line overlap in y over integer points.
+    Rectangles are given as parallel arrays, or lists of ints, which are
+    used as they are; unbounded sides use the NEG/POS sentinels.  Build
+    raises NotDisjointError when two rectangles sharing a vertical line
+    overlap in y over integer points.
 
     The tree is stored in preorder: ``nodes`` holds five entries per node,
     (center, start, end, left, right), a missing child being -1, and the
@@ -171,7 +172,10 @@ class PL2:
     __slots__ = ("n", "bits_stored", "nodes", "x1", "x2", "y1", "y2", "label")
 
     def __init__(self, x1, x2, y1, y2, labels, coord_width: int | None = None, label_width: int | None = None):
-        cols = [np.asarray(c, dtype=np.int64).tolist() for c in (x1, x2, y1, y2, labels)]
+        cols = [
+            c if isinstance(c, list) else np.asarray(c, dtype=np.int64).tolist()
+            for c in (x1, x2, y1, y2, labels)
+        ]
         self.n = len(cols[0])
         cw = coord_width if coord_width is not None else 32
         lw = label_width if label_width is not None else bit_width(self.n + 1)

@@ -6,11 +6,16 @@ exactly the output order and is duplicate-free.  Top-k 2-d dominance runs on
 two shallow cuttings (levels t1 ~ log n and t2 ~ cbrt(log n)) plus a global
 weight-sorted fallback, walked as tiers:
 
-* the fine cutting: FIND-ANY, then a precomputed per-rank-cell dominator
-  list inside the located cell;
+* the fine cutting: FIND-ANY, then one lookup in the located cell's rank
+  table, the paper's word-RAM tabulation: a fine conflict list holds at
+  most 4*t2 points, so the dominators of each rank cell are one bitmask
+  over the weight-sorted list, decoded only as far as the walk yields;
 * the coarse cutting: FIND-ANY, then a weight-descending filtered scan of
   its conflict list;
 * the global scan.
+
+The columns are tuples and lists of Python ints, converted once from the
+caller's arrays, and the cuttings are built on them directly.
 
 A query for k starts at the fine tier if k < t2, at the coarse tier if
 k < t1, else at the scan; a stream starts at the fine tier.  A located list
@@ -30,13 +35,14 @@ by a binary heap.
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left
 from itertools import islice
 
 import numpy as np
 
 from .counters import Counters, charge_output
-from .domcut import build_cutting3, find_any
+from .domcut import _cutting3, find_any
 from .geom import (
     SIDES,
     Box2,
@@ -98,90 +104,121 @@ class WeightStream:
 
 
 class TopKDominance:
+    """Top-k 2-d dominance over points kept in output order (weight desc,
+    id asc): a point's index is its rank, so every ascending index list is
+    weight-sorted.  The columns ``ids``, ``pw`` (weights), ``px`` and ``py``
+    are tuples; ``p1`` and ``p2`` are the coarse and fine cuttings, their
+    conflict lists sorted, and ``cell_tables`` holds one ``_rank_table`` per
+    conflict list of ``p2``."""
+
     def __init__(self, ids, xs, ys, ws, params: ModelParams = DEFAULT_PARAMS):
-        """Points from int64 arrays of ids, coordinates and weights, kept in
-        output order (weight desc, id asc): a point's index is its rank, so
-        every ascending index list is weight-sorted."""
-        order = np.lexsort((ids, -ws))
-        self.n = n = len(order)
-        self.ids = ids[order]
-        self.pw = ws[order]
+        """Points from int64 arrays of ids, coordinates and weights."""
+        ids, xs, ys, ws = ids.tolist(), xs.tolist(), ys.tolist(), ws.tolist()
+        self.n = n = len(ids)
+        order = sorted(range(n), key=lambda i: (-ws[i], ids[i]))
+        self.ids = tuple([ids[i] for i in order])
+        self.pw = tuple([ws[i] for i in order])
         # half-unbounded pieces arrive with +-sentinel coordinates; clamp to
         # half range so cutting arithmetic (v+1, corner boundaries) stays
         # strictly inside the sentinel band while comparisons are unchanged
-        self.px = np.clip(xs[order], NEG // 2, POS // 2)
-        self.py = np.clip(ys[order], NEG // 2, POS // 2)
+        lo, hi = NEG // 2, POS // 2
+        self.px = px = tuple([min(max(xs[i], lo), hi) for i in order])
+        self.py = py = tuple([min(max(ys[i], lo), hi) for i in order])
         self.t1 = params.t1(max(2, n))
         self.t2 = params.t2(max(2, n))
-        lifted = np.stack([self.px, self.py, np.arange(n - 1, -1, -1)], axis=1)
-        # the cuttings must cover every integer query point, not just the
-        # points' own rank grid, or the located cell's conflict list can miss
-        # dominators of queries that fall between coordinates
+        # the lift's z is n-1-index; the cuttings must cover every integer
+        # query point, not just the points' own rank grid, or the located
+        # cell's conflict list can miss dominators of queries that fall
+        # between coordinates
+        zs = range(n - 1, -1, -1)
         floor = (NEG, NEG)
-        self.p1 = build_cutting3(lifted, self.t1, cover_floor=floor)
-        self.p2 = build_cutting3(lifted, self.t2, cover_floor=floor)
+        self.p1 = _cutting3(px, py, zs, self.t1, floor)
+        self.p2 = _cutting3(px, py, zs, self.t2, floor)
         for cut in (self.p1, self.p2):
-            cut.conflicts = [np.sort(np.array(c, dtype=np.int64)) for c in cut.conflicts]
-        self.cell_tables = [self._rank_table(rows) for rows in self.p2.conflicts]
+            for conf in cut.conflicts:
+                conf.sort()
+        # a fine conflict list has at most 4*t2 entries, one bit each, and
+        # t2 = ceil(cbrt(log2 n)) <= 4 for every n below 2^64
+        code = "B" if 4 * self.t2 <= 8 else "H"
+        self.cell_tables = [self._rank_table(conf, code) for conf in self.p2.conflicts]
         self.bits_stored = self.p1.bits_stored + self.p2.bits_stored
 
-    def _rank_table(self, rows):
-        """Per rank cell of the conflict list's grid, the full weight-sorted
-        dominator list."""
-        pts = list(zip(rows.tolist(), self.px[rows].tolist(), self.py[rows].tolist()))
-        cx = sorted({x for _, x, _ in pts})
-        cy = sorted({y for _, _, y in pts})
-        # rank cell (i, j) holds the points of x rank >= i and y rank >= j;
-        # the last rank of each axis lies past every point (POS > POS // 2)
-        table = {
-            (i, j): [r for r, x, y in pts if x >= a and y >= b]
-            for i, a in enumerate(cx + [POS])
-            for j, b in enumerate(cy + [POS])
-        }
-        return (cx, cy, table)
+    def _rank_table(self, conf, code):
+        """The rank table of one fine conflict list: its distinct x and y
+        values ascending, cx and cy, and an ``array(code)`` of dominator
+        bitmasks, entry i*(len(cy)+1)+j for rank cell (i, j), in which bit b
+        is set when conf[b] has x >= cx[i] and y >= cy[j].  A query (qx, qy)
+        reads the cell (bisect_left(cx, qx), bisect_left(cy, qy)); the last
+        rank of each axis lies past every point (POS > POS // 2) and holds no
+        bit."""
+        cx, xm = _rank_masks([self.px[r] for r in conf])
+        cy, ym = _rank_masks([self.py[r] for r in conf])
+        return cx, cy, array(code, [a & b for a in xm for b in ym])
 
     def _rows(self, qx, qy, tier, counters):
         """Indices of the points dominating (qx, qy), weight descending,
         walked from ``tier``: 0 the fine cutting, 1 the coarse one, 2 the
         global scan (see the module docstring)."""
+        px, py = self.px, self.py
         done = 0
         for tier in range(tier, 2):
             cut, level = ((self.p2, self.t2), (self.p1, self.t1))[tier]
             label = find_any(cut, qx, qy, counters)
             if label is None:
                 continue
+            conf = cut.conflicts[label]
             if tier == 0:
                 cx, cy, table = self.cell_tables[label]
-                rows = table[bisect_left(cx, qx), bisect_left(cy, qy)]
+                mask = table[bisect_left(cx, qx) * (len(cy) + 1) + bisect_left(cy, qy)]
                 if counters is not None:
                     counters.charge_search(len(cx))
                     counters.charge_search(len(cy))
+                count = mask.bit_count()
+                for _ in range(min(count, level)):
+                    low = mask & -mask
+                    yield conf[low.bit_length() - 1]
+                    mask ^= low
             else:
-                conf = cut.conflicts[label]
                 if counters is not None:
                     counters.scan_cells(len(conf))
-                rows = conf[(self.px[conf] >= qx) & (self.py[conf] >= qy)].tolist()
-            yield from rows[done:level]
-            if len(rows) < level:
+                rows = [r for r in conf if px[r] >= qx and py[r] >= qy]
+                count = len(rows)
+                yield from rows[done:level]
+            if count < level:
                 return  # provably complete
             done = level
         if counters is not None:
             counters.scan_cells(self.n)
-        yield from np.flatnonzero((self.px >= qx) & (self.py >= qy))[done:].tolist()
+        # lazy: a stream merged by the heap reads only the prefix it needs
+        yield from islice((r for r in range(self.n) if px[r] >= qx and py[r] >= qy), done, None)
 
     def query(self, q, k: int, counters: Counters | None = None) -> list[int]:
         """The k heaviest points dominating q, weight desc / id asc."""
         if k <= 0:
             return []
         tier = 0 if k < self.t2 else 1 if k < self.t1 else 2
-        rows = list(islice(self._rows(int(q[0]), int(q[1]), tier, counters), k))
-        return self.ids[rows].tolist()
+        ids = self.ids
+        return [ids[r] for r in islice(self._rows(int(q[0]), int(q[1]), tier, counters), k)]
 
     def stream(self, q, counters: Counters | None = None):
         """(weight, id) of every dominating point, weight descending,
         produced tier by tier."""
+        pw, ids = self.pw, self.ids
         for r in self._rows(int(q[0]), int(q[1]), 0, counters):
-            yield int(self.pw[r]), int(self.ids[r])
+            yield pw[r], ids[r]
+
+
+def _rank_masks(vals):
+    """The distinct values of ``vals`` ascending, ``axis``, and per rank i
+    from 0 to len(axis) the bitmask of the positions b with vals[b] >=
+    axis[i]; rank len(axis) has none."""
+    axis = tuple(sorted(set(vals)))
+    masks = [0] * (len(axis) + 1)
+    for b, v in enumerate(vals):
+        masks[bisect_left(axis, v)] |= 1 << b
+    for i in range(len(axis) - 1, -1, -1):
+        masks[i] |= masks[i + 1]
+    return axis, masks
 
 
 def build_topk_dom(points, params: ModelParams = DEFAULT_PARAMS) -> TopKDominance:

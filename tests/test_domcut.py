@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from boxstab.domcut import (
     find_any,
     query_dominance3,
 )
+from boxstab.geom import NEG, POS
 from boxstab.oracle import brute_dominance, brute_topk_dominance, verify_cutting
 
 
@@ -286,3 +288,42 @@ def test_conflict_lists_are_exact_dominators():
     for (a, b, c), conf in zip(cut.corners, cut.conflicts):
         expect = {i for i, p in enumerate(pts) if p[0] >= a and p[1] >= b and p[2] >= c}
         assert set(conf) == expect
+
+
+def cutting_inputs():
+    """224 seeded (points, t, floor) inputs: t from 1 to 7 and n of 0, 4t,
+    4t + 1 or up to 90, so sizes fall on both sides of n = 4t; a few
+    distinct values per axis, so every axis has ties, in one input of five
+    also the clip band's NEG // 2 and POS // 2; floors none, at the minima,
+    below them and (NEG, NEG)."""
+    for case in range(224):
+        rng = np.random.default_rng(7000 + case)
+        t = 1 + case % 7
+        n = (0, 4 * t, 4 * t + 1, int(rng.integers(0, 91)))[case % 4]
+        U = int(rng.integers(1, 12))
+        pool = np.arange(U) - (U // 2 if case % 3 else 0)
+        if case % 5 == 0:
+            pool = np.append(pool, [NEG // 2, POS // 2])
+        pts = rng.choice(pool, (n, 3))
+        kind = (case // 4) % 4 if n else 0
+        low = pts[:, :2].min(axis=0).tolist() if n else None
+        drop = rng.integers(1, 4, 2).tolist()
+        floor = (None, low, low and (low[0] - drop[0], low[1] - drop[1]), (NEG, NEG))[kind]
+        yield pts, t, floor and tuple(floor)
+
+
+def _cutting_digest():
+    h = hashlib.sha256()
+    for pts, t, floor in cutting_inputs():
+        c2 = build_cutting2(pts[:, :2], t, cover_floor=floor)
+        c3 = build_cutting3(pts, t, cover_floor=floor)
+        sub = c3.subdivision
+        cols = None if sub is None else [list(c) for c in (sub.nodes, sub.x1, sub.x2, sub.y1, sub.y2, sub.label)]
+        h.update(repr((c2.corners, c2.conflicts, c2.bits_stored, c3.corners, c3.conflicts, c3.bits_stored, cols)).encode())
+    return h.hexdigest()[:16]
+
+
+def test_cutting_digest():
+    # corners, conflict lists in order, bits_stored and the FIND-ANY
+    # subdivision's layout of both cuttings over tie-heavy seeded inputs
+    assert _cutting_digest() == "04e17ac260cbad68"

@@ -1,19 +1,22 @@
 """Pins of the four slow structures behind the grid tree's full cell lists,
-of the gridded stab5 and stab6 trees, and of the structures that query the
-range2d layer (pl3d, pl2, stab2count and cut3's find-any subdivision).
+of the gridded stab5 and stab6 trees, of top-k dominance, and of the
+structures that query the range2d layer (pl3d, pl2, stab2count and cut3's
+find-any subdivision).
 
 Each case answers 200 seeded queries (points up to two steps outside the
 universe included) and pins the summed counters, the structure's
 bits_stored and a digest of the ordered answer lists, so a rewrite of the
-slow structures, of the grid break or of range2d's storage must keep every
-answer, its order and every charge.  zr6 and topkstab clamp their cell
-lists (cap 1 and 2) so that full lists send queries to the slow structure.
+slow structures, of the grid break, of range2d's storage or of the top-k
+dominance tiers must keep every answer, its order and every charge.  zr6
+and topkstab clamp their cell lists (cap 1 and 2) so that full lists send
+queries to the slow structure.
 The stab5grid and stab6grid answer order follows the order of each slab's
 orientation keys.  The range2d cases build and query through
 ``verify.STRUCTURES``, so pl3d answers raw points through rank space.
 """
 
 import hashlib
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,8 +26,8 @@ from boxstab.geom import DEFAULT_PARAMS, ModelParams
 from boxstab.instances import gen
 from boxstab.stab5 import build_slow5, build_stab5, query_slow5, query_stab5
 from boxstab.stab6 import build_stab6, build_zr4_slow, build_zr6, query_stab6, query_zr4_slow, query_zr6
-from boxstab.topk import build_topk_stab, query_topk_stab
-from boxstab.verify import STRUCTURES
+from boxstab.topk import build_topk_dom, build_topk_stab, query_topk_dom, query_topk_stab
+from boxstab.verify import STRUCTURES, _weighted_points_of
 from gridclamp import clamp_cells
 
 GRIDDED = ModelParams(grid_override=4, tau=8)
@@ -63,6 +66,18 @@ def _topk_slow(n, U, rng):
     return t, cases, query_topk_stab
 
 
+def _topk_dom(n, U, rng):
+    """Top-k dominance at k = 1, t2, t1 and n in turn, so every tier runs,
+    each query also draining a stream prefix of k pairs."""
+    s = build_topk_dom(_weighted_points_of(gen("topk-dom", n, U, seed=n + 8)))
+    ks = (1, s.t2, s.t1, max(1, n))
+    return s, [(s, q, ks[i % 4]) for i, q in enumerate(_points(rng, U, 2))], _topk_dom_query
+
+
+def _topk_dom_query(s, q, k, counters):
+    return query_topk_dom(s, q, k, counters), list(islice(s.stream(q, counters), k))
+
+
 def _stab5_grid(n, U, rng):
     t = build_stab5(list(gen("stab5", n, U, seed=n + 5).boxes), params=GRIDDED)
     return t, [(t, q) for q in _points(rng, U, 3)], query_stab5
@@ -91,6 +106,7 @@ BUILDERS = {
     "zr4slow": _zr4_slow,
     "zr6cover": _zr6_cover,
     "topkslow": _topk_slow,
+    "topkdom": _topk_dom,
     "stab5grid": _stab5_grid,
     "stab6grid": _stab6_grid,
     "pl3d": _row("pl3d"),
@@ -125,6 +141,9 @@ PINS = {
     ("topkslow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("topkslow", 1): ((1200, 200, 0, 200, 40, 20, 0), 0, "b1ee0a614fa62edd"),
     ("topkslow", 300): ((40320, 1828, 0, 9749, 5178, 2152, 0), 27619, "ddfe355977547196"),
+    ("topkdom", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "b4e34d664ab4d09c"),
+    ("topkdom", 1): ((1200, 0, 0, 200, 0, 75, 0), 20, "4ddeb9b3eef5abbf"),
+    ("topkdom", 300): ((7787, 0, 0, 48634, 0, 5232, 0), 30711, "ff84c171de555d0c"),
     ("stab5grid", 0): ((600, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("stab5grid", 1): ((1600, 200, 0, 200, 0, 4, 0), 12, "8f15aaf46d3dec94"),
     ("stab5grid", 300): ((43505, 1912, 1384, 10962, 0, 3346, 0), 87810, "630ca47d3cbbabf1"),

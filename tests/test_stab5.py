@@ -25,6 +25,7 @@ from boxstab.stab5 import (
 from boxstab.stab6 import _ZR6Grid
 from boxstab.verify import STRUCTURES
 from gridclamp import clamp_cells
+from reach import reachable
 
 DEEP = ModelParams(tau=8, grid_override=2)
 GRIDDED = ModelParams(tau=8, grid_override=5)
@@ -279,32 +280,12 @@ def test_groups_match_dict_loop(keys):
     assert got == list(ref.items())
 
 
-def _reachable(root):
-    """Every object reachable from ``root`` through boxstab objects' slots
-    and attributes, tuples, lists and dict values."""
-    seen, todo = set(), [root]
-    while todo:
-        obj = todo.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        yield obj
-        if isinstance(obj, (tuple, list)):
-            todo.extend(obj)
-        elif isinstance(obj, dict):
-            todo.extend(obj.values())
-        elif type(obj).__module__.startswith("boxstab."):
-            slots = [k for cls in type(obj).__mro__ for k in getattr(cls, "__slots__", ())]
-            todo.extend(getattr(obj, k) for k in slots if hasattr(obj, k))
-            todo.extend(getattr(obj, "__dict__", {}).values())
-
-
 def test_grid_tree_keeps_no_numpy_array():
     # the grid walk reads stdlib arrays only: a grid node's axes, lines,
     # cell table and grid items, and every Dominance3 of fewer than BLOCK
     # points, hold no numpy array
     t = build_stab5(list(gen("stab5", 300, 900, seed=4).boxes), DEEP)
-    objs = list(_reachable(t))
+    objs = list(reachable(t))
     nodes = [o for o in objs if isinstance(o, GridNode) and o.leaf is None]
     small = [o for o in objs if isinstance(o, Dominance3) and o.n < Dominance3.BLOCK]
     assert len(nodes) > 1 and len(small) > 1

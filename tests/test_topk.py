@@ -6,6 +6,7 @@ from boxstab.geom import NEG, POS, Box2, ModelParams, ValidationError
 from boxstab.instances import gen
 from boxstab.oracle import brute_topk_dominance, brute_topk_stab
 from boxstab.topk import (
+    TopKDominance,
     WeightStream,
     build_topk_dom,
     build_topk_stab,
@@ -15,6 +16,7 @@ from boxstab.topk import (
     weight_rank_lift,
 )
 from gridclamp import clamp_cells
+from reach import reachable
 
 
 def weighted_points(n, U, seed):
@@ -84,6 +86,47 @@ class TestTopKDominance:
             assert set(brute_topk_dominance(pts, q, k)) <= conf
             checked += 1
         assert checked > 10
+
+
+class TestTopKDominanceLayout:
+    @pytest.mark.parametrize("U", [600, 8])
+    def test_rank_cell_masks_match_brute(self, U):
+        # bit b of a rank cell's mask is set exactly when the b-th entry of
+        # the weight-sorted conflict list dominates the cell's corner
+        s = build_topk_dom(weighted_points(300, U, 12))
+        assert len(s.cell_tables) == len(s.p2.conflicts) > 1
+        for conf, (cx, cy, table) in zip(s.p2.conflicts, s.cell_tables):
+            assert conf == sorted(conf) and len(conf) <= 4 * s.t2
+            assert table.typecode == ("B" if 4 * s.t2 <= 8 else "H")
+            assert len(table) == (len(cx) + 1) * (len(cy) + 1)
+            for i, a in enumerate([*cx, POS]):
+                for j, b in enumerate([*cy, POS]):
+                    mask = table[i * (len(cy) + 1) + j]
+                    assert mask >> len(conf) == 0
+                    got = [r for bit, r in enumerate(conf) if mask >> bit & 1]
+                    assert got == [r for r in conf if s.px[r] >= a and s.py[r] >= b]
+
+    def test_keeps_no_numpy_array(self):
+        t = build_topk_stab(gen("topk-stab", 300, 1200, seed=5).boxes2(), params=GRIDDED)
+        doms = [o for o in reachable(t) if isinstance(o, TopKDominance)]
+        assert len(doms) > 1
+        for d in [build_topk_dom(weighted_points(300, 600, 14)), *doms]:
+            assert not [o for o in reachable(d) if isinstance(o, np.ndarray)]
+
+    @pytest.mark.parametrize("n", [8, 9, 20, 21])
+    def test_oracle_at_direct_cutting_sizes(self, n):
+        # a cutting of at most 4t points is its one floor box and one more
+        # point runs the sweep: n = 4*t2, 4*t2 + 1, 4*t1 and 4*t1 + 1
+        pts = weighted_points(n, 2 * n, n + 40)
+        s = build_topk_dom(pts)
+        assert n in (4 * s.t2, 4 * s.t2 + 1, 4 * s.t1, 4 * s.t1 + 1)
+        weight = {i: w for i, _, w in pts}
+        for qx in range(-1, 2 * n + 1):
+            for qy in range(-1, 2 * n + 1):
+                for k in (1, s.t2, s.t1, n):
+                    assert query_topk_dom(s, (qx, qy), k) == brute_topk_dominance(pts, (qx, qy), k)
+                expect = brute_topk_dominance(pts, (qx, qy), n)
+                assert list(s.stream((qx, qy))) == [(weight[i], i) for i in expect]
 
 
 class TestWeightDomain:
