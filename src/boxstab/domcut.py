@@ -53,7 +53,8 @@ from .range2d import NEG, POS, PL2, int64_array
 # when fewer than SCAN_ROWS, else by one numpy mask over zero-copy views of
 # the columns.  The two tie at 48-56 rows: us per scan, min of 25
 # interleaved timeit rounds over 255-point columns of four-digit values, on
-# a shared 2-vCPU guest (ROADMAP.md, open item 2, has the table).
+# a shared 2-vCPU guest (ROADMAP.md, "Measured constants that code
+# comments cite", has the table).
 SCAN_ROWS = 48
 _I64 = np.dtype(np.int64)
 

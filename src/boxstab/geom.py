@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +45,19 @@ NEG = -(2**62)
 POS = 2**62
 
 
-def _check_int(v, what: str, lo: int, hi: int) -> None:
+def query_coord(v, what: str = "query coordinate") -> int:
+    """``v`` as an int.  Any integer is a query coordinate, numpy ints and
+    values past the sentinels included; raise ValidationError, naming
+    ``what``, for any other value, which a structure comparing ints would
+    truncate."""
     try:
-        v = operator.index(v)
+        return operator.index(v)
     except TypeError:
         raise ValidationError(f"{what} {v!r} is not an integer") from None
+
+
+def _check_int(v, what: str, lo: int, hi: int) -> None:
+    v = query_coord(v, what)
     if not lo <= v <= hi:
         raise ValidationError(f"{what} {v} outside the range [{lo}, {hi}]")
 
@@ -191,8 +199,8 @@ def box_arrays(boxes, dims: int = 3) -> dict:
 
 # A leaf of at most LEAF_ROWS rows is stored as row tuples and scanned by
 # one comprehension; a larger one as columns and scanned by one numpy mask.
-# Timed per query, the two tie at about 144-160 rows (ROADMAP.md, open item
-# 1, has the table).
+# Timed per query, the two tie at about 144-160 rows (ROADMAP.md, "Measured
+# constants that code comments cite", has the table).
 LEAF_ROWS = 144
 
 
@@ -291,63 +299,70 @@ def contains2(b: Box2, q: tuple[int, int]) -> bool:
 # rank-space reduction
 
 
+def rank_axis(cols, step: int = 1):
+    """One rank axis over the equal-length int64 columns ``cols``, ranked
+    together: the sorted distinct finite values, and a copy of each column
+    with every finite value replaced by ``step`` times its rank.  NEG and
+    POS stay as they are."""
+    vals = np.concatenate(cols)
+    finite = (vals > NEG) & (vals < POS)
+    ax, rank = np.unique(vals[finite], return_inverse=True)
+    vals[finite] = step * rank
+    m = len(cols[0])
+    return ax, [vals[i * m : (i + 1) * m] for i in range(len(cols))]
+
+
+def floor_rank(axis, v, counters: Counters | None = None) -> int:
+    """Floor rank of ``v`` in the ascending ``axis``: the highest rank whose
+    value is <= v, else -1.  Charges one search over the axis."""
+    if counters is not None:
+        counters.charge_search(len(axis))
+    return bisect_right(axis, v) - 1
+
+
 @dataclass(frozen=True)
 class RankSpace:
-    """Per-axis sorted distinct coordinates with coordinate -> rank maps."""
+    """Per-axis sorted distinct coordinates."""
 
     axes: tuple[tuple[int, ...], ...]
 
     def size(self, axis: int) -> int:
         return len(self.axes[axis])
 
-    def rank_exact(self, axis: int, v: int) -> int:
-        arr = self.axes[axis]
-        i = bisect_left(arr, v)
-        if i == len(arr) or arr[i] != v:
-            raise KeyError(f"coordinate {v} not stored on axis {axis}")
-        return i
-
-    def locate(self, axis: int, v: int, counters: Counters | None = None) -> int:
-        """Floor rank of ``v``: highest rank whose coordinate is <= v, else -1."""
-        arr = self.axes[axis]
-        if counters is not None:
-            counters.charge_search(len(arr))
-        return bisect_right(arr, v) - 1
-
 
 def rank_reduce(boxes: list[Box3]) -> tuple[RankSpace, list[Box3]]:
     """Replace finite coordinates by their ranks; infinite sides survive."""
-    per_axis: list[set[int]] = [set(), set(), set()]
-    for b in boxes:
-        for a in range(3):
-            lo, hi = b.interval(a)
-            if lo is not None:
-                per_axis[a].add(lo)
-            if hi is not None:
-                per_axis[a].add(hi)
-    rs = RankSpace(tuple(tuple(sorted(s)) for s in per_axis))
-
-    def red(axis: int, v: int | None) -> int | None:
-        return None if v is None else rs.rank_exact(axis, v)
-
-    reduced = [
-        Box3(
-            b.id,
-            (red(0, b.x[0]), red(0, b.x[1])),
-            (red(1, b.y[0]), red(1, b.y[1])),
-            (red(2, b.z[0]), red(2, b.z[1])),
-            b.weight,
-        )
-        for b in boxes
-    ]
-    return rs, reduced
+    a = box_arrays(boxes)
+    axes, ivs = [], []
+    for name in AXES:
+        ax, (lo, hi) = rank_axis((a[name + "1"], a[name + "2"]))
+        axes.append(tuple(ax.tolist()))
+        # one int object per rank, shared by every box
+        rank = list(range(len(ax)))
+        ivs.append([
+            (None if l == NEG else rank[l], None if h == POS else rank[h])
+            for l, h in zip(lo.tolist(), hi.tolist())
+        ])
+    # every id, weight and rank is already valid: set the fields as the
+    # frozen dataclass's __init__ does, without its __post_init__ checks
+    new, put = object.__new__, object.__setattr__
+    reduced = []
+    for b, x, y, z in zip(boxes, *ivs):
+        r = new(Box3)
+        put(r, "id", b.id)
+        put(r, "x", x)
+        put(r, "y", y)
+        put(r, "z", z)
+        put(r, "weight", b.weight)
+        reduced.append(r)
+    return RankSpace(tuple(axes)), reduced
 
 
 def rank_locate(
     rs: RankSpace, q: tuple[int, int, int], counters: Counters | None = None
 ) -> tuple[int, int, int]:
     """Map a raw query point to floor ranks (-1 when below everything stored)."""
-    return tuple(rs.locate(a, q[a], counters) for a in range(3))  # type: ignore[return-value]
+    return tuple(floor_rank(ax, v, counters) for ax, v in zip(rs.axes, q))  # type: ignore[return-value]
 
 
 def rank_reduce_arrays(coords):
@@ -357,11 +372,5 @@ def rank_reduce_arrays(coords):
     array of axis a and reduced is the rank-space copy of coords.
     """
     coords = np.asarray(coords, dtype=np.int64)
-    reduced = np.empty_like(coords)
-    axes = []
-    for a in range(3):
-        vals = np.unique(coords[:, 2 * a : 2 * a + 2])
-        axes.append(vals)
-        reduced[:, 2 * a] = np.searchsorted(vals, coords[:, 2 * a])
-        reduced[:, 2 * a + 1] = np.searchsorted(vals, coords[:, 2 * a + 1])
-    return axes, reduced
+    ranked = [rank_axis((coords[:, 2 * a], coords[:, 2 * a + 1])) for a in range(3)]
+    return [ax for ax, _ in ranked], np.stack([c for _, pair in ranked for c in pair], axis=1)

@@ -34,7 +34,7 @@ from bisect import bisect_right
 import numpy as np
 
 from .counters import Counters, bit_width
-from .geom import NEG, POS, SIDES, ValidationError, box_arrays, require_form
+from .geom import NEG, POS, SIDES, ValidationError, box_arrays, query_coord, require_form
 from .oracle import NotDisjointError
 
 
@@ -300,11 +300,11 @@ def build_stab_count(rects, coord_width: int | None = None) -> StabEmpty2:
 
 
 def query_stab_count(s: StabEmpty2, q, counters: Counters | None = None) -> int:
-    return s.count(q[0], q[1], counters)
+    return s.count(query_coord(q[0]), query_coord(q[1]), counters)
 
 
 def query_stab_empty(s: StabEmpty2, q, counters: Counters | None = None) -> bool:
-    return s.empty(q[0], q[1], counters)
+    return s.empty(query_coord(q[0]), query_coord(q[1]), counters)
 
 
 def dominance_count(d: DomCount2, a: int, b: int, counters: Counters | None = None) -> int:

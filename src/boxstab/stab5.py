@@ -62,7 +62,7 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3
-from .geom import Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
+from .geom import Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, rank_axis, require_form
 from .range2d import NEG, POS, int64_array
 
 
@@ -115,14 +115,9 @@ def _rank_reduce(it: dict, axis_keys):
     group per axis."""
     out = dict(it)
     axes = []
-    m = len(it["orig"])
     for keys in axis_keys:
-        vals = np.concatenate([it[k] for k in keys])
-        finite = (vals > NEG) & (vals < POS)
-        ax, rank = np.unique(vals[finite], return_inverse=True)
-        vals[finite] = 2 * rank
-        for i, k in enumerate(keys):
-            out[k] = vals[i * m : (i + 1) * m]
+        ax, cols = rank_axis([it[k] for k in keys], step=2)
+        out.update(zip(keys, cols))
         axes.append(int64_array(ax))
     return out, tuple(axes)
 
@@ -671,12 +666,7 @@ class _Standalone:
         self.axes = axes
 
     def query(self, q, counters: Counters | None = None) -> list[int]:
-        xs, ys, zs = self.axes
-        lq = (
-            locate_coord(xs, q[0], counters),
-            locate_coord(ys, q[1], counters),
-            locate_coord(zs, q[2], counters),
-        )
+        lq = tuple(locate_coord(ax, v, counters) for ax, v in zip(self.axes, q))
         return charge_output(self._query(lq, counters), counters)
 
 

@@ -33,13 +33,13 @@ one-sided halves, and a query asks the half on its side of each center.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
 from .geom import SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
+from .geom import floor_rank, query_coord, rank_axis
 from .stab5 import (
     GridKind,
     SlowStab5,
@@ -197,9 +197,7 @@ class ZR4Fast:
             raise ValidationError(f"qz={qz} outside the z universe [0,{self.f})")
         if not self.groups:
             return out
-        if counters is not None:
-            counters.charge_search(len(self.group_bounds))
-        gi = bisect_right(self.group_bounds, qx) - 1
+        gi = floor_rank(self.group_bounds, qx, counters)
         if gi < 0:
             return self.slow.query(q, counters, out)
         g = self.groups[gi]
@@ -332,10 +330,11 @@ def query_zr6(tree: ZR6Tree, q, counters: Counters | None = None, trace=None) ->
     from .stab5 import _query_node
 
     qx, qy, qz = q
+    qz = query_coord(qz)
     if not 0 <= qz < tree.f:
         raise ValidationError(f"qz={qz} outside the z universe [0,{tree.f})")
     out: list[int] = []
-    _query_node(tree.root, (qx, qy, int(qz)), counters, trace, out)
+    _query_node(tree.root, (qx, qy, qz), counters, trace, out)
     return charge_output(out, counters)
 
 
@@ -402,12 +401,9 @@ def build_stab6(
     if f_eff < 2:
         raise ValidationError(f"fan-out f={f_eff} must be at least 2")
     n = len(rects)
-    zvals = np.unique(np.concatenate([arr["z1"], arr["z2"]]))
     if n == 0:
         return IntervalTreeZ(None, 0, f_eff, [])
-
-    la = np.searchsorted(zvals, arr["z1"])
-    lb = np.searchsorted(zvals, arr["z2"])
+    zvals, (la, lb) = rank_axis((arr["z1"], arr["z2"]))
     root = _build_it(arr, la, lb, 0, len(zvals), f_eff, params)
     return IntervalTreeZ(root, n, f_eff, zvals.tolist())
 
@@ -473,9 +469,7 @@ def query_stab6(
     qx, qy, qz = q
     if it.root is None:
         return out
-    li = bisect_right(it.zvals, qz) - 1
-    if counters is not None:
-        counters.charge_search(len(it.zvals))
+    li = floor_rank(it.zvals, qz, counters)
     if li < 0:
         return out  # below every z endpoint: nothing can contain qz
     node = it.root

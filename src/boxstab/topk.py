@@ -54,6 +54,7 @@ from .geom import (
     check_id,
     check_point_coord,
     check_weight,
+    query_coord,
     require_form,
 )
 from .range2d import NEG, POS
@@ -198,13 +199,17 @@ class TopKDominance:
             return []
         tier = 0 if k < self.t2 else 1 if k < self.t1 else 2
         ids = self.ids
-        return [ids[r] for r in islice(self._rows(int(q[0]), int(q[1]), tier, counters), k)]
+        return [ids[r] for r in islice(self._rows(query_coord(q[0]), query_coord(q[1]), tier, counters), k)]
 
     def stream(self, q, counters: Counters | None = None):
         """(weight, id) of every dominating point, weight descending,
-        produced tier by tier."""
+        produced tier by tier; q is checked when the stream opens."""
+        return self._stream(query_coord(q[0]), query_coord(q[1]), counters)
+
+    def _stream(self, qx, qy, counters):
+        # the grid walk's own int query, unchecked
         pw, ids = self.pw, self.ids
-        for r in self._rows(int(q[0]), int(q[1]), 0, counters):
+        for r in self._rows(qx, qy, 0, counters):
             yield pw[r], ids[r]
 
 
@@ -266,7 +271,7 @@ class _TopKSlow:
         self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
     def streams(self, lq, counters):
-        return [d.stream(sq, counters) for d, sq in xy_path(self.root, lq[0], lq[1])]
+        return [d._stream(sq[0], sq[1], counters) for d, sq in xy_path(self.root, lq[0], lq[1])]
 
 
 class _TopKGrid(GridKind):
@@ -291,7 +296,7 @@ class _TopKGrid(GridKind):
         return TopKDominance(p["orig"], p["xb"], p["yb"], p["z2"], self.params)
 
     def slab_query(self, d, sq, counters, streams):
-        streams.append(d.stream(sq, counters))
+        streams.append(d._stream(sq[0], sq[1], counters))
 
     def slow(self, gi, axes):
         return _TopKSlow({k: gi[k] for k in _ITEM_KEYS}, len(axes[0]), len(axes[1]), self.params)
@@ -361,5 +366,5 @@ def query_topk_stab(tree: TopKStab, q, k: int, counters: Counters | None = None)
     if k <= 0 or tree.root is None:
         return []
     streams = []
-    _query_node(tree.root, (int(q[0]), int(q[1])), counters, None, streams)
+    _query_node(tree.root, (query_coord(q[0]), query_coord(q[1])), counters, None, streams)
     return charge_output([orig for _, orig in islice(_merge(streams, counters), k)], counters)

@@ -1,19 +1,30 @@
+import hashlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from boxstab.geom import (
+    NEG,
+    POS,
     Box2,
     Box3,
     ModelParams,
     ValidationError,
     contains,
+    floor_rank,
+    rank_axis,
     rank_locate,
     rank_reduce,
+    rank_reduce_arrays,
 )
 import boxstab
+from boxstab.counters import Counters
+from boxstab.instances import gen, gen_pl_arrays
 from boxstab.oracle import brute_stab
 from boxstab.range2d import build_pl2, query_pl2
-from boxstab.stab5 import build_slow5, query_slow5
+from boxstab.stab5 import build_slow5, grid_nodes, query_slow5
+from boxstab.verify import STRUCTURES, _qpoints, query_cases
 
 
 def box(x, y, z, id=0):
@@ -132,6 +143,80 @@ class TestRankReduce:
                     assert (raw[i] < raw[j]) == (new[i] < new[j])
                     assert (raw[i] == raw[j]) == (new[i] == new[j])
 
+    def test_unbounded_sides_and_weights(self):
+        boxes = [
+            Box3(4, (None, 30), (None, None), (7, None), weight=-3),
+            Box3(2, (None, None), (8, 8), (None, 7), weight=10),
+            Box3(9, (30, None), (None, 12), (None, None)),
+        ]
+        rs, red = rank_reduce(boxes)
+        assert rs.axes == ((30,), (8, 12), (7,))
+        expect = [
+            Box3(4, (None, 0), (None, None), (0, None), weight=-3),
+            Box3(2, (None, None), (0, 0), (None, 0), weight=10),
+            Box3(9, (0, None), (None, 1), (None, None)),
+        ]
+        assert red == expect
+
+    def test_equals_validating_constructor(self):
+        inst = gen("stab5", 120, 240, seed=11)
+        boxes = [Box3(b.id, b.x, b.y, b.z, weight=b.id - 60) for b in inst.boxes]
+        rs, red = rank_reduce(boxes)
+        for b, r in zip(boxes, red):
+            rank = [
+                tuple(None if v is None else rs.axes[a].index(v) for v in b.interval(a))
+                for a in range(3)
+            ]
+            assert type(r) is Box3 and vars(r) == vars(Box3(b.id, *rank, weight=b.weight))
+
+
+class TestRankAxis:
+    @staticmethod
+    def reference(cols, step):
+        ax = sorted({v for c in cols for v in c if NEG < v < POS})
+        return ax, [[v if v in (NEG, POS) else step * ax.index(v) for v in c] for c in cols]
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("ncols", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_matches_sorted_set(self, n, ncols, step):
+        rng = np.random.default_rng(n * 10 + ncols + step)
+        cols = []
+        for _ in range(ncols):
+            c = rng.integers(-6, 6, n)
+            c[rng.random(n) < 0.2] = NEG
+            c[rng.random(n) < 0.2] = POS
+            cols.append(c.astype(np.int64))
+        raw = [c.tolist() for c in cols]
+        ax, out = rank_axis(cols, step=step)
+        ref_ax, ref_cols = self.reference(raw, step)
+        assert ax.tolist() == ref_ax
+        assert [o.tolist() for o in out] == ref_cols
+        assert [c.tolist() for c in cols] == raw  # the inputs are left as they were
+
+    def test_all_sentinels(self):
+        ax, (lo, hi) = rank_axis((np.array([NEG, NEG]), np.array([POS, POS])), step=2)
+        assert ax.tolist() == [] and lo.tolist() == [NEG, NEG] and hi.tolist() == [POS, POS]
+
+
+class TestFloorRank:
+    AXIS = (10, 20, 30)
+
+    @pytest.mark.parametrize("v,rank", [(20, 1), (25, 1), (9, -1), (10, 0), (31, 2), (2**70, 2)])
+    def test_floor(self, v, rank):
+        c = Counters()
+        assert floor_rank(self.AXIS, v, c) == rank
+        # one search over the axis
+        ref = Counters()
+        ref.charge_search(len(self.AXIS))
+        assert c == ref
+
+    def test_empty_axis(self):
+        c = Counters()
+        assert floor_rank((), 5, c) == -1
+        assert floor_rank(np.array([], dtype=np.int64), 5) == -1
+        assert c.predecessor_steps == 1
+
 
 class TestRankLocate:
     def test_exact_hit(self):
@@ -190,3 +275,69 @@ class TestModelParams:
         p = ModelParams()
         assert p.t1(4096) == 12
         assert p.t2(4096) == 3
+
+
+# ---------------------------------------------------------------------------
+# rank-space digest: every rank axis the library builds, with the answers,
+# counters and bits_stored of the structures built on them
+
+RANK_PARAMS = ModelParams(grid_override=3, tau=8)
+RANK_SIZES = (0, 1, 2, 17, 150, 400)
+
+
+def _grid_axes(root):
+    return [] if root is None else [[ax.tolist() for ax in node.axes] for node in grid_nodes(root)]
+
+
+def _stab6_grids(t):
+    """The grid roots of the stab6 z interval tree ``t``: each node's M tree
+    and its L and R stab5 trees."""
+    todo = [t.root] if t.root is not None else []
+    while todo:
+        node = todo.pop()
+        if node.leaf_items is not None:
+            continue
+        if node.M is not None:
+            yield node.M
+        yield from (s.root for s in (*node.R.values(), *node.L.values()))
+        todo.extend(node.children.values())
+
+
+def _rank_space_digest():
+    h = hashlib.sha256()
+
+    def put(x):
+        h.update(repr(x).encode())
+
+    for n in RANK_SIZES:
+        U = max(2, 2 * n)
+        for kind in ("pl-disjoint", "pl-subdivision-pruned", "stab5", "topk-stab"):
+            rs, red = rank_reduce(list(gen(kind, n, U, seed=n + 5).boxes))
+            put((rs.axes, [(b.id, b.x, b.y, b.z, b.weight) for b in red]))
+        if n:
+            axes, red = rank_reduce_arrays(gen_pl_arrays(n, U, seed=n + 6, pruned=True))
+            put(([a.tolist() for a in axes], red.tolist()))
+        for name in ("pl3d", "stab5", "slow5", "stab6", "zr6", "topkstab"):
+            row = STRUCTURES[name]
+            inst = gen(row.kind, n, U, seed=n + 7)
+            s = row.build(inst, RANK_PARAMS, 16)
+            put(s.bits_stored)
+            if name in ("stab5", "zr6", "topkstab"):
+                put(_grid_axes(s.root))
+            elif name == "slow5":
+                put([ax.tolist() for ax in s.axes])
+            elif name == "stab6":
+                put((s.zvals, [_grid_axes(r) for r in _stab6_grids(s)]))
+            qs = _qpoints(inst, 60, seed=n)
+            for cases in query_cases(row, s, inst, RANK_PARAMS, qs, seed=n):
+                for case in cases:
+                    c = Counters()
+                    put((row.query(s, case, c), astuple(c)))
+    return h.hexdigest()[:16]
+
+
+def test_rank_space_digest():
+    # rank_reduce and rank_reduce_arrays over tie-heavy instances, every
+    # grid node's rank axes, stab6's z values, and the answers, counters
+    # and bits_stored of the structures ranked on them
+    assert _rank_space_digest() == "d95d52c494c8b2b1"

@@ -170,6 +170,16 @@ class TestStabCount:
             assert query_stab_count(s, q) == expect
             assert query_stab_empty(s, q) == (expect == 0)
 
+    @pytest.mark.parametrize("q", [(1.5, 0.5), (np.float64(0.5), 1), (0, "1")])
+    def test_non_integer_query_rejected(self, q):
+        # the count reads "x2 < qx" as "x2 <= qx - 1", which only holds for
+        # an integer qx: (1.5, 0.5) would count the box [0, 1] x [0, 1]
+        s = build_stab_count([Box2(0, (0, 1), (0, 1))])
+        for query in (query_stab_count, query_stab_empty):
+            with pytest.raises(ValidationError):
+                query(s, q)
+        assert query_stab_count(s, (np.int64(1), np.int32(1))) == 1
+
     def test_counters_accumulate(self):
         rects = random_rects2(64, 32, seed=1)
         s = build_stab_count(rects)

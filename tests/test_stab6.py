@@ -113,6 +113,14 @@ class TestZR6:
         assert query_zr6(t, (5, 5, 2)) == [7]
         assert query_zr6(t, (5, 5, 0)) == [7]
 
+    @pytest.mark.parametrize("qz", [1.5, np.float64(0.5), "1"])
+    def test_non_integer_qz_rejected(self, qz):
+        # int() would truncate 1.5 to 1 and report the box [1, 1] in z
+        t = build_zr6([Box3(0, (0, 5), (0, 5), (1, 1))], f=4)
+        with pytest.raises(ValidationError):
+            query_zr6(t, (1, 1, qz))
+        assert query_zr6(t, (1, 1, np.int64(1))) == [0]
+
     @pytest.mark.parametrize("f", [2, 4, 8])
     @pytest.mark.parametrize("n", [32, 256, 2048])
     def test_oracle(self, n, f):

@@ -180,6 +180,26 @@ class TestCoordinateDomain:
             for k in (1, 2, 8):
                 assert query_topk_dom(s, q, k) == brute_topk_dominance(pts, q, k), (q, k)
 
+    @pytest.mark.parametrize("q", [(1.5, 0.5), (np.float64(1.5), 0), (1, "0")])
+    def test_non_integer_query_rejected(self, q):
+        # int() would truncate 1.5 to 1 and report a rectangle or point
+        # that the query lies outside of
+        stab = build_topk_stab([Box2(0, (0, 1), (0, 1), weight=1)])
+        dom = build_topk_dom([(0, (1, 1), 5)])
+        for query in (lambda: query_topk_stab(stab, q, 1), lambda: query_topk_dom(dom, q, 1),
+                      lambda: open_stream(dom, q)):
+            with pytest.raises(ValidationError):
+                query()
+
+    def test_integer_query_types_accepted(self):
+        stab = build_topk_stab([Box2(0, (0, 1), (0, 1), weight=1)])
+        dom = build_topk_dom([(0, (1, 1), 5)])
+        for q in [(np.int64(1), np.int32(0)), (True, 0)]:
+            assert query_topk_stab(stab, q, 1) == [0]
+            assert query_topk_dom(dom, (0, q[1]), 1) == [0]
+        assert query_topk_stab(stab, (2**70, 0), 1) == []
+        assert query_topk_dom(dom, (-(2**70), 0), 1) == [0]
+
     @pytest.mark.xfail(strict=True, reason="coordinates are clipped to [NEG//2, POS//2], "
                        "so a query past POS//2 misses points beyond it")
     def test_query_past_clip_band(self):
