@@ -369,8 +369,11 @@ def rank_reduce_arrays(coords):
     """Vectorized rank reduction of an (n, 6) finite coordinate array.
 
     Returns (axes, reduced) where axes[a] is the sorted distinct coordinate
-    array of axis a and reduced is the rank-space copy of coords.
+    array of axis a and reduced is the rank-space copy of coords.  Raises
+    ValidationError when a coordinate is NEG, POS or past them.
     """
     coords = np.asarray(coords, dtype=np.int64)
+    if ((coords <= NEG) | (coords >= POS)).any():
+        raise ValidationError("rank_reduce_arrays needs finite coordinates, strictly between NEG and POS")
     ranked = [rank_axis((coords[:, 2 * a], coords[:, 2 * a + 1])) for a in range(3)]
     return [ax for ax, _ in ranked], np.stack([c for _, pair in ranked for c in pair], axis=1)

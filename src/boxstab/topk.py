@@ -204,13 +204,9 @@ class TopKDominance:
     def stream(self, q, counters: Counters | None = None):
         """(weight, id) of every dominating point, weight descending,
         produced tier by tier; q is checked when the stream opens."""
-        return self._stream(query_coord(q[0]), query_coord(q[1]), counters)
-
-    def _stream(self, qx, qy, counters):
-        # the grid walk's own int query, unchecked
         pw, ids = self.pw, self.ids
-        for r in self._rows(qx, qy, 0, counters):
-            yield pw[r], ids[r]
+        rows = self._rows(query_coord(q[0]), query_coord(q[1]), 0, counters)
+        return ((pw[r], ids[r]) for r in rows)
 
 
 def _rank_masks(vals):
@@ -271,7 +267,7 @@ class _TopKSlow:
         self.root = xy_tree(it, max(2, 2 * ux), max(2, 2 * uy), dom)
 
     def streams(self, lq, counters):
-        return [d._stream(sq[0], sq[1], counters) for d, sq in xy_path(self.root, lq[0], lq[1])]
+        return [d.stream(sq, counters) for d, sq in xy_path(self.root, lq[0], lq[1])]
 
 
 class _TopKGrid(GridKind):
@@ -296,7 +292,7 @@ class _TopKGrid(GridKind):
         return TopKDominance(p["orig"], p["xb"], p["yb"], p["z2"], self.params)
 
     def slab_query(self, d, sq, counters, streams):
-        streams.append(d._stream(sq[0], sq[1], counters))
+        streams.append(d.stream(sq, counters))
 
     def slow(self, gi, axes):
         return _TopKSlow({k: gi[k] for k in _ITEM_KEYS}, len(axes[0]), len(axes[1]), self.params)

@@ -169,6 +169,16 @@ class TestRankReduce:
             ]
             assert type(r) is Box3 and vars(r) == vars(Box3(b.id, *rank, weight=b.weight))
 
+    @pytest.mark.parametrize("v", [NEG, POS, NEG - 1])
+    def test_arrays_reject_sentinels(self, v):
+        # the (n, 6) form ranks finite coordinates only; rank_axis would
+        # pass a sentinel through unranked
+        coords = np.array([[1, 2, 3, 4, 5, 6], [2, 3, 4, 5, 6, 7]], dtype=np.int64)
+        assert rank_reduce_arrays(coords)[1].tolist() == [[0, 1, 0, 1, 0, 1], [1, 2, 1, 2, 1, 2]]
+        coords[1, 3] = v
+        with pytest.raises(ValidationError):
+            rank_reduce_arrays(coords)
+
 
 class TestRankAxis:
     @staticmethod
