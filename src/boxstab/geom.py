@@ -131,16 +131,16 @@ class Box2:
         return (self.x, self.y)[axis]
 
 
+# The symbolic word size and fan-out exponent of the analysis: W is never
+# the machine word; both only feed ModelParams' threshold formulas.
+W = 64
+EPS = 0.1
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Threshold knobs of the word-RAM analysis, kept symbolic.
+    """Threshold knobs of the word-RAM analysis, kept symbolic."""
 
-    ``W`` never refers to the machine word; it only feeds the threshold
-    formulas below, which are validated as operation counts.
-    """
-
-    W: int = 64
-    eps: float = 0.1
     tau: int = 32
     # fixed grid side instead of the size formula (test/bench hook); the
     # formula only yields g >= 3 above ~1.3e5 items, so small-scale tests of
@@ -148,16 +148,16 @@ class ModelParams:
     grid_override: int | None = None
 
     def __post_init__(self):
-        if self.W < 2 or self.tau < 1 or self.eps <= 0:
-            raise ValidationError("parameters must be >= 1 (W >= 2, eps > 0)")
+        if self.tau < 1:
+            raise ValidationError("parameter tau must be >= 1")
 
     @property
     def Z(self) -> int:
-        return max(2, math.ceil(self.W**self.eps))
+        return max(2, math.ceil(W**EPS))
 
     def t0(self, n: int) -> int:
         loglog = math.log2(max(2.0, math.log2(max(4, n))))
-        return max(1, math.ceil(math.log2(self.W) * loglog))
+        return max(1, math.ceil(math.log2(W) * loglog))
 
     def t1(self, n: int) -> int:
         return max(1, math.ceil(math.log2(max(2, n))))

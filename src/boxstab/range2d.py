@@ -230,10 +230,10 @@ def _build_pl2(idx, x1, x2, y1, y2, nodes, rows) -> int:
     return v
 
 
-def build_pl2(rects, coord_width: int | None = None) -> PL2:
+def build_pl2(rects) -> PL2:
     """Build PL2 from Box2 objects (ids become labels)."""
     a = box_arrays(rects, dims=2)
-    return PL2(a["x1"], a["x2"], a["y1"], a["y2"], a["orig"], coord_width=coord_width)
+    return PL2(a["x1"], a["x2"], a["y1"], a["y2"], a["orig"])
 
 
 def query_pl2(pl: PL2, q, counters: Counters | None = None) -> int | None:
@@ -293,10 +293,10 @@ class StabEmpty2:
         return self.count(qx, qy, counters) == 0
 
 
-def build_stab_count(rects, coord_width: int | None = None) -> StabEmpty2:
+def build_stab_count(rects) -> StabEmpty2:
     a = box_arrays(rects, dims=2)
     require_form(a, "stabbing count", finite=SIDES[:4])
-    return StabEmpty2(a["x1"], a["x2"], a["y1"], a["y2"], coord_width=coord_width)
+    return StabEmpty2(a["x1"], a["x2"], a["y1"], a["y2"])
 
 
 def query_stab_count(s: StabEmpty2, q, counters: Counters | None = None) -> int:

@@ -11,31 +11,32 @@ breaks every piece against it:
 * a piece crossing lines both ways splits into a grid rectangle (stored
   here), side pieces that are 4-sided within their column/row (forwarded),
   and - when a side of the piece is already unbounded - 3-sided remainders
-  stored here in per-slab dominance structures, one per orientation.
+  stored here in per-slab dominance structures, one per sign pair.
 
-Negation is the one orientation rule: a 3-sided piece's finite side is
-stored as -x1 where its x extent is [x1, +inf) ('ge') and as x2 where it
-is (-inf, x2] ('le'), the same in y, and a query meets it negated the same
-way (by the signs stored beside each slab structure, and by ``reflect_ge``
-in the slow structures), so every per-slab structure answers dominance
-(stored >= query) on both axes.
+A sign per axis is the one encoding of a side: a 3-sided piece's finite
+side is stored times -1 where its x extent is [x1, +inf), as -x1, and
+times 1 where it is (-inf, x2], as x2, the same in y, and a query meets it
+multiplied by the same signs (stored beside each slab structure, and
+yielded by the search paths of the slow structures), so every per-slab
+structure answers dominance (stored >= query) on both axes.
 
 Per direction the pieces form one table: the whole pieces that fit one
 column (row), then the low and the high side pieces, each row with a
 destination slab and a forward flag.  One grouping step (``_groups``) sends
 the forwarded rows to their child by destination, and another gathers the
-rest by (destination, orientation) into the slab pieces.
+rest by (destination, sign pair) into the slab pieces.
 
 Stored grid rectangles feed per-cell Top(c) lists (the entries with the
 largest z upper bound) and one slow structure; a query scans Top(c) until an
 entry misses and falls back to the slow structure when it exhausts a
 full-length list.  Every slow structure (here, in stab6.py and in topk.py)
-is one centered interval tree, ``centered_tree``; SlowStab5 nests an x tree
-over a y tree (``xy_tree``, Lemma 3.1).  Queries recurse into the column child and the row child
-of the query point.  A GridKind supplies what differs between the trees:
-the coordinates each node ranks, the leaf, the per-slab structure, the
-order and cap of the cell lists, the slow structure, and what a visited node
-adds to the answer.
+is one centered interval tree, ``centered_tree``: nested over x then y in
+SlowStab5 and topk (``xy_tree``, Lemma 3.1), over z with two halves per
+node in stab6 (``halves_tree``, Lemma F.3).  Queries recurse into the
+column child and the row child of the query point.  A GridKind supplies
+what differs between the trees: the coordinates each node ranks, the leaf,
+the per-slab structure, the order and cap of the cell lists, the slow
+structure, and what a visited node adds to the answer.
 
 Every node uses a doubled rank space: the i-th distinct coordinate becomes
 2i and a query strictly between two coordinates becomes the odd value in
@@ -146,33 +147,30 @@ def centered_tree(it: dict, lo_key: str, hi_key: str, lo: int, hi: int, payload)
 
 
 def centered_path(node, q):
-    """(payload, side) of every payload on q's search path, side 'L' where
-    q <= center and 'R' past it."""
+    """(payload, side) of every payload on q's search path, side -1 where
+    q <= center and 1 past it."""
     while node is not None:
         center, here, left, right = node
-        side = "L" if q <= center else "R"
+        side = -1 if q <= center else 1
         if here is not None:
             yield here, side
-        node = left if side == "L" else right
+        node = left if side < 0 else right
 
 
 def xy_tree(it: dict, ux: int, uy: int, dom):
     """Lemma 3.1 nesting: an x tree whose payload is a y tree whose payload
-    maps each orientation key to ``dom(xs, ys, here)``, the bounds in
+    maps each sign pair (sx, sy) to ``dom(xs, ys, here)``, the bounds in
     dominance form.  A query at or left of an x center meets x2 >= center,
-    so only x1 <= qx is left to test: key 'ge' with xs = -x1; past the
-    center, key 'le' with xs = x2; likewise in y.  The keys are those of
-    the grid's slab pieces."""
+    so only x1 <= qx is left to test: sign -1 with xs = -x1; past the
+    center, sign 1 with xs = x2; likewise in y.  The signs are those of the
+    grid's slab pieces."""
 
     def doms(here):
-        xs = (("ge", -here["x1"]), ("le", here["x2"]))
-        ys = (("ge", -here["y1"]), ("le", here["y2"]))
-        return {(kx, ky): dom(bx, by, here) for kx, bx in xs for ky, by in ys}
+        xs = ((-1, -here["x1"]), (1, here["x2"]))
+        ys = ((-1, -here["y1"]), (1, here["y2"]))
+        return {(sx, sy): dom(bx, by, here) for sx, bx in xs for sy, by in ys}
 
     return centered_tree(it, "x1", "x2", 0, ux, lambda xs: centered_tree(xs, "y1", "y2", 0, uy, doms))
-
-
-_SIDE_KEY = {"L": "ge", "R": "le"}
 
 
 def xy_path(root, qx, qy):
@@ -181,14 +179,24 @@ def xy_path(root, qx, qy):
     dominance form."""
     for ytree, sx in centered_path(root, qx):
         for doms, sy in centered_path(ytree, qy):
-            key = (_SIDE_KEY[sx], _SIDE_KEY[sy])
-            yield doms[key], reflect_ge(key, qx, qy)
+            yield doms[sx, sy], (sx * qx, sy * qy)
 
 
-def reflect_ge(key, x, y):
-    """Negate the coordinates of the 'ge' sides of orientation ``key``, so a
-    3-sided piece of any orientation becomes a dominance-style one."""
-    return (-x if key[0] == "ge" else x), (-y if key[1] == "ge" else y)
+def halves_tree(it: dict, lo_key: str, hi_key: str, f: int, half):
+    """Lemma F.3's tree: a centered tree over [0, f) whose payload maps side
+    -1 to ``half(here, -here[lo_key])`` and side 1 to ``half(here,
+    here[hi_key])``, the one-sided halves of the items crossing a center."""
+
+    def halves(here):
+        return {-1: half(here, -here[lo_key]), 1: half(here, here[hi_key])}
+
+    return centered_tree(it, lo_key, hi_key, 0, f, halves)
+
+
+def halves_path(root, qz):
+    """(half, side * qz) of every half on qz's search path."""
+    for halves, side in centered_path(root, qz):
+        yield halves[side], side * qz
 
 
 class SlowStab5:
@@ -249,7 +257,7 @@ class GridKind:
     builds a leaf's ``geom.Leaf`` and ``leaf_query(leaf, lq, counters,
     out)`` adds its hits to ``out`` (by default, the ids ``leaf.query``
     returns).  ``slab(pieces)`` builds the structure of one slab's 3-sided
-    pieces of one orientation from their rows of the piece table, as field
+    pieces of one sign pair from their rows of the piece table, as field
     arrays: ``xb``/``yb``, the x and y bound in dominance form, then the
     items' other fields by name.  ``slab_query(s, sq, counters, out)`` adds
     its matches of ``sq``, the query with its x and y in the same form.
@@ -391,14 +399,11 @@ def _cell_table(gi: dict, cap: int, cols: int, rows: int, span_keys):
 
 
 def _build_slabs(kind: GridKind, stored: dict, count: int) -> list:
-    """Per slab 0..count-1, the ``(structure, sx, sy)`` of each orientation
-    of its stored pieces (``_route``), sx and sy -1 on a 'ge' side."""
+    """Per slab 0..count-1, the ``(structure, sx, sy)`` of each sign pair
+    of its stored pieces (``_route``)."""
     slabs = [()] * count
-    for slab, by_orient in stored.items():
-        slabs[slab] = tuple(
-            (kind.slab(pieces), -1 if kx == "ge" else 1, -1 if ky == "ge" else 1)
-            for (kx, ky), pieces in by_orient.items()
-        )
+    for slab, by_signs in stored.items():
+        slabs[slab] = tuple((kind.slab(pieces), sx, sy) for (sx, sy), pieces in by_signs.items())
     return slabs
 
 
@@ -412,17 +417,17 @@ def _groups(keys):
 
 
 _XY = ("x1", "x2", "y1", "y2")
-# orientation key of a 3-sided piece by code 2*(x1 bounded) + (y1 bounded)
-_ORIENT = (("le", "le"), ("le", "ge"), ("ge", "le"), ("ge", "ge"))
+# sign pair of a 3-sided piece by code 2*(x1 bounded) + (y1 bounded)
+_ORIENT = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _route(*blocks):
     """(children, stored) of one direction's piece table, the concatenated
     ``blocks`` of (fields, dest, forward).  A forwarded row goes to child
     ``dest``; any other row is a 3-sided piece stored in slab ``dest``
-    under its orientation key, bounded per axis (``xb``, ``yb``) by its one
-    finite side in dominance form (-x1 on a 'ge' side, x2 on a 'le' one),
-    followed by its fields past x and y."""
+    under its sign pair, bounded per axis (``xb``, ``yb``) by its one finite
+    side in dominance form (-x1 under sign -1, x2 under sign 1), followed
+    by its fields past x and y."""
     t = _concat([fields for fields, _, _ in blocks])
     dest = np.concatenate([d for _, d, _ in blocks])
     fwd = np.concatenate([w for _, _, w in blocks])
@@ -577,7 +582,7 @@ _ITEM_KEYS = ("x1", "x2", "y1", "y2", "z2", "orig")
 
 
 class Stab5Grid(GridKind):
-    """Dominance3 per slab orientation, Top(c) lists of the highest z2 per
+    """Dominance3 per slab sign pair, Top(c) lists of the highest z2 per
     cell, and a SlowStab5 behind full lists; every part is charged."""
 
     axis_keys = (("x1", "x2"), ("y1", "y2"), ("z2",))

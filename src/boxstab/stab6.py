@@ -5,7 +5,8 @@ A rectangle whose z endpoints fall into different children of a node
 contributes its fully-covered child range [k+1, l-1] to that node's
 z-restricted 6-sided structure M(v), and full copies to R(child of z1) and
 L(child of z2), which treat it as 5-sided inside the child (the crossed
-boundary side is unbounded there, realized by negating z).  A query walks
+boundary side is unbounded there: R stores z1 times the sign -1, L z2
+times 1, and a query meets each with qz times its sign).  A query walks
 the root-to-leaf path of qz and combines M at every path node with L and R
 at every visited child; the three parts of a rectangle cover disjoint
 z-ranges, so results are duplicate-free.
@@ -13,9 +14,9 @@ z-ranges, so results are duplicate-free.
 The z-restricted 4-sided structures implement the shallow-cutting grouping:
 corners of all per-(i,j) cuttings are grouped by x into runs of Z^2; each
 group's candidate set R_alpha unions the conflict lists of its corners plus,
-per (i,j), the corner immediately to the left of the group.  A query scans
-the candidate set of the group containing qx and delegates to ZR4Slow when
-it finds t0 or more hits.
+per (i,j), the corner immediately to the left of the group, in one
+``geom.Leaf``.  A query scans the candidate set of the group containing qx
+and delegates to ZR4Slow when it finds t0 or more hits.
 
 M(v) is a z-restricted 6-sided tree, and L and R are 5-sided trees; both
 are the one grid tree of stab5.py, which zr6 supplies with ZR4Fast slab
@@ -25,9 +26,10 @@ A leaf of the z tree holds the rectangles of one z slot as one
 ``geom.Leaf`` over their raw coordinates; the leaves of M, L and R are the
 grid tree's.
 
-ZR4Slow and _ZR6Slow are stab5.py's centered interval tree over z in
-[0, f) (Lemma F.3): a node splits the rectangles containing its center into
-one-sided halves, and a query asks the half on its side of each center.
+ZR4Slow and _ZR6Slow are stab5.py's halves tree over z in [0, f)
+(``halves_tree``, Lemma F.3): a node splits the rectangles containing its
+center into one-sided halves, -z1 under side -1 and z2 under side 1, and
+a query asks the half on its side of each center with qz times that side.
 """
 
 from __future__ import annotations
@@ -38,18 +40,19 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
-from .geom import SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
-from .geom import floor_rank, query_coord, rank_axis
+from .geom import NEG, POS, SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays
+from .geom import floor_rank, query_coord, rank_axis, require_form
 from .stab5 import (
     GridKind,
     SlowStab5,
     Stab5Tree,
     _groups,
+    _query_node,
     _subset,
     build_grid,
-    centered_path,
-    centered_tree,
     grid_bits,
+    halves_path,
+    halves_tree,
 )
 
 
@@ -69,27 +72,20 @@ class ZR4Slow:
         w = bit_width(max(2, int(max(rx.max(), ry.max()) + 2 if self.n else 2)))
         self.bits_stored = self.n * (2 * w + 2 * bit_width(self.f + 1) + bit_width(self.n + 1))
 
-        def halves(here):
-            xy = (here["x"], here["y"])
-            return (
-                Dominance3(*xy, -here["i"], here["orig"]),
-                Dominance3(*xy, here["j"], here["orig"]),
-            )
+        def half(here, z):
+            return Dominance3(here["x"], here["y"], z, here["orig"])
 
         it = {"x": rx, "y": ry, "i": ri, "j": rj, "orig": rid}
-        self.root = centered_tree(it, "i", "j", 0, self.f, halves)
+        self.root = halves_tree(it, "i", "j", self.f, half)
 
     def query(self, q, counters: Counters | None = None, out=None):
         if out is None:
             out = []
-        qz = q[2]
+        qx, qy, qz = q
         if not 0 <= qz < self.f:
             raise ValidationError(f"qz={qz} outside the z universe [0,{self.f})")
-        for (low, high), side in centered_path(self.root, qz):
-            if side == "L":
-                out.extend(low.query((q[0], q[1], -qz), counters))
-            else:
-                out.extend(high.query(q, counters))
+        for d, z in halves_path(self.root, qz):
+            out.extend(d.query((qx, qy, z), counters))
         return out
 
 
@@ -129,7 +125,7 @@ class ZR4Fast:
         self.n = n = len(rx)
         self.t0 = t0 if t0 is not None else params.t0(max(2, n))
         self.slow = ZR4Slow(rx, ry, ri, rj, rid, self.f)
-        self.groups: list[dict] = []
+        self.groups: list[Leaf] = []
         self.group_bounds: list[int] = []
         # group size and the number of (i,j) cutting sets are both w^(2*eps)
         # in the analysis; when f is widened past Z the group must widen with
@@ -142,7 +138,7 @@ class ZR4Fast:
             return
         if n <= gsz * self.t0:
             # small case: one group holding everything
-            self.groups = [dict(x=rx, y=ry, i=ri, j=rj, id=rid)]
+            self.groups = [Leaf(NEG, rx, NEG, ry, ri, rj, rid)]
             self.group_bounds = [-1]
             self.bits_stored = n * (2 * w + 2 * bit_width(self.f + 1))
             return
@@ -180,14 +176,12 @@ class ZR4Fast:
                 if pos is not None:
                     member.update(int(v) for v in confs[pos])
             sel = np.asarray(sorted(member), dtype=np.int64)
-            self.groups.append(
-                dict(x=rx[sel], y=ry[sel], i=ri[sel], j=rj[sel], id=rid[sel])
-            )
+            self.groups.append(Leaf(NEG, rx[sel], NEG, ry[sel], ri[sel], rj[sel], rid[sel]))
             self.group_bounds.append(int(b_alpha))
             self.bits_stored += len(sel) * (2 * w + 2 * bit_width(self.f + 1))
 
     def sum_candidate_sizes(self) -> int:
-        return sum(len(g["id"]) for g in self.groups)
+        return sum(g.n for g in self.groups)
 
     def query(self, q, counters: Counters | None = None, trace: list | None = None, out=None):
         if out is None:
@@ -200,16 +194,13 @@ class ZR4Fast:
         gi = floor_rank(self.group_bounds, qx, counters)
         if gi < 0:
             return self.slow.query(q, counters, out)
-        g = self.groups[gi]
-        if counters is not None:
-            counters.scan_cells(len(g["id"]))
-        m = (g["x"] >= qx) & (g["y"] >= qy) & (g["i"] <= qz) & (g["j"] >= qz)
-        hits = g["id"][np.nonzero(m)[0]]
+        # clamped into [NEG, POS], qy passes the leaf's y1 = NEG side
+        hits = self.groups[gi].query((qx, min(max(qy, NEG), POS), qz), counters)
         if len(hits) >= self.t0:
             if trace is not None:
                 trace.append(TraceEvent("stab6", self, "zr4_fallback", gi, (qx, qy, qz)))
             return self.slow.query(q, counters, out)
-        out.extend(int(v) for v in hits)
+        out.extend(hits)
         return out
 
 
@@ -233,26 +224,20 @@ def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) 
 
 
 class _ZR6Slow:
-    """Cover(c, z) fallback: the centered z tree whose nodes hold 5-sided
+    """Cover(c, z) fallback: the halves tree over z whose nodes hold 5-sided
     slow structures for the two one-sided halves of each crossing rectangle,
-    z = -zi against -qz where qz <= center and z = +zj against +qz past it."""
+    z = -zi against -qz where qz <= center and z = zj against qz past it."""
 
     def __init__(self, it, ux, uy, f):
-        def halves(here):
+        def half(here, z):
             xy = {k: here[k] for k in ("x1", "x2", "y1", "y2", "orig")}
-            return (
-                SlowStab5({**xy, "z2": -here["zi"]}, ux, uy, f),
-                SlowStab5({**xy, "z2": here["zj"]}, ux, uy, f),
-            )
+            return SlowStab5({**xy, "z2": z}, ux, uy, f)
 
-        self.root = centered_tree(it, "zi", "zj", 0, max(2, f), halves)
+        self.root = halves_tree(it, "zi", "zj", max(2, f), half)
 
     def query(self, qx, qy, qz, counters, out):
-        for (low, high), side in centered_path(self.root, qz):
-            if side == "L":
-                low.query((qx, qy, -qz), counters, out)
-            else:
-                high.query((qx, qy, qz), counters, out)
+        for s, z in halves_path(self.root, qz):
+            s.query((qx, qy, z), counters, out)
 
 
 class _ZR6Grid(GridKind):
@@ -327,8 +312,6 @@ def build_zr6(
 
 
 def query_zr6(tree: ZR6Tree, q, counters: Counters | None = None, trace=None) -> list[int]:
-    from .stab5 import _query_node
-
     qx, qy, qz = q
     qz = query_coord(qz)
     if not 0 <= qz < tree.f:
@@ -473,8 +456,6 @@ def query_stab6(
     if li < 0:
         return out  # below every z endpoint: nothing can contain qz
     node = it.root
-    from .stab5 import _query_node as _q5
-
     while node is not None:
         if counters is not None:
             counters.visit_node()
@@ -485,12 +466,10 @@ def query_stab6(
             break
         c = int((li - node.lo) // node.child_size)
         if node.M is not None:
-            _q5(node.M, (qx, qy, c), counters, trace, out)
-        s5 = node.R.get(c)
-        if s5 is not None and s5.root is not None:
-            _q5(s5.root, (qx, qy, -qz), counters, trace, out)
-        s5 = node.L.get(c)
-        if s5 is not None and s5.root is not None:
-            _q5(s5.root, (qx, qy, qz), counters, trace, out)
+            _query_node(node.M, (qx, qy, c), counters, trace, out)
+        for trees, side in ((node.R, -1), (node.L, 1)):
+            s5 = trees.get(c)
+            if s5 is not None and s5.root is not None:
+                _query_node(s5.root, (qx, qy, side * qz), counters, trace, out)
         node = node.children.get(c)
     return charge_output(out, counters)

@@ -70,6 +70,9 @@ from .stab5 import (
 )
 
 
+_LO, _HI = NEG // 2, POS // 2  # the clip band of TopKDominance's coordinates
+
+
 def weight_rank_lift(ids, weights) -> np.ndarray:
     """z values: n-1-rank under (weight desc, id asc); distinct by design."""
     order = np.lexsort((ids, -np.asarray(weights, dtype=np.int64)))
@@ -121,10 +124,12 @@ class TopKDominance:
         self.pw = tuple([ws[i] for i in order])
         # half-unbounded pieces arrive with +-sentinel coordinates; clamp to
         # half range so cutting arithmetic (v+1, corner boundaries) stays
-        # strictly inside the sentinel band while comparisons are unchanged
-        lo, hi = NEG // 2, POS // 2
-        self.px = px = tuple([min(max(xs[i], lo), hi) for i in order])
-        self.py = py = tuple([min(max(ys[i], lo), hi) for i in order])
+        # strictly inside the sentinel band; where the clamp changed a value,
+        # ``raw`` keeps the unclamped columns for queries past the band
+        rx, ry = [xs[i] for i in order], [ys[i] for i in order]
+        self.px = px = tuple([min(max(v, _LO), _HI) for v in rx])
+        self.py = py = tuple([min(max(v, _LO), _HI) for v in ry])
+        self.raw = (array("q", rx), array("q", ry)) if rx != list(px) or ry != list(py) else None
         self.t1 = params.t1(max(2, n))
         self.t2 = params.t2(max(2, n))
         # the lift's z is n-1-index; the cuttings must cover every integer
@@ -159,9 +164,13 @@ class TopKDominance:
     def _rows(self, qx, qy, tier, counters):
         """Indices of the points dominating (qx, qy), weight descending,
         walked from ``tier``: 0 the fine cutting, 1 the coarse one, 2 the
-        global scan (see the module docstring)."""
+        global scan (see the module docstring).  A query past the clip band,
+        where clipped and raw coordinates compare apart, scans the raw ones."""
         px, py = self.px, self.py
         done = 0
+        if not (_LO < qx <= _HI and _LO < qy <= _HI):
+            px, py = self.raw or (px, py)
+            tier = 2
         for tier in range(tier, 2):
             cut, level = ((self.p2, self.t2), (self.p1, self.t1))[tier]
             label = find_any(cut, qx, qy, counters)
@@ -195,6 +204,7 @@ class TopKDominance:
 
     def query(self, q, k: int, counters: Counters | None = None) -> list[int]:
         """The k heaviest points dominating q, weight desc / id asc."""
+        k = min(query_coord(k, "k"), self.n)
         if k <= 0:
             return []
         tier = 0 if k < self.t2 else 1 if k < self.t1 else 2
@@ -359,6 +369,7 @@ def build_topk_stab(rects: list[Box2], params: ModelParams = DEFAULT_PARAMS) -> 
 
 def query_topk_stab(tree: TopKStab, q, k: int, counters: Counters | None = None) -> list[int]:
     """The k heaviest rectangles stabbed by q, weight desc / id asc."""
+    k = min(query_coord(k, "k"), tree.n)
     if k <= 0 or tree.root is None:
         return []
     streams = []

@@ -1,7 +1,7 @@
 """Pins of the four slow structures behind the grid tree's full cell lists,
-of the gridded stab5 and stab6 trees, of top-k dominance, and of the
-structures that query the range2d layer (pl3d, pl2, stab2count and cut3's
-find-any subdivision).
+of ZR4Fast's candidate groups in front of ZR4Slow, of the gridded stab5
+and stab6 trees, of top-k dominance, and of the structures that query the
+range2d layer (pl3d, pl2, stab2count and cut3's find-any subdivision).
 
 Each case answers 200 seeded queries (points up to two steps outside the
 universe included) and pins the summed counters, the structure's
@@ -25,7 +25,16 @@ from boxstab.counters import Counters
 from boxstab.geom import DEFAULT_PARAMS, ModelParams
 from boxstab.instances import gen
 from boxstab.stab5 import build_slow5, build_stab5, query_slow5, query_stab5
-from boxstab.stab6 import build_stab6, build_zr4_slow, build_zr6, query_stab6, query_zr4_slow, query_zr6
+from boxstab.stab6 import (
+    build_stab6,
+    build_zr4_fast,
+    build_zr4_slow,
+    build_zr6,
+    query_stab6,
+    query_zr4_fast,
+    query_zr4_slow,
+    query_zr6,
+)
 from boxstab.topk import build_topk_dom, build_topk_stab, query_topk_dom, query_topk_stab
 from boxstab.verify import STRUCTURES, _weighted_points_of
 from gridclamp import clamp_cells
@@ -48,6 +57,14 @@ def _zr4_slow(n, U, rng):
     s = build_zr4_slow(list(gen("zr4", n, U, seed=n + 2, fanout=F).boxes), f=F)
     qs = [(qx, qy, int(rng.integers(0, F))) for qx, qy in _points(rng, U, 2)]
     return s, [(s, q) for q in qs], query_zr4_slow
+
+
+def _zr4_fast(n, U, rng):
+    """At n = 1000 the grouped cuttings build 14 candidate groups, and most
+    queries find t0 hits and fall back to ZR4Slow."""
+    s = build_zr4_fast(list(gen("zr4", n, U, seed=n + 9, fanout=F).boxes), f=F)
+    qs = [(qx, qy, int(rng.integers(0, F))) for qx, qy in _points(rng, U, 2)]
+    return s, [(s, q) for q in qs], query_zr4_fast
 
 
 def _zr6_cover(n, U, rng):
@@ -104,6 +121,7 @@ def _row(name, params=DEFAULT_PARAMS, level=8):
 BUILDERS = {
     "slow5": _slow5,
     "zr4slow": _zr4_slow,
+    "zr4fast": _zr4_fast,
     "zr6cover": _zr6_cover,
     "topkslow": _topk_slow,
     "topkdom": _topk_dom,
@@ -135,6 +153,9 @@ PINS = {
     ("zr4slow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("zr4slow", 1): ((400, 0, 200, 48, 0, 17, 0), 11, "e8a26a985f1e1911"),
     ("zr4slow", 400): ((4170, 0, 500, 30921, 0, 11144, 0), 14800, "79aea0bf3d3764cd"),
+    ("zr4fast", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
+    ("zr4fast", 1): ((408, 0, 4, 193, 0, 4, 0), 10, "29d65aee162134a8"),
+    ("zr4fast", 1000): ((6663, 0, 417, 105719, 0, 28081, 0), 155910, "14b1673795712d86"),
     ("zr6cover", 0): ((400, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("zr6cover", 1): ((1000, 200, 0, 200, 0, 3, 0), 0, "60f8d01e341d4729"),
     ("zr6cover", 300): ((37529, 1927, 2329, 15148, 0, 3380, 0), 25178, "d986dfc533d96889"),

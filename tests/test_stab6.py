@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boxstab.geom import Box3, ModelParams, ValidationError
+from boxstab.geom import NEG, Box3, ModelParams, ValidationError
 from boxstab.instances import gen
 from boxstab.oracle import brute_stab
 from boxstab.stab6 import (
@@ -91,6 +91,18 @@ class TestZR4Fast:
                 fired += 1
                 assert len(brute_stab(rects, q)) >= s.t0
         assert fired > 0  # heavy queries exist at this density
+
+    @pytest.mark.parametrize("qy", [-(2**70), NEG - 5, -(2**63)])
+    def test_query_below_neg(self, qy):
+        # every rectangle is unbounded below in y, so a qy past NEG answers
+        # like qy = NEG, also in a candidate group
+        rects = list(gen("zr4", 1000, 2000, seed=1005, fanout=4).boxes)
+        s = build_zr4_fast(rects, f=4)
+        assert len(s.groups) > 1
+        for qx in (-1, 0, 100, 500, 1000, 1999):
+            for qz in range(4):
+                got = query_zr4_fast(s, (qx, qy, qz))
+                assert sorted(got) == sorted(brute_stab(rects, (qx, qy, qz))), (qx, qz)
 
     def test_group_bounds_sorted(self):
         inst = gen("zr4", 2048, 8192, seed=5, fanout=8)

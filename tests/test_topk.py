@@ -200,11 +200,34 @@ class TestCoordinateDomain:
         assert query_topk_stab(stab, (2**70, 0), 1) == []
         assert query_topk_dom(dom, (-(2**70), 0), 1) == [0]
 
-    @pytest.mark.xfail(strict=True, reason="coordinates are clipped to [NEG//2, POS//2], "
-                       "so a query past POS//2 misses points beyond it")
+    # stored coordinates are clipped to [NEG//2, POS//2]; a query past that
+    # band must still compare against the raw ones
     def test_query_past_clip_band(self):
         s = build_topk_dom([(0, (POS, POS), 3), (1, (2, 2), 3)])
         assert query_topk_dom(s, (POS, POS), 1) == [0]
+        assert list(s.stream((POS // 2 + 1, 0))) == [(3, 0)]
+
+    def test_query_below_clip_band(self):
+        pts = [(0, (NEG, 0), 3), (1, (2, 2), 3)]
+        s = build_topk_dom(pts)
+        for q in [(NEG // 2, 0), (NEG // 2 + 1, 0), (NEG + 1, 1), (0, NEG // 2)]:
+            assert query_topk_dom(s, q, 2) == brute_topk_dominance(pts, q, 2), q
+        assert query_topk_dom(s, (NEG // 2, 0), 2) == [1]
+
+    @pytest.mark.parametrize("k", [1.5, "1", None, np.float64(2.0)])
+    def test_non_integer_k_rejected(self, k):
+        stab = build_topk_stab([Box2(0, (0, 1), (0, 1), weight=1)])
+        dom = build_topk_dom([(0, (1, 1), 5)])
+        for query in (lambda: query_topk_stab(stab, (0, 0), k), lambda: query_topk_dom(dom, (0, 0), k)):
+            with pytest.raises(ValidationError):
+                query()
+
+    def test_integer_k_types_accepted(self):
+        stab = build_topk_stab([Box2(0, (0, 1), (0, 1), weight=1)])
+        dom = build_topk_dom([(0, (1, 1), 5)])
+        for k in (np.int64(1), True, 2**70):
+            assert query_topk_stab(stab, (0, 0), k) == [0]
+            assert query_topk_dom(dom, (0, 0), k) == [0]
 
 
 class TestPointShape:
