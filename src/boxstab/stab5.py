@@ -410,10 +410,17 @@ def _build_slabs(kind: GridKind, stored: dict, count: int) -> list:
 def _groups(keys):
     """(key, ascending rows) per distinct value of ``keys``, in order of
     first appearance."""
-    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    parts = np.split(np.argsort(inv, kind="stable"), np.cumsum(np.bincount(inv))[:-1])
-    for j in np.argsort(first).tolist():
-        yield uniq[j].item(), parts[j]
+    if not len(keys):
+        return
+    # a stable sort keeps each key's rows ascending, so the first row of a
+    # run of equal keys is where that key first appears
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    starts = np.flatnonzero(sk[1:] != sk[:-1]) + 1
+    bounds = [0, *starts.tolist(), len(sk)]
+    vals = sk[bounds[:-1]].tolist()
+    for j in np.argsort(order[bounds[:-1]]).tolist():
+        yield vals[j], order[bounds[j] : bounds[j + 1]]
 
 
 _XY = ("x1", "x2", "y1", "y2")
