@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from bisect import bisect_right
+from itertools import islice
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +205,8 @@ def box_arrays(boxes, dims: int = 3) -> dict:
 # constants that code comments cite", has the table).
 LEAF_ROWS = 144
 
+_INT32 = np.iinfo(np.int32)
+
 
 class Leaf:
     """The base case of every recursion: rows [x1,x2] x [y1,y2] x [z1,z2],
@@ -210,19 +214,37 @@ class Leaf:
 
     A side is an int64 array or one int for every row; an unbounded or
     absent side is the NEG or POS sentinel.  ``payload`` holds one or more
-    arrays.  ``query(q, counters)`` charges ``scan_cells(n)`` and returns
-    the payloads of the rows containing the point q, in stored order: an int
-    per row for one payload array, a tuple for more.  Rows are kept in one
-    form only, chosen by their count (LEAF_ROWS): ``rows`` or ``cols``."""
+    arrays.  ``query(q, counters)`` returns the payloads of the rows
+    containing the point q, in stored order: an int per row for one payload
+    array, a tuple for more.  Rows are kept in one form only, chosen by
+    their count (LEAF_ROWS): ``rows`` or ``cols``.
 
-    __slots__ = ("n", "rows", "cols", "payload")
+    A leaf one-sided in z, z1 one int (a 5-sided leaf's NEG) and z2 an
+    array, stores its rows z2-descending (a stable sort, so ties keep their
+    given order) and keeps ``key``, the negated z2 in that order.  A query
+    tests z1 once, finds the prefix of rows with z2 >= qz by one search of
+    ``key`` and scans that prefix on x and y only: the row tuples hold the
+    x and y sides and the payload, and the columns are int32 where every x
+    and y value fits.  It charges ``charge_search(n)`` and
+    ``scan_cells(prefix)``, nothing for n = 0.  Every other leaf stores its
+    rows as given and charges ``scan_cells(n)``."""
+
+    __slots__ = ("n", "rows", "cols", "payload", "z1", "key")
 
     def __init__(self, x1, x2, y1, y2, z1, z2, *payload):
         self.n = n = len(payload[0])
         sides = (x1, x2, y1, y2, z1, z2)
-        self.rows = self.cols = self.payload = None
+        self.rows = self.cols = self.payload = self.z1 = self.key = None
+        if isinstance(z2, np.ndarray) and not isinstance(z1, np.ndarray):
+            order = np.argsort(-z2, kind="stable")
+            self.z1 = z1
+            self.key = array("q", (-z2[order]).tobytes())
+            sides = [s[order] if isinstance(s, np.ndarray) else np.full(n, s, np.int64) for s in sides[:4]]
+            payload = [p[order] for p in payload]
+            if n > LEAF_ROWS and all(_INT32.min <= s.min() and s.max() <= _INT32.max for s in sides):
+                sides = [s.astype(np.int32) for s in sides]
         if n > LEAF_ROWS:
-            self.cols = sides
+            self.cols = tuple(sides)
             self.payload = payload
             return
         vals = [p.tolist() for p in payload]
@@ -232,9 +254,11 @@ class Leaf:
         ))
 
     def query(self, q, counters: Counters | None = None) -> list:
+        qx, qy, qz = q
+        if self.key is not None:
+            return self._query_prefix(qx, qy, qz, counters)
         if counters is not None:
             counters.scan_cells(self.n)
-        qx, qy, qz = q
         if self.rows is not None:
             return [
                 p for x1, x2, y1, y2, z1, z2, p in self.rows
@@ -251,7 +275,31 @@ class Leaf:
                 m = t
             else:
                 m &= t
-        idx = np.arange(self.n) if m is None else np.flatnonzero(m)
+        return self._payloads(np.arange(self.n) if m is None else np.flatnonzero(m))
+
+    def _query_prefix(self, qx, qy, qz, counters):
+        """The one-sided leaf's scan: rows 0..end-1 have z2 >= qz."""
+        if not self.n:
+            return []
+        if counters is not None:
+            counters.charge_search(self.n)
+        if qz < self.z1:
+            return []
+        end = bisect_right(self.key, -qz)
+        if counters is not None:
+            counters.scan_cells(end)
+        if not end:
+            return []
+        if self.rows is not None:
+            return [p for x1, x2, y1, y2, p in islice(self.rows, end) if x1 <= qx <= x2 and y1 <= qy <= y2]
+        x1, x2, y1, y2 = self.cols
+        m = x1[:end] <= qx
+        m &= x2[:end] >= qx
+        m &= y1[:end] <= qy
+        m &= y2[:end] >= qy
+        return self._payloads(m.nonzero()[0])
+
+    def _payloads(self, idx) -> list:
         hits = [p[idx].tolist() for p in self.payload]
         return hits[0] if len(hits) == 1 else list(zip(*hits))
 

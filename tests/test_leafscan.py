@@ -3,7 +3,9 @@
 A leaf of at most LEAF_ROWS rows is scanned as row tuples and a larger one
 by a numpy mask, so row counts at and one past the constant run both forms.
 Each form must return the hits of a brute scan, in stored order, and
-charge scan_cells(n).  The constant is read, never changed.
+charge scan_cells(n); a stab5 leaf, one-sided in z, stores its rows z2
+descending (ties in their given order) and charges one search plus the
+prefix of rows with z2 >= qz.  The constant is read, never changed.
 """
 
 import numpy as np
@@ -56,7 +58,17 @@ SHAPES = {
         lambda it: _rows(it, "zi", "zj", ["orig"]),
         lambda qz: qz,
     ),
-    "stab5": (Stab5Grid().leaf, lambda it: _rows(it, NEG, "z2", ["orig"]), lambda qz: qz),
+    "stab5": (
+        Stab5Grid().leaf,
+        lambda it: _rows(it, NEG, "z2", ["orig"], _by_weight(it)),
+        lambda qz: qz,
+    ),
+    # z2 from the small universe of the other sides, so that rows tie in z2
+    "stab5-ties": (
+        lambda it: Stab5Grid().leaf({**it, "z2": it["zj"]}),
+        lambda it: _rows(it, NEG, "zj", ["orig"], np.argsort(-it["zj"], kind="stable")),
+        lambda qz: qz,
+    ),
     "zr6": (_ZR6Grid(4, DEFAULT_PARAMS, 2).leaf, lambda it: _rows(it, "zi", "zj", ["orig"]), lambda qz: qz),
     # a 2-d leaf: rows in weight order with (weight, id), asked at z = 0
     "topk": (
@@ -65,6 +77,19 @@ SHAPES = {
         lambda qz: 0,
     ),
 }
+
+
+def _charge(shape, rows, q) -> dict:
+    """The Counters of one leaf query: scan_cells(n), or for a stab5 leaf one
+    search and the prefix of rows with z2 >= qz, none of them when qz is
+    below the shared z1, and nothing for n = 0."""
+    c = Counters()
+    if not shape.startswith("stab5"):
+        c.scan_cells(len(rows))
+    elif rows:
+        c.charge_search(len(rows))
+        c.scan_cells(sum(r[5] >= q[2] for r in rows) if q[2] >= NEG else 0)
+    return c.as_dict()
 
 
 def _brute(rows, q):
@@ -109,4 +134,38 @@ def test_leaf_matches_brute_scan(shape, n):
         q = (qx, qy, z_of(qz))
         c = Counters()
         assert leaf.query(q, c) == _brute(rows, q), q
-        assert c.as_dict() == Counters(cells_scanned=n).as_dict()
+        assert c.as_dict() == _charge(shape, rows, q), q
+
+
+@pytest.mark.parametrize("n", SIZES[1:])
+def test_stab5_leaf_far_z(n):
+    # qz below NEG finds nothing and scans nothing; from NEG up to the
+    # lowest z2 every row is in the prefix, and past the highest none is
+    it = _items(n, n + 3)
+    leaf = Stab5Grid().leaf(it)
+    rows = _rows(it, NEG, "z2", ["orig"], _by_weight(it))
+    qx, qy = rows[0][0], rows[0][2]
+    everything = _brute(rows, (qx, qy, NEG))
+    assert rows[0][6] in everything
+    for qz, hits, prefix in (
+        (NEG - 1, [], 0), (-(2**70), [], 0), (NEG, everything, n), (-1, everything, n),
+        (n, [], 0), (POS, [], 0), (POS + 1, [], 0), (2**70, [], 0),
+    ):
+        c = Counters()
+        assert leaf.query((qx, qy, qz), c) == hits, qz
+        assert (c.predecessor_steps, c.cells_scanned) == (n.bit_length() + 1, prefix), qz
+
+
+def test_stab5_leaf_columns_narrow_only_where_they_fit():
+    # rank-space sides become int32 columns; a side past int32 keeps the
+    # leaf in int64, and both answer like the brute scan
+    n = LEAF_ROWS + 1
+    it = _items(n, 5)
+    assert all(c.dtype == np.int32 for c in Stab5Grid().leaf(it).cols)
+    far = {**it, "x1": it["x1"] + 2**40, "x2": it["x2"] + 2**40}
+    leaf = Stab5Grid().leaf(far)
+    assert all(c.dtype == np.int64 for c in leaf.cols)
+    rows = _rows(far, NEG, "z2", ["orig"], _by_weight(far))
+    for qx, qy, qz in _queries(rows, 5):
+        for q in ((qx, qy, qz), (qx + 2**40, qy, qz), (qx - 2**40, qy, qz)):
+            assert leaf.query(q) == _brute(rows, q), q

@@ -11,7 +11,7 @@ dominance tiers must keep every answer, its order and every charge.  zr6
 and topkstab clamp their cell lists (cap 1 and 2) so that full lists send
 queries to the slow structure.
 The stab5grid and stab6grid answer order follows the order of each slab's
-orientation keys.  The range2d cases build and query through
+orientation keys, and a 5-sided leaf reports its hits z2 descending.  The range2d cases build and query through
 ``verify.STRUCTURES``, so pl3d answers raw points through rank space.
 """
 
@@ -166,11 +166,11 @@ PINS = {
     ("topkdom", 1): ((1200, 0, 0, 200, 0, 75, 0), 20, "4ddeb9b3eef5abbf"),
     ("topkdom", 300): ((7787, 0, 0, 48634, 0, 5232, 0), 30711, "ff84c171de555d0c"),
     ("stab5grid", 0): ((600, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("stab5grid", 1): ((1600, 200, 0, 200, 0, 4, 0), 12, "8f15aaf46d3dec94"),
-    ("stab5grid", 300): ((43505, 1912, 1384, 10962, 0, 3346, 0), 87810, "630ca47d3cbbabf1"),
+    ("stab5grid", 1): ((2000, 200, 0, 160, 0, 4, 0), 12, "8f15aaf46d3dec94"),
+    ("stab5grid", 300): ((46799, 1912, 1384, 8984, 0, 3346, 0), 87810, "7699092141fab358"),
     ("stab6grid", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("stab6grid", 1): ((1456, 214, 0, 107, 0, 3, 0), 24, "39b3f04287cfebd1"),
-    ("stab6grid", 300): ((75197, 4952, 1972, 14801, 0, 2174, 0), 112642, "99e249b87d78cf5c"),
+    ("stab6grid", 1): ((1670, 214, 0, 56, 0, 3, 0), 24, "39b3f04287cfebd1"),
+    ("stab6grid", 300): ((79531, 4952, 1972, 12480, 0, 2174, 0), 112642, "006c245796a381f5"),
     ("pl3d", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
     ("pl3d", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127"),
     ("pl3d", 300): ((16158, 449, 0, 774, 0, 197, 0), 79688, "2bb46e28b138072d"),
