@@ -124,12 +124,17 @@ class TopKDominance:
         self.pw = tuple([ws[i] for i in order])
         # half-unbounded pieces arrive with +-sentinel coordinates; clamp to
         # half range so cutting arithmetic (v+1, corner boundaries) stays
-        # strictly inside the sentinel band; where the clamp changed a value,
-        # ``raw`` keeps the unclamped columns for queries past the band
+        # strictly inside the sentinel band.  ``raw`` is what a query past
+        # the band scans: None where the clamp changed nothing, True where
+        # ``_unclip`` restores every value (it changed sentinels only, and
+        # no other value sits on a band edge), else the unclamped columns
         rx, ry = [xs[i] for i in order], [ys[i] for i in order]
         self.px = px = tuple([min(max(v, _LO), _HI) for v in rx])
         self.py = py = tuple([min(max(v, _LO), _HI) for v in ry])
-        self.raw = (array("q", rx), array("q", ry)) if rx != list(px) or ry != list(py) else None
+        self.raw = None
+        if rx != list(px) or ry != list(py):
+            restored = _unclip(px) == rx and _unclip(py) == ry
+            self.raw = True if restored else (array("q", rx), array("q", ry))
         self.t1 = params.t1(max(2, n))
         self.t2 = params.t2(max(2, n))
         # the lift's z is n-1-index; the cuttings must cover every integer
@@ -169,7 +174,10 @@ class TopKDominance:
         px, py = self.px, self.py
         done = 0
         if not (_LO < qx <= _HI and _LO < qy <= _HI):
-            px, py = self.raw or (px, py)
+            raw = self.raw
+            if raw is True:
+                raw = _unclip(px), _unclip(py)
+            px, py = raw or (px, py)
             tier = 2
         for tier in range(tier, 2):
             cut, level = ((self.p2, self.t2), (self.p1, self.t1))[tier]
@@ -217,6 +225,12 @@ class TopKDominance:
         pw, ids = self.pw, self.ids
         rows = self._rows(query_coord(q[0]), query_coord(q[1]), 0, counters)
         return ((pw[r], ids[r]) for r in rows)
+
+
+def _unclip(col) -> list:
+    """A clamped column with every value on a band edge put back to its
+    sentinel."""
+    return [NEG if v == _LO else POS if v == _HI else v for v in col]
 
 
 def _rank_masks(vals):

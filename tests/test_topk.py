@@ -214,6 +214,22 @@ class TestCoordinateDomain:
             assert query_topk_dom(s, q, 2) == brute_topk_dominance(pts, q, 2), q
         assert query_topk_dom(s, (NEG // 2, 0), 2) == [1]
 
+    def test_query_past_clip_band_off_sentinel(self):
+        # a clamped value that is not a sentinel, or a kept value on a band
+        # edge, cannot be told from a clamped sentinel: raw keeps columns
+        for pts in ([(0, (NEG + 5, 0), 3), (1, (2, 2), 3)], [(0, (NEG, 0), 3), (1, (NEG // 2, 2), 3)]):
+            s = build_topk_dom(pts)
+            assert isinstance(s.raw, tuple)
+            for q in [(NEG + 5, 0), (NEG + 4, 0), (NEG, 0), (NEG // 2, 0), (NEG // 2 - 1, 0)]:
+                assert query_topk_dom(s, q, 2) == brute_topk_dominance(pts, q, 2), (pts, q)
+
+    def test_grid_pieces_keep_no_raw_columns(self):
+        # grid pieces clamp only sentinels: a flag, not unclamped columns
+        t = build_topk_stab(gen("topk-stab", 300, 600, seed=3).boxes2(), params=ModelParams(grid_override=4))
+        doms = [o for o in reachable(t) if isinstance(o, TopKDominance)]
+        assert doms and any(d.raw is True for d in doms)
+        assert all(d.raw is None or d.raw is True for d in doms)
+
     @pytest.mark.parametrize("k", [1.5, "1", None, np.float64(2.0)])
     def test_non_integer_k_rejected(self, k):
         stab = build_topk_stab([Box2(0, (0, 1), (0, 1), weight=1)])
