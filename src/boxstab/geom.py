@@ -23,8 +23,8 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from itertools import islice
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -208,6 +208,10 @@ LEAF_ROWS = 144
 _INT32 = np.iinfo(np.int32)
 
 
+def _fits_int32(*cols) -> bool:
+    return all(not len(c) or (_INT32.min <= c.min() and c.max() <= _INT32.max) for c in cols)
+
+
 class Leaf:
     """The base case of every recursion: rows [x1,x2] x [y1,y2] x [z1,z2],
     each with a payload, answered by one closed-interval test per axis.
@@ -221,13 +225,15 @@ class Leaf:
 
     A leaf one-sided in z, z1 one int (a 5-sided leaf's NEG) and z2 an
     array, stores its rows z2-descending (a stable sort, so ties keep their
-    given order) and keeps ``key``, the negated z2 in that order.  A query
-    tests z1 once, finds the prefix of rows with z2 >= qz by one search of
-    ``key`` and scans that prefix on x and y only: the row tuples hold the
-    x and y sides and the payload, and the columns are int32 where every x
-    and y value fits.  It charges ``charge_search(n)`` and
-    ``scan_cells(prefix)``, nothing for n = 0.  Every other leaf stores its
-    rows as given and charges ``scan_cells(n)``."""
+    given order) and keeps ``key``, the negated z2 in that order, as a
+    stdlib array.  A query tests z1 once, finds the prefix of rows with
+    z2 >= qz by one bisect of ``key`` and scans that prefix on x and y
+    only: the row tuples hold the x and y sides and the payload, and the
+    x and y columns are int32 where all their values fit (so are rank-space
+    leaves), int64 otherwise; ``key`` is narrowed the same way.  Such a
+    query charges ``charge_search(n)`` and ``scan_cells(prefix)``, nothing
+    for n = 0.  Every other leaf keeps its rows in the given order and
+    charges ``scan_cells(n)``."""
 
     __slots__ = ("n", "rows", "cols", "payload", "z1", "key")
 
@@ -238,10 +244,11 @@ class Leaf:
         if isinstance(z2, np.ndarray) and not isinstance(z1, np.ndarray):
             order = np.argsort(-z2, kind="stable")
             self.z1 = z1
-            self.key = array("q", (-z2[order]).tobytes())
+            key = -z2[order]
+            self.key = array("i", key.astype(np.int32).tobytes()) if _fits_int32(key) else array("q", key.tobytes())
             sides = [s[order] if isinstance(s, np.ndarray) else np.full(n, s, np.int64) for s in sides[:4]]
             payload = [p[order] for p in payload]
-            if n > LEAF_ROWS and all(_INT32.min <= s.min() and s.max() <= _INT32.max for s in sides):
+            if n > LEAF_ROWS and _fits_int32(*sides):
                 sides = [s.astype(np.int32) for s in sides]
         if n > LEAF_ROWS:
             self.cols = tuple(sides)

@@ -42,6 +42,7 @@ from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
 from .geom import NEG, POS, SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays
 from .geom import floor_rank, query_coord, rank_axis, require_form
+from .range2d import int64_array
 from .stab5 import (
     GridKind,
     SlowStab5,
@@ -336,7 +337,7 @@ class IntervalTreeZ:
         self.root = root
         self.n = n
         self.f = f
-        self.zvals = zvals  # sorted distinct z endpoints (the leaf order), a list
+        self.zvals = zvals  # sorted distinct z endpoints (the leaf order), an array('q')
 
     @property
     def bits_stored(self) -> int:
@@ -385,10 +386,10 @@ def build_stab6(
         raise ValidationError(f"fan-out f={f_eff} must be at least 2")
     n = len(rects)
     if n == 0:
-        return IntervalTreeZ(None, 0, f_eff, [])
+        return IntervalTreeZ(None, 0, f_eff, int64_array([]))
     zvals, (la, lb) = rank_axis((arr["z1"], arr["z2"]))
     root = _build_it(arr, la, lb, 0, len(zvals), f_eff, params)
-    return IntervalTreeZ(root, n, f_eff, zvals.tolist())
+    return IntervalTreeZ(root, n, f_eff, int64_array(zvals))
 
 
 def _build_it(arr, la, lb, lo, hi, f, params):

@@ -157,14 +157,15 @@ def test_stab5_leaf_far_z(n):
 
 
 def test_stab5_leaf_columns_narrow_only_where_they_fit():
-    # rank-space sides become int32 columns; a side past int32 keeps the
-    # leaf in int64, and both answer like the brute scan
+    # rank-space sides become int32 columns and an int32 key; a side past
+    # int32 keeps them int64, and both answer like the brute scan
     n = LEAF_ROWS + 1
     it = _items(n, 5)
-    assert all(c.dtype == np.int32 for c in Stab5Grid().leaf(it).cols)
-    far = {**it, "x1": it["x1"] + 2**40, "x2": it["x2"] + 2**40}
+    leaf = Stab5Grid().leaf(it)
+    assert leaf.key.itemsize == 4 and all(c.dtype == np.int32 for c in leaf.cols)
+    far = {**it, "x1": it["x1"] + 2**40, "x2": it["x2"] + 2**40, "z2": it["z2"] - 2**40}
     leaf = Stab5Grid().leaf(far)
-    assert all(c.dtype == np.int64 for c in leaf.cols)
+    assert leaf.key.itemsize == 8 and all(c.dtype == np.int64 for c in leaf.cols)
     rows = _rows(far, NEG, "z2", ["orig"], _by_weight(far))
     for qx, qy, qz in _queries(rows, 5):
         for q in ((qx, qy, qz), (qx + 2**40, qy, qz), (qx - 2**40, qy, qz)):
