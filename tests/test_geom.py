@@ -288,15 +288,19 @@ class TestModelParams:
 
 
 # ---------------------------------------------------------------------------
-# rank-space digest: every rank axis the library builds, with the answers,
-# counters and bits_stored of the structures built on them
+# rank-space digests: every rank axis the library builds, and apart from
+# them the answers, the sorted answers and the counters of the structures
+# built on them, so a change of what a query charges moves one value only
 
 RANK_PARAMS = ModelParams(grid_override=3, tau=8)
 RANK_SIZES = (0, 1, 2, 17, 150, 400)
 
 
 def _grid_axes(root):
-    return [] if root is None else [[ax.tolist() for ax in node.axes] for node in grid_nodes(root)]
+    """The rank axes of every grid node; a leaf has none."""
+    if root is None:
+        return []
+    return [[ax.tolist() for ax in node.axes] for node in grid_nodes(root) if node.leaf is None]
 
 
 def _stab6_grids(t):
@@ -313,41 +317,56 @@ def _stab6_grids(t):
         todo.extend(node.children.values())
 
 
-def _rank_space_digest():
-    h = hashlib.sha256()
+def _rank_space_digests():
+    """Digests of the rank axes (with bits_stored), of the ordered answers,
+    of the sorted answers and of the counters."""
+    hs = {k: hashlib.sha256() for k in ("axes", "answers", "sorted", "counters")}
 
-    def put(x):
-        h.update(repr(x).encode())
+    def put(k, x):
+        hs[k].update(repr(x).encode())
 
     for n in RANK_SIZES:
         U = max(2, 2 * n)
         for kind in ("pl-disjoint", "pl-subdivision-pruned", "stab5", "topk-stab"):
             rs, red = rank_reduce(list(gen(kind, n, U, seed=n + 5).boxes))
-            put((rs.axes, [(b.id, b.x, b.y, b.z, b.weight) for b in red]))
+            put("axes", (rs.axes, [(b.id, b.x, b.y, b.z, b.weight) for b in red]))
         if n:
             axes, red = rank_reduce_arrays(gen_pl_arrays(n, U, seed=n + 6, pruned=True))
-            put(([a.tolist() for a in axes], red.tolist()))
+            put("axes", ([a.tolist() for a in axes], red.tolist()))
         for name in ("pl3d", "stab5", "slow5", "stab6", "zr6", "topkstab"):
             row = STRUCTURES[name]
             inst = gen(row.kind, n, U, seed=n + 7)
             s = row.build(inst, RANK_PARAMS, 16)
-            put(s.bits_stored)
+            put("axes", s.bits_stored)
             if name in ("stab5", "zr6", "topkstab"):
-                put(_grid_axes(s.root))
+                put("axes", _grid_axes(s.root))
             elif name == "slow5":
-                put([ax.tolist() for ax in s.axes])
+                put("axes", [ax.tolist() for ax in s.axes])
             elif name == "stab6":
-                put((s.zvals, [_grid_axes(r) for r in _stab6_grids(s)]))
+                put("axes", (s.zvals, [_grid_axes(r) for r in _stab6_grids(s)]))
             qs = _qpoints(inst, 60, seed=n)
             for cases in query_cases(row, s, inst, RANK_PARAMS, qs, seed=n):
                 for case in cases:
                     c = Counters()
-                    put((row.query(s, case, c), astuple(c)))
-    return h.hexdigest()[:16]
+                    got = row.query(s, case, c)
+                    put("answers", got)
+                    put("sorted", sorted(got) if isinstance(got, list) else got)
+                    put("counters", astuple(c))
+    return {k: h.hexdigest()[:16] for k, h in hs.items()}
+
+
+# the values per part: a change of what a query charges may move
+# "counters" only; the other three pin the ranks, the answers and their order
+RANK_DIGESTS = {
+    "axes": "2de97f485d538a70",
+    "answers": "3d333bdd9a06b82c",
+    "sorted": "a45742d22f217b4e",
+    "counters": "afdaa80464794f20",
+}
 
 
 def test_rank_space_digest():
     # rank_reduce and rank_reduce_arrays over tie-heavy instances, every
     # grid node's rank axes, stab6's z values, and the answers, counters
     # and bits_stored of the structures ranked on them
-    assert _rank_space_digest() == "1846369e301e1695"
+    assert _rank_space_digests() == RANK_DIGESTS
