@@ -229,11 +229,12 @@ class Leaf:
     stdlib array.  A query tests z1 once, finds the prefix of rows with
     z2 >= qz by one bisect of ``key`` and scans that prefix on x and y
     only: the row tuples hold the x and y sides and the payload, and the
-    x and y columns are int32 where all their values fit (so are rank-space
-    leaves), int64 otherwise; ``key`` is narrowed the same way.  Such a
-    query charges ``charge_search(n)`` and ``scan_cells(prefix)``, nothing
-    for n = 0.  Every other leaf keeps its rows in the given order and
-    charges ``scan_cells(n)``."""
+    x and y columns are int32 where all their values fit (so are the
+    leaves below a grid node, in that node's ranks), int64 otherwise;
+    ``key`` is narrowed the same way.  Such a query charges
+    ``charge_search(n)`` and ``scan_cells(prefix)``, nothing for n = 0.
+    Every other leaf keeps its rows in the given order and charges
+    ``scan_cells(n)``."""
 
     __slots__ = ("n", "rows", "cols", "payload", "z1", "key")
 

@@ -2,9 +2,9 @@
 tree's build and query walk, which the z-restricted 6-sided (stab6.py) and
 top-k (topk.py) stabbing trees share.
 
-Canonical input: [x1,x2] x [y1,y2] x (-inf, z2].  Each node rank-reduces its
-arriving pieces, imposes a grid whose lines sit at endpoint quantiles, and
-breaks every piece against it:
+Canonical input: [x1,x2] x [y1,y2] x (-inf, z2].  Each grid node
+rank-reduces its arriving pieces, imposes a grid whose lines sit at endpoint
+quantiles, and breaks every piece against it:
 
 * a piece crossing no line in one direction is forwarded whole to its column
   (preferred) or row child;
@@ -38,10 +38,13 @@ what differs between the trees: the coordinates each node ranks, the leaf,
 the per-slab structure, the order and cap of the cell lists, the slow
 structure, and what a visited node adds to the answer.
 
-Every node uses a doubled rank space: the i-th distinct coordinate becomes
-2i and a query strictly between two coordinates becomes the odd value in
-between, so closed-interval tests and "one below a grid line" boundaries
-stay exact for arbitrary integer queries.
+Every grid node uses a doubled rank space: the i-th distinct coordinate
+becomes 2i and a query strictly between two coordinates becomes the odd
+value in between, so closed-interval tests and "one below a grid line"
+boundaries stay exact for arbitrary integer queries.  A leaf's closed
+interval tests hold in any order-preserving coordinates, so it keeps those
+its items arrive in (the parent's ranks, the caller's at a root), yet is
+charged six words of its own doubled rank space per item, as in the analysis.
 
 The walk reads flat stdlib arrays only: a node's rank axes, grid lines,
 cell lists (one table per node, ``GridNode``) and grid items are
@@ -63,7 +66,8 @@ import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3
-from .geom import Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, rank_axis, require_form
+from .geom import Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, query_coord, rank_axis
+from .geom import require_form
 from .range2d import NEG, POS, int64_array
 
 
@@ -252,11 +256,12 @@ class GridNode:
 class GridKind:
     """What one grid tree adds to the shared recursion.
 
-    ``axis_keys`` groups the item fields a node rank-reduces, one group per
-    axis; the query coordinates past those axes stay raw.  ``leaf(it)``
-    builds a leaf's ``geom.Leaf`` and ``leaf_query(leaf, lq, counters,
-    out)`` adds its hits to ``out`` (by default, the ids ``leaf.query``
-    returns).  ``slab(pieces)`` builds the structure of one slab's 3-sided
+    ``axis_keys`` groups the item fields a grid node rank-reduces, one
+    group per axis; the query coordinates past those axes stay raw.
+    ``leaf(it)`` builds a leaf's ``geom.Leaf`` and ``leaf_query(leaf, q,
+    counters, out)`` adds its hits to ``out`` (by default, the ids
+    ``leaf.query`` returns); both see the coordinates as they arrived at
+    the leaf.  ``slab(pieces)`` builds the structure of one slab's 3-sided
     pieces of one sign pair from their rows of the piece table, as field
     arrays: ``xb``/``yb``, the x and y bound in dominance form, then the
     items' other fields by name.  ``slab_query(s, sq, counters, out)`` adds
@@ -280,8 +285,8 @@ class GridKind:
     def cell_order(self, gi):
         return np.lexsort((gi["orig"], -gi["z2"]))
 
-    def leaf_query(self, leaf, lq, counters, out):
-        out.extend(leaf.query(lq, counters))
+    def leaf_query(self, leaf, q, counters, out):
+        out.extend(leaf.query(q, counters))
 
     def cell_cap(self, m: int) -> int:
         return top_list_cap(m)
@@ -319,20 +324,22 @@ def build_grid(it: dict, kind: GridKind, params: ModelParams, depth: int = 0) ->
     node = GridNode()
     node.kind = kind
     node.m = m = len(it["orig"])
-    rit, node.axes = _rank_reduce(it, kind.axis_keys)
     node.leaf = None
     parts = None
     if not (is_grid_leaf(m, params) or depth > 64):
+        rit, axes = _rank_reduce(it, kind.axis_keys)
         g = params.grid_override or grid_side(m)
         lines_x = _quantile_lines(rit["x1"], rit["x2"], g)
         lines_y = _quantile_lines(rit["y1"], rit["y2"], g)
         if len(lines_x) or len(lines_y):
             parts = _classify_break(rit, lines_x, lines_y)
-    # a stagnant break forwards every item whole to one child
+    # a leaf, also after a stagnant break (one forwarding every item whole
+    # to one child), keeps its items' coordinates
     if parts is None or parts["stagnant"]:
-        node.leaf = kind.leaf(rit)
+        node.leaf = kind.leaf(it)
         return node
 
+    node.axes = axes
     node.lines_x = int64_array(lines_x)
     node.lines_y = int64_array(lines_y)
     (col_items, col_stored), (row_items, row_stored) = parts["col"], parts["row"]
@@ -535,19 +542,19 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
 def _query_node(node: GridNode, q, counters, trace, out):
     """Add the matches of q in the subtree of ``node`` to ``out``.  The
     tuple q holds one coordinate per ranked axis of the node's kind, then
-    the raw ones."""
+    the raw ones; only a grid node ranks it."""
     if counters is not None:
         counters.visit_node()
+    kind = node.kind
+    if node.leaf is not None:
+        kind.leaf_query(node.leaf, q, counters, out)
+        return
     axes = node.axes
     na = len(axes)
     lq = list(q)
     for a in range(na):
         lq[a] = locate_coord(axes[a], lq[a], counters)
     lq = tuple(lq)
-    kind = node.kind
-    if node.leaf is not None:
-        kind.leaf_query(node.leaf, lq, counters, out)
-        return
 
     x, y = lq[0], lq[1]
     lines_y = node.lines_y
@@ -649,21 +656,19 @@ class Stab5Tree:
         self.piece_incidences = sum(node.m for node in nodes)
 
 
-# the canonical 5-sided form [x1,x2] x [y1,y2] x (-inf,z2]
-_CANONICAL = dict(
-    form="canonical 5-sided stabbing", finite=("x1", "x2", "y1", "y2", "z2"), unbounded=("z1",)
-)
-
-
 def build_stab5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> Stab5Tree:
+    """The 5-sided tree over boxes of the canonical form [x1,x2] x [y1,y2] x (-inf,z2]."""
     a = box_arrays(rects)
-    require_form(a, **_CANONICAL)
+    require_form(a, "canonical 5-sided stabbing", finite=("x1", "x2", "y1", "y2", "z2"), unbounded=("z1",))
     return Stab5Tree({k: a[k] for k in _ITEM_KEYS}, params)
 
 
 def query_stab5(tree: Stab5Tree, q, counters: Counters | None = None, trace: list | None = None) -> list[int]:
+    # clamped into [NEG, POS], a qz below NEG still passes the NEG z1 side
+    # of a root leaf, which is not in rank space
+    q = tuple(min(max(query_coord(v), NEG), POS) for v in q)
     out: list[int] = []
-    _query_node(tree.root, tuple(q), counters, trace, out)
+    _query_node(tree.root, q, counters, trace, out)
     return charge_output(out, counters)
 
 
@@ -678,7 +683,7 @@ class _Standalone:
         self.axes = axes
 
     def query(self, q, counters: Counters | None = None) -> list[int]:
-        lq = tuple(locate_coord(ax, v, counters) for ax, v in zip(self.axes, q))
+        lq = tuple(locate_coord(ax, query_coord(v), counters) for ax, v in zip(self.axes, q))
         return charge_output(self._query(lq, counters), counters)
 
 
@@ -696,14 +701,11 @@ def query_slow5(s: _Standalone, q, counters: Counters | None = None) -> list[int
     return s.query(q, counters)
 
 
-def build_leaf5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> _Standalone:
+def build_leaf5(rects: list[Box3], params: ModelParams = DEFAULT_PARAMS) -> Stab5Tree:
+    """The 5-sided tree of at most tau rectangles: its root is a leaf."""
     if len(rects) > params.tau:
         raise ValidationError(f"leaf structure capped at tau={params.tau} rectangles")
-    a = box_arrays(rects)
-    require_form(a, **_CANONICAL)
-    rit, axes = _rank_reduce({k: a[k] for k in _ITEM_KEYS}, Stab5Grid.axis_keys)
-    return _Standalone(_STAB5.leaf(rit).query, _leaf_bits(len(rects)), axes)
+    return build_stab5(rects, params)
 
 
-def query_leaf5(l: _Standalone, q, counters: Counters | None = None) -> list[int]:
-    return l.query(q, counters)
+query_leaf5 = query_stab5

@@ -2,14 +2,14 @@
 z-restricted structures it needs.
 
 A rectangle whose z endpoints fall into different children of a node
-contributes its fully-covered child range [k+1, l-1] to that node's
-z-restricted 6-sided structure M(v), and full copies to R(child of z1) and
-L(child of z2), which treat it as 5-sided inside the child (the crossed
-boundary side is unbounded there: R stores z1 times the sign -1, L z2
-times 1, and a query meets each with qz times its sign).  A query walks
-the root-to-leaf path of qz and combines M at every path node with L and R
-at every visited child; the three parts of a rectangle cover disjoint
-z-ranges, so results are duplicate-free.
+contributes its fully-covered child range [k+1, l-1], if not empty, to
+that node's z-restricted 6-sided structure M(v), and full copies to
+R(child of z1) and L(child of z2), which treat it as 5-sided inside the
+child (the crossed boundary side is unbounded there: R stores z1 times the
+sign -1, L z2 times 1, and a query meets each with qz times its sign).  A
+query walks the root-to-leaf path of qz and combines M at every path node
+with L and R at every visited child; the three parts of a rectangle cover
+disjoint z-ranges, so results are duplicate-free.
 
 The z-restricted 4-sided structures implement the shallow-cutting grouping:
 corners of all per-(i,j) cuttings are grouped by x into runs of Z^2; each
@@ -24,7 +24,7 @@ structures, Cover(c, z) lists and the _ZR6Slow fallback.
 
 A leaf of the z tree holds the rectangles of one z slot as one
 ``geom.Leaf`` over their raw coordinates; the leaves of M, L and R are the
-grid tree's.
+grid tree's, which keep the coordinates their items arrive in.
 
 ZR4Slow and _ZR6Slow are stab5.py's halves tree over z in [0, f)
 (``halves_tree``, Lemma F.3): a node splits the rectangles containing its
@@ -339,20 +339,24 @@ class IntervalTreeZ:
         self.f = f
         self.zvals = zvals  # sorted distinct z endpoints (the leaf order), an array('q')
 
+    def nodes(self):
+        """Every node of the tree, each before its children."""
+        todo = [self.root] if self.root is not None else []
+        while todo:
+            node = todo.pop()
+            yield node
+            todo.extend(node.children.values())
+
     @property
     def bits_stored(self) -> int:
         """Payload bits of every node's L/R 5-sided trees and M structure;
         leaf arrays are not charged."""
         total = 0
-        todo = [self.root] if self.root is not None else []
-        while todo:
-            node = todo.pop()
-            if node.leaf_items is not None:
-                continue
-            total += sum(t.bits_stored for t in (*node.L.values(), *node.R.values()))
-            if node.M is not None:
-                total += grid_bits(node.M)
-            todo.extend(node.children.values())
+        for node in self.nodes():
+            if node.leaf_items is None:
+                total += sum(t.bits_stored for t in (*node.L.values(), *node.R.values()))
+                if node.M is not None:
+                    total += grid_bits(node.M)
         return total
 
     def height_bound(self) -> int:
@@ -360,18 +364,7 @@ class IntervalTreeZ:
         return math.ceil(math.log(leaves, max(2, self.f))) + 1
 
     def s_sizes(self) -> list[int]:
-        out = []
-
-        def rec(node):
-            if node is None:
-                return
-            out.append(node.s_count)
-            if node.leaf_items is None:
-                for ch in node.children.values():
-                    rec(ch)
-
-        rec(self.root)
-        return out
+        return [node.s_count for node in self.nodes()]
 
 
 def build_stab6(
@@ -412,20 +405,19 @@ def _build_it(arr, la, lb, lo, hi, f, params):
     here = ck != cl
     node.s_count = int(np.sum(here))
 
-    # M(v): fully covered child range [k+1, l-1] in the child-index universe
+    # M(v): the rows spanning a middle child, over their fully covered
+    # child range [k+1, l-1] in the child-index universe
     hidx = np.nonzero(here)[0]
-    m_items = {
-        "x1": arr["x1"][hidx], "x2": arr["x2"][hidx],
-        "y1": arr["y1"][hidx], "y2": arr["y2"][hidx],
-        "zi": ck[hidx] + 1, "zj": cl[hidx] - 1,
-        "orig": arr["orig"][hidx],
-    }
-    keep = m_items["zi"] <= m_items["zj"]
-    m_items = _subset(m_items, keep)
-    nch_actual = -(-(hi - lo) // size)
+    mid = hidx[cl[hidx] - ck[hidx] > 1]
     node.M = None
-    if len(m_items["orig"]):
-        node.M = _zr6_grid(m_items, nch_actual, params)
+    if len(mid):
+        m_items = {
+            "x1": arr["x1"][mid], "x2": arr["x2"][mid],
+            "y1": arr["y1"][mid], "y2": arr["y2"][mid],
+            "zi": ck[mid] + 1, "zj": cl[mid] - 1,
+            "orig": arr["orig"][mid],
+        }
+        node.M = _zr6_grid(m_items, -(-(hi - lo) // size), params)
 
     # R(child of z1): 5-sided upward copies, z >= z1 negated to canonical;
     # L(child of z2): downward copies
@@ -450,7 +442,7 @@ def query_stab6(
     it: IntervalTreeZ, q, counters: Counters | None = None, trace: list | None = None
 ) -> list[int]:
     out: list[int] = []
-    qx, qy, qz = q
+    q = qx, qy, qz = tuple(map(query_coord, q))
     if it.root is None:
         return out
     li = floor_rank(it.zvals, qz, counters)

@@ -309,8 +309,8 @@ class _TopKGrid(GridKind):
         s = _subset(it, np.argsort(-it["z2"], kind="stable"))
         return Leaf(s["x1"], s["x2"], s["y1"], s["y2"], NEG, POS, s["z2"], s["orig"])
 
-    def leaf_query(self, leaf, lq, counters, streams):
-        streams.append(iter(leaf.query((*lq, 0), counters)))
+    def leaf_query(self, leaf, q, counters, streams):
+        streams.append(iter(leaf.query((*q, 0), counters)))
 
     def slab(self, p):
         return TopKDominance(p["orig"], p["xb"], p["yb"], p["z2"], self.params)

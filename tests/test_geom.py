@@ -306,15 +306,11 @@ def _grid_axes(root):
 def _stab6_grids(t):
     """The grid roots of the stab6 z interval tree ``t``: each node's M tree
     and its L and R stab5 trees."""
-    todo = [t.root] if t.root is not None else []
-    while todo:
-        node = todo.pop()
-        if node.leaf_items is not None:
-            continue
-        if node.M is not None:
-            yield node.M
-        yield from (s.root for s in (*node.R.values(), *node.L.values()))
-        todo.extend(node.children.values())
+    for node in t.nodes():
+        if node.leaf_items is None:
+            if node.M is not None:
+                yield node.M
+            yield from (s.root for s in (*node.R.values(), *node.L.values()))
 
 
 def _rank_space_digests():
@@ -361,7 +357,7 @@ RANK_DIGESTS = {
     "axes": "2de97f485d538a70",
     "answers": "3d333bdd9a06b82c",
     "sorted": "a45742d22f217b4e",
-    "counters": "afdaa80464794f20",
+    "counters": "a793c6f3c455667f",
 }
 
 

@@ -156,21 +156,21 @@ PINS = {
     ("zr4fast", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
     ("zr4fast", 1): ((408, 0, 4, 193, 0, 4, 0), 10, "29d65aee162134a8"),
     ("zr4fast", 1000): ((6663, 0, 417, 105719, 0, 28081, 0), 155910, "14b1673795712d86"),
-    ("zr6cover", 0): ((400, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("zr6cover", 1): ((1000, 200, 0, 200, 0, 3, 0), 0, "60f8d01e341d4729"),
-    ("zr6cover", 300): ((37529, 1927, 2329, 15148, 0, 3380, 0), 25178, "d986dfc533d96889"),
+    ("zr6cover", 0): ((0, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
+    ("zr6cover", 1): ((0, 200, 0, 200, 0, 3, 0), 0, "60f8d01e341d4729"),
+    ("zr6cover", 300): ((30352, 1927, 2329, 15148, 0, 3380, 0), 25178, "d986dfc533d96889"),
     ("topkslow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("topkslow", 1): ((1200, 200, 0, 200, 40, 20, 0), 0, "b1ee0a614fa62edd"),
-    ("topkslow", 300): ((40320, 1828, 0, 9749, 5178, 2152, 0), 27619, "ddfe355977547196"),
+    ("topkslow", 1): ((0, 200, 0, 200, 40, 20, 0), 0, "b1ee0a614fa62edd"),
+    ("topkslow", 300): ((33011, 1828, 0, 9749, 5178, 2152, 0), 27619, "ddfe355977547196"),
     ("topkdom", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "b4e34d664ab4d09c"),
     ("topkdom", 1): ((1200, 0, 0, 200, 0, 75, 0), 20, "4ddeb9b3eef5abbf"),
     ("topkdom", 300): ((7787, 0, 0, 48634, 0, 5232, 0), 30711, "ff84c171de555d0c"),
-    ("stab5grid", 0): ((600, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("stab5grid", 1): ((2000, 200, 0, 160, 0, 4, 0), 12, "8f15aaf46d3dec94"),
-    ("stab5grid", 300): ((46799, 1912, 1384, 8984, 0, 3346, 0), 87810, "7699092141fab358"),
+    ("stab5grid", 0): ((0, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
+    ("stab5grid", 1): ((400, 200, 0, 160, 0, 4, 0), 12, "8f15aaf46d3dec94"),
+    ("stab5grid", 300): ((36273, 1912, 1384, 8984, 0, 3346, 0), 87810, "7699092141fab358"),
     ("stab6grid", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("stab6grid", 1): ((1670, 214, 0, 56, 0, 3, 0), 24, "39b3f04287cfebd1"),
-    ("stab6grid", 300): ((79531, 4952, 1972, 12480, 0, 2174, 0), 112642, "006c245796a381f5"),
+    ("stab6grid", 1): ((814, 214, 0, 56, 0, 3, 0), 24, "39b3f04287cfebd1"),
+    ("stab6grid", 300): ((56822, 4952, 1972, 12480, 0, 2174, 0), 112642, "006c245796a381f5"),
     ("pl3d", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
     ("pl3d", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127"),
     ("pl3d", 300): ((16158, 449, 0, 774, 0, 197, 0), 79688, "2bb46e28b138072d"),

@@ -66,6 +66,44 @@ class TestLeaf5:
             build_leaf5(rects)
 
 
+# coordinates at and past the sentinels, on both sides
+FAR = (NEG - 1, -(2**70), NEG, POS, POS + 1, 2**70)
+
+
+@pytest.mark.parametrize(
+    "build,query,params,leaf_root",
+    [
+        (build_stab5, query_stab5, ModelParams(), True),
+        (build_leaf5, query_leaf5, ModelParams(), True),
+        (build_stab5, query_stab5, ModelParams(grid_override=3, tau=1), False),
+    ],
+    ids=["stab5-leaf-root", "leaf5", "stab5-grid-root"],
+)
+def test_query_past_sentinels(build, query, params, leaf_root):
+    # a root leaf keeps the caller's coordinates, and its shared z1 is the
+    # NEG sentinel: a qz below NEG must still report the boxes over (qx, qy)
+    rects = list(gen("stab5", 8, 16, seed=5).boxes)
+    t = build(rects, params)
+    assert (t.root.leaf is not None) == leaf_root
+    inner = (0, 4, 7, 11)
+    for qx in (*inner, *FAR):
+        for qy in (*inner, *FAR):
+            for qz in (*inner, *FAR):
+                q = (qx, qy, qz)
+                assert sorted(query(t, q)) == sorted(brute_stab(rects, q)), q
+
+
+@pytest.mark.parametrize("q", [("3", 1, 1), (None, 1, 1), (1.5, 1, 1), (1, np.float64(0.5), 1), (1, 1, 1.5)])
+@pytest.mark.parametrize("name", ["stab5", "leaf5", "slow5", "stab6"])
+def test_non_integer_query_rejected(name, q):
+    # the query domain is the integers: a float, a string or None raises
+    # ValidationError, never a raw TypeError or an answer
+    row = STRUCTURES[name]
+    s = row.build(gen(row.kind, 16, 32, seed=1), ModelParams(), None)
+    with pytest.raises(ValidationError):
+        row.query(s, q, None)
+
+
 class TestSlow5:
     def test_single(self):
         s = build_slow5([Box3(0, (2, 5), (2, 5), (None, 7))])
@@ -266,7 +304,7 @@ def test_grid_counters_pinned():
     for q in queries(1200, 9, k=200):
         query_stab5(t, q, c)
     got = (c.predecessor_steps, c.nodes_visited, c.dominance_queries, c.cells_scanned, c.output_size)
-    assert got == (79042, 3206, 2473, 20683, 6053)
+    assert got == (64175, 3206, 2473, 20683, 6053)
 
 
 @given(st.lists(st.integers(-3, 5), max_size=40))
