@@ -5,9 +5,11 @@ range2d layer (pl3d, pl2, stab2count and cut3's find-any subdivision).
 
 Each case answers 200 seeded queries (points up to two steps outside the
 universe included) and pins the summed counters, the structure's
-bits_stored and a digest of the ordered answer lists, so a rewrite of the
-slow structures, of the grid break, of range2d's storage or of the top-k
-dominance tiers must keep every answer, its order and every charge.  zr6
+bits_stored and three digests: of the answers as returned, of the sorted
+answers and of their order (the positions that sort each answer list), so
+a rewrite of the slow structures, of the grid break, of range2d's storage
+or of the top-k dominance tiers must keep every answer, its order and
+every charge, and a moved pin tells which of them changed.  zr6
 and topkstab clamp their cell lists (cap 1 and 2) so that full lists send
 queries to the slow structure.
 The stab5grid and stab6grid answer order follows the order of each slab's
@@ -135,57 +137,83 @@ BUILDERS = {
 }
 
 
+def _digest(x):
+    return hashlib.sha256(repr(x).encode()).hexdigest()[:16]
+
+
+def _sorted(a):
+    """An answer with each of its lists sorted (top-k dominance answers a
+    pair of lists)."""
+    if isinstance(a, tuple):
+        return tuple(map(_sorted, a))
+    return sorted(a) if isinstance(a, list) else a
+
+
+def _order(a):
+    """The positions that sort each list of an answer, in sorted order."""
+    if isinstance(a, tuple):
+        return tuple(map(_order, a))
+    return sorted(range(len(a)), key=a.__getitem__) if isinstance(a, list) else None
+
+
 def run_case(name, n):
-    """(summed counters, bits_stored, answer digest) of one pinned case."""
+    """(summed counters, bits_stored, answer digest, sorted-answer digest,
+    order digest) of one pinned case."""
     rng = np.random.default_rng(1000 + n)
     s, cases, query = BUILDERS[name](n, max(8, 4 * n), rng)
     c = Counters()
     answers = [query(*case, c) for case in cases]
-    digest = hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
-    return tuple(c.as_dict().values()), s.bits_stored, digest
+    return (
+        tuple(c.as_dict().values()),
+        s.bits_stored,
+        _digest(answers),
+        _digest([_sorted(a) for a in answers]),
+        _digest([_order(a) for a in answers]),
+    )
 
 
-# (name, n) -> (Counters fields in declaration order, bits_stored, digest)
+# (name, n) -> (Counters fields in declaration order, bits_stored, digest,
+# sorted digest, order digest)
 PINS = {
-    ("slow5", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("slow5", 1): ((2000, 0, 200, 82, 0, 9, 0), 12, "c5014d10b96cdda8"),
-    ("slow5", 300): ((14256, 0, 2117, 14215, 0, 3764, 0), 16200, "dab24348804dc602"),
-    ("zr4slow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("zr4slow", 1): ((400, 0, 200, 48, 0, 17, 0), 11, "e8a26a985f1e1911"),
-    ("zr4slow", 400): ((4170, 0, 500, 30921, 0, 11144, 0), 14800, "79aea0bf3d3764cd"),
-    ("zr4fast", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("zr4fast", 1): ((408, 0, 4, 193, 0, 4, 0), 10, "29d65aee162134a8"),
-    ("zr4fast", 1000): ((6663, 0, 417, 105719, 0, 28081, 0), 155910, "14b1673795712d86"),
-    ("zr6cover", 0): ((0, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("zr6cover", 1): ((0, 200, 0, 200, 0, 3, 0), 0, "60f8d01e341d4729"),
-    ("zr6cover", 300): ((30352, 1927, 2329, 15148, 0, 3380, 0), 25178, "d986dfc533d96889"),
-    ("topkslow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("topkslow", 1): ((0, 200, 0, 200, 40, 20, 0), 0, "b1ee0a614fa62edd"),
-    ("topkslow", 300): ((33011, 1828, 0, 9749, 5178, 2152, 0), 27619, "ddfe355977547196"),
-    ("topkdom", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "b4e34d664ab4d09c"),
-    ("topkdom", 1): ((1200, 0, 0, 200, 0, 75, 0), 20, "4ddeb9b3eef5abbf"),
-    ("topkdom", 300): ((7787, 0, 0, 48634, 0, 5232, 0), 30711, "ff84c171de555d0c"),
-    ("stab5grid", 0): ((0, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("stab5grid", 1): ((400, 200, 0, 160, 0, 4, 0), 12, "8f15aaf46d3dec94"),
-    ("stab5grid", 300): ((36273, 1912, 1384, 8984, 0, 3346, 0), 87810, "7699092141fab358"),
-    ("stab6grid", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e"),
-    ("stab6grid", 1): ((814, 214, 0, 56, 0, 3, 0), 24, "39b3f04287cfebd1"),
-    ("stab6grid", 300): ((56822, 4952, 1972, 12480, 0, 2174, 0), 112642, "006c245796a381f5"),
-    ("pl3d", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
-    ("pl3d", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127"),
-    ("pl3d", 300): ((16158, 449, 0, 774, 0, 197, 0), 79688, "2bb46e28b138072d"),
-    ("pl3dtau4", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
-    ("pl3dtau4", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127"),
-    ("pl3dtau4", 300): ((17000, 483, 0, 70, 0, 197, 0), 97815, "2bb46e28b138072d"),
-    ("pl2", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
-    ("pl2", 1): ((400, 0, 0, 0, 0, 0, 0), 129, "24ef5553a538abeb"),
-    ("pl2", 300): ((2629, 0, 0, 0, 0, 0, 0), 41100, "70d4a9656680c9be"),
-    ("stab2count", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "3e273723fa2057ff"),
-    ("stab2count", 1): ((1600, 0, 0, 0, 0, 0, 0), 384, "c2cee6f47cada6d9"),
-    ("stab2count", 300): ((15366, 0, 0, 0, 0, 0, 0), 115200, "e862765b30d6b9bb"),
-    ("cut3", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792"),
-    ("cut3", 1): ((400, 0, 0, 0, 0, 0, 0), 10, "711902bc45883953"),
-    ("cut3", 300): ((2775, 0, 0, 0, 0, 0, 0), 18318, "bca0eb4a3df67aaf"),
+    ("slow5", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e", "8560403d7204bd5e", "8560403d7204bd5e"),
+    ("slow5", 1): ((2000, 0, 200, 82, 0, 9, 0), 12, "c5014d10b96cdda8", "c5014d10b96cdda8", "c5014d10b96cdda8"),
+    ("slow5", 300): ((14256, 0, 2117, 14215, 0, 3764, 0), 16200, "dab24348804dc602", "52cae636dcd7f1ab", "92fca590bb07ae44"),
+    ("zr4slow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e", "8560403d7204bd5e", "8560403d7204bd5e"),
+    ("zr4slow", 1): ((400, 0, 200, 48, 0, 17, 0), 11, "e8a26a985f1e1911", "e8a26a985f1e1911", "e8a26a985f1e1911"),
+    ("zr4slow", 400): ((4170, 0, 500, 30921, 0, 11144, 0), 14800, "79aea0bf3d3764cd", "539f8c0f9c598908", "8567c08f6370ba47"),
+    ("zr4fast", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e", "8560403d7204bd5e", "8560403d7204bd5e"),
+    ("zr4fast", 1): ((408, 0, 4, 193, 0, 4, 0), 10, "29d65aee162134a8", "29d65aee162134a8", "29d65aee162134a8"),
+    ("zr4fast", 1000): ((6663, 0, 417, 105719, 0, 28081, 0), 155910, "14b1673795712d86", "76373e24f41fbed1", "50a22f76ffcb2558"),
+    ("zr6cover", 0): ((0, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e", "8560403d7204bd5e", "8560403d7204bd5e"),
+    ("zr6cover", 1): ((0, 200, 0, 200, 0, 3, 0), 0, "60f8d01e341d4729", "60f8d01e341d4729", "60f8d01e341d4729"),
+    ("zr6cover", 300): ((30352, 1927, 2329, 15148, 0, 3380, 0), 25178, "d986dfc533d96889", "20c2c8cda0d59313", "7dae4e714b697cbc"),
+    ("topkslow", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e", "8560403d7204bd5e", "8560403d7204bd5e"),
+    ("topkslow", 1): ((0, 200, 0, 200, 40, 20, 0), 0, "b1ee0a614fa62edd", "b1ee0a614fa62edd", "b1ee0a614fa62edd"),
+    ("topkslow", 300): ((33011, 1828, 0, 9749, 5178, 2152, 0), 27619, "ddfe355977547196", "3ee880c3119e1a62", "2638f66f431b249f"),
+    ("topkdom", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "b4e34d664ab4d09c", "b4e34d664ab4d09c", "b4e34d664ab4d09c"),
+    ("topkdom", 1): ((1200, 0, 0, 200, 0, 75, 0), 20, "4ddeb9b3eef5abbf", "4ddeb9b3eef5abbf", "cc37240803d69858"),
+    ("topkdom", 300): ((7787, 0, 0, 48634, 0, 5232, 0), 30711, "ff84c171de555d0c", "8c30c901f2480828", "b90bd145cbc8f1d5"),
+    ("stab5grid", 0): ((0, 200, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e", "8560403d7204bd5e", "8560403d7204bd5e"),
+    ("stab5grid", 1): ((400, 200, 0, 160, 0, 4, 0), 12, "8f15aaf46d3dec94", "8f15aaf46d3dec94", "8f15aaf46d3dec94"),
+    ("stab5grid", 300): ((36273, 1912, 1384, 8984, 0, 3346, 0), 87810, "7699092141fab358", "2ea0199ab33b94f9", "a3be428639901806"),
+    ("stab6grid", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "8560403d7204bd5e", "8560403d7204bd5e", "8560403d7204bd5e"),
+    ("stab6grid", 1): ((814, 214, 0, 56, 0, 3, 0), 24, "39b3f04287cfebd1", "39b3f04287cfebd1", "39b3f04287cfebd1"),
+    ("stab6grid", 300): ((56822, 4952, 1972, 12480, 0, 2174, 0), 112642, "006c245796a381f5", "71fbbe7bc6ba8041", "8d9168bec8af3994"),
+    ("pl3d", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792", "370c462e43573792", "370c462e43573792"),
+    ("pl3d", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127", "3046d2b85805f127", "370c462e43573792"),
+    ("pl3d", 300): ((16158, 449, 0, 774, 0, 197, 0), 79688, "2bb46e28b138072d", "2bb46e28b138072d", "370c462e43573792"),
+    ("pl3dtau4", 0): ((600, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792", "370c462e43573792", "370c462e43573792"),
+    ("pl3dtau4", 1): ((1800, 119, 0, 119, 0, 51, 0), 7, "3046d2b85805f127", "3046d2b85805f127", "370c462e43573792"),
+    ("pl3dtau4", 300): ((17000, 483, 0, 70, 0, 197, 0), 97815, "2bb46e28b138072d", "2bb46e28b138072d", "370c462e43573792"),
+    ("pl2", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792", "370c462e43573792", "370c462e43573792"),
+    ("pl2", 1): ((400, 0, 0, 0, 0, 0, 0), 129, "24ef5553a538abeb", "24ef5553a538abeb", "370c462e43573792"),
+    ("pl2", 300): ((2629, 0, 0, 0, 0, 0, 0), 41100, "70d4a9656680c9be", "70d4a9656680c9be", "370c462e43573792"),
+    ("stab2count", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "3e273723fa2057ff", "3e273723fa2057ff", "370c462e43573792"),
+    ("stab2count", 1): ((1600, 0, 0, 0, 0, 0, 0), 384, "c2cee6f47cada6d9", "c2cee6f47cada6d9", "370c462e43573792"),
+    ("stab2count", 300): ((15366, 0, 0, 0, 0, 0, 0), 115200, "e862765b30d6b9bb", "e862765b30d6b9bb", "370c462e43573792"),
+    ("cut3", 0): ((0, 0, 0, 0, 0, 0, 0), 0, "370c462e43573792", "370c462e43573792", "370c462e43573792"),
+    ("cut3", 1): ((400, 0, 0, 0, 0, 0, 0), 10, "711902bc45883953", "711902bc45883953", "370c462e43573792"),
+    ("cut3", 300): ((2775, 0, 0, 0, 0, 0, 0), 18318, "bca0eb4a3df67aaf", "bca0eb4a3df67aaf", "370c462e43573792"),
 }
 
 
