@@ -41,7 +41,7 @@ from operator import itemgetter
 import numpy as np
 
 from .counters import Counters, bit_width, charge_output
-from .geom import ValidationError
+from .geom import ValidationError, query_coord
 from .range2d import NEG, POS, PL2, int64_array
 
 
@@ -149,7 +149,7 @@ def build_dominance3(points, ids=None) -> Dominance3:
 
 
 def query_dominance3(d: Dominance3, q, counters: Counters | None = None) -> list[int]:
-    return charge_output(d.query(q, counters), counters)
+    return charge_output(d.query(tuple(map(query_coord, q)), counters), counters)
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,26 @@ def require_form(a: dict, form: str, finite=(), unbounded=()) -> None:
 
 
 # ---------------------------------------------------------------------------
+# grouping
+
+
+def _groups(keys):
+    """(key, ascending rows) per distinct value of ``keys``, in order of
+    first appearance."""
+    if not len(keys):
+        return
+    # a stable sort keeps each key's rows ascending, so the first row of a
+    # run of equal keys is where that key first appears
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    starts = np.flatnonzero(sk[1:] != sk[:-1]) + 1
+    bounds = [0, *starts.tolist(), len(sk)]
+    vals = sk[bounds[:-1]].tolist()
+    for j in np.argsort(order[bounds[:-1]]).tolist():
+        yield vals[j], order[bounds[j] : bounds[j + 1]]
+
+
+# ---------------------------------------------------------------------------
 # containment
 
 

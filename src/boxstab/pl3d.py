@@ -11,6 +11,14 @@ short structure or the middle structure: a non-empty answer rules out the
 middle boxes and an empty answer rules out the slab's short boxes, by
 disjointness.
 
+A left piece spans [a1, end of its slab] and a right piece [start of its
+slab, a2] along the split axis, so the query's own slab holds the other
+end and a piece keeps one signed bound: -a1 under sign -1 (left), a2 under
+sign 1 (right), and a located piece holds the query when sign * qa <= bound.
+A node's ``sides`` are the two (sign, per-slab PL2, bound column, id
+column) entries, left first; piece ids are dense in the order the slabs
+first appear (``geom._groups``, which also groups the short boxes).
+
 Internally boxes travel as (n, 6) integer arrays; ids returned by children
 are decoded through per-node piece tables.  A leaf (at most tau boxes, or a
 universe of side at most 2) keeps its boxes as ``leaf_coords``, a
@@ -24,7 +32,8 @@ import math
 import numpy as np
 
 from .counters import Counters, TraceEvent, bit_width
-from .geom import AXES, SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, require_form
+from .geom import AXES, SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, _groups, box_arrays
+from .geom import query_coord, require_form
 from .range2d import PL2, StabEmpty2, int64_array
 
 _OTHER = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
@@ -32,9 +41,8 @@ _OTHER = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 class PL3Node:
     __slots__ = (
-        "n", "U", "axis", "s", "width", "nslabs", "leaf_coords",
-        "left_pl2", "right_pl2", "stab", "short_children", "middle_child",
-        "l_lo", "l_hi", "l_orig", "r_lo", "r_hi", "r_orig", "mid_orig",
+        "n", "U", "axis", "s", "width", "leaf_coords",
+        "sides", "stab", "short_children", "middle_child", "mid_orig",
     )
 
 
@@ -66,6 +74,7 @@ def build_pl3(
     universes: tuple[int, int, int],
     params: ModelParams = DEFAULT_PARAMS,
 ) -> PL3:
+    universes = _universe(universes)
     a = box_arrays(boxes)
     require_form(a, "point location", finite=SIDES)
     for axis, u in zip(AXES, universes):
@@ -81,11 +90,24 @@ def build_pl3_arrays(
     params: ModelParams = DEFAULT_PARAMS,
 ) -> PL3:
     """Array-form build: coords is (n, 6) int64, ids (n,)."""
+    universes = _universe(universes)
     coords = np.asarray(coords, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
     bits = {"pl2": 0, "stab2": 0, "piece_map": 0, "leaf": 0, "incidences": 0}
-    root = _build(coords, ids, tuple(universes), params, bits)
-    return PL3(root, len(coords), tuple(universes), bits)
+    root = _build(coords, ids, universes, params, bits)
+    return PL3(root, len(coords), universes, bits)
+
+
+def _universe(universes) -> tuple[int, int, int]:
+    """``universes`` as a tuple of three positive ints; raise
+    ValidationError for anything else."""
+    try:
+        u = tuple(query_coord(v, "universe side") for v in universes)
+    except TypeError:  # not iterable
+        u = ()
+    if len(u) != 3 or min(u) < 1:
+        raise ValidationError(f"universe {universes!r} is not three positive integers")
+    return u
 
 
 def _build(coords, ids, U, params, bits):
@@ -109,88 +131,63 @@ def _build(coords, ids, U, params, bits):
     if s * s < ua:
         s += 1
     width = -(-ua // s)
-    nslabs = -(-ua // width)
     node.axis = axis
     node.s = s
     node.width = width
-    node.nslabs = nslabs
     p, q = _OTHER[axis]
 
     lo_slab = coords[:, 2 * axis] // width
     hi_slab = coords[:, 2 * axis + 1] // width
     short = lo_slab == hi_slab
-    long_ = ~short
 
     # -- short boxes: per-slab stabbing structure + recursive short child
     node.stab = {}
     node.short_children = {}
     sh_idx = np.nonzero(short)[0]
-    if len(sh_idx):
-        order = sh_idx[np.argsort(lo_slab[sh_idx], kind="stable")]
-        slabs = lo_slab[order]
-        starts = np.searchsorted(slabs, np.arange(nslabs + 1))
-        for k in range(nslabs):
-            seg = order[starts[k] : starts[k + 1]]
-            if not len(seg):
-                continue
-            sc = coords[seg]
-            node.stab[k] = StabEmpty2(
-                sc[:, 2 * p], sc[:, 2 * p + 1], sc[:, 2 * q], sc[:, 2 * q + 1],
-                coord_width=max(widths[p], widths[q]),
-            )
-            bits["stab2"] += node.stab[k].bits_stored
-            # sc is a fresh array (fancy indexing) that StabEmpty2 does not
-            # keep, so it is rebased in place
-            sc[:, 2 * axis] -= k * width
-            sc[:, 2 * axis + 1] -= k * width
-            child_U = tuple(width if a == axis else U[a] for a in range(3))
-            node.short_children[k] = _build(sc, ids[seg], child_U, params, bits)
+    child_U = tuple(width if a == axis else U[a] for a in range(3))
+    for k, rows in _groups(lo_slab[sh_idx]):
+        seg = sh_idx[rows]
+        sc = coords[seg]
+        node.stab[k] = StabEmpty2(
+            sc[:, 2 * p], sc[:, 2 * p + 1], sc[:, 2 * q], sc[:, 2 * q + 1],
+            coord_width=max(widths[p], widths[q]),
+        )
+        bits["stab2"] += node.stab[k].bits_stored
+        # sc is a fresh array (fancy indexing) that StabEmpty2 does not
+        # keep, so it is rebased in place
+        sc[:, 2 * axis] -= k * width
+        sc[:, 2 * axis + 1] -= k * width
+        node.short_children[k] = _build(sc, ids[seg], child_U, params, bits)
 
     # -- long boxes: left/right pieces per slab, middle recursion
-    lg_idx = np.nonzero(long_)[0]
-    node.left_pl2 = {}
-    node.right_pl2 = {}
+    lg_idx = np.nonzero(~short)[0]
+    node.sides = ()
     node.middle_child = None
-    node.l_lo = node.l_hi = node.l_orig = None
-    node.r_lo = node.r_hi = node.r_orig = None
     node.mid_orig = None
     if len(lg_idx):
         id_w = bit_width(n + 1)
         pair_w = sum(widths)
-
-        def build_side(slab_of, ext_lo, ext_hi):
-            # pieces get dense ids in slab order; the piece table maps a
-            # piece id to its axis extent and its caller-visible box id
-            order = lg_idx[np.argsort(slab_of[lg_idx], kind="stable")]
-            slabs = slab_of[order]
-            starts = np.searchsorted(slabs, np.arange(nslabs + 1))
+        lg = coords[lg_idx]
+        for sign, slab_of, bound in (
+            (-1, lo_slab[lg_idx], -lg[:, 2 * axis]),
+            (1, hi_slab[lg_idx], lg[:, 2 * axis + 1]),
+        ):
+            # the piece table maps a piece id to its signed bound and its
+            # caller-visible box id
             pl2s = {}
-            for k in range(nslabs):
-                seg = order[starts[k] : starts[k + 1]]
-                if not len(seg):
-                    continue
-                sc = coords[seg]
-                base = starts[k]
+            pieces = []
+            for k, rows in _groups(slab_of):
+                sc = lg[rows]
                 pl2s[k] = PL2(
                     sc[:, 2 * p], sc[:, 2 * p + 1], sc[:, 2 * q], sc[:, 2 * q + 1],
-                    np.arange(base, base + len(seg)),
+                    np.arange(len(pieces), len(pieces) + len(rows)),
                     coord_width=max(widths[p], widths[q]),
                     label_width=id_w,
                 )
                 bits["pl2"] += pl2s[k].bits_stored
-            bits["piece_map"] += len(order) * (2 * widths[axis] + id_w + pair_w)
-            return pl2s, int64_array(ext_lo[order]), int64_array(ext_hi[order]), int64_array(ids[order])
-
-        node.left_pl2, node.l_lo, node.l_hi, node.l_orig = build_side(
-            lo_slab,
-            coords[:, 2 * axis],
-            (lo_slab + 1) * width - 1,
-        )
-        node.right_pl2, node.r_lo, node.r_hi, node.r_orig = build_side(
-            hi_slab,
-            hi_slab * width,
-            coords[:, 2 * axis + 1],
-        )
+                pieces += rows.tolist()
+            bits["piece_map"] += len(pieces) * (2 * widths[axis] + id_w + pair_w)
+            node.sides += ((sign, pl2s, int64_array(bound[pieces]), int64_array(ids[lg_idx[pieces]])),)
 
         has_mid = lg_idx[(hi_slab[lg_idx] - lo_slab[lg_idx]) >= 2]
         if len(has_mid):
@@ -206,7 +203,7 @@ def _build(coords, ids, U, params, bits):
 
 def query_pl3(pl3: PL3, q, counters: Counters | None = None, trace: list | None = None):
     """Locate q (rank-space coordinates); returns the owning box id or None."""
-    return _query(pl3.root, tuple(q), counters, trace)
+    return _query(pl3.root, tuple(map(query_coord, q)), counters, trace)
 
 
 def _query(node, q, counters, trace):
@@ -223,31 +220,22 @@ def _query(node, q, counters, trace):
     p, oq = _OTHER[axis]
     proj = (q[p], q[oq])
 
-    pl2 = node.left_pl2.get(k)
-    if pl2 is not None:
-        pid = pl2.query(proj[0], proj[1], counters)
-        if pid is not None and node.l_lo[pid] <= qa <= node.l_hi[pid]:
-            if counters is not None:
-                counters.charge_search(len(node.l_orig))  # piece-pair lookup
-            return node.l_orig[pid]
-    pl2 = node.right_pl2.get(k)
-    if pl2 is not None:
-        pid = pl2.query(proj[0], proj[1], counters)
-        if pid is not None and node.r_lo[pid] <= qa <= node.r_hi[pid]:
-            if counters is not None:
-                counters.charge_search(len(node.r_orig))
-            return node.r_orig[pid]
+    for sign, pl2s, bound, orig in node.sides:
+        pl2 = pl2s.get(k)
+        if pl2 is not None:
+            pid = pl2.query(proj[0], proj[1], counters)
+            if pid is not None and sign * qa <= bound[pid]:
+                if counters is not None:
+                    counters.charge_search(len(orig))  # piece-pair lookup
+                return orig[pid]
 
     stab = node.stab.get(k)
     nonempty = stab is not None and not stab.empty(proj[0], proj[1], counters)
     if trace is not None:
         trace.append(TraceEvent("pl3d", node, "short" if nonempty else "middle", int(k), q))
     if nonempty:
-        child = node.short_children.get(k)
-        if child is None:
-            return None
         q2 = tuple(q[a] - k * node.width if a == axis else q[a] for a in range(3))
-        return _query(child, q2, counters, trace)
+        return _query(node.short_children[k], q2, counters, trace)
     if node.middle_child is None:
         return None
     q2 = tuple(k if a == axis else q[a] for a in range(3))

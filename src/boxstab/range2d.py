@@ -7,7 +7,12 @@ every lookup a plain index, with no numpy call on the query path.
 DomCount2 is a static layered structure: points in x-order, y-sorted blocks
 doubling per level, with positional bridges between levels, so a count query
 costs one initial binary search plus O(1) work per level.  It stores the
-sorted xs, the top level's ys and one flat bridge array per level.
+sorted xs, the top level's ys and one flat bridge array per level.  Each
+level merges its two children's blocks by one stable argsort, and bridge
+entry p of a block counts the left child's values among the block's first
+p.  Inside a run of tied ys the entries follow the merge's tie order, but
+a query never reads there: its position is always the count of values
+<= b, which ends a run.
 
 PL2 locates a point among disjoint rectangles via an interval tree on x
 midlines; rectangles crossing a common vertical line have disjoint
@@ -16,9 +21,12 @@ arena: a node table of (center, start, end, left, right) rows, and the
 x1 x2 y1 y2 label columns of every node's rectangles concatenated, each
 node's rows [start, end) in y1 order.
 
-StabEmpty2 counts stabbed rectangles by inclusion-exclusion over four 1-d
-ranks and four dominance counters; the ranks are the counters' own first
-searches.
+StabEmpty2 counts the rectangles containing (qx, qy) as four signed
+dominance counts, ac(qx, qy) - bc(qx - 1, qy) - ad(qx, qy - 1) +
+bd(qx - 1, qy - 1), each over a pair of corners (a, b the x1, x2 sides;
+c, d the y1, y2 sides); a rectangle with x2 < qx has x1 <= qx, and one
+with y2 < qy has y1 <= qy.  The four counts share four searches, one per
+sorted key.
 
 Space is metered as payload bits: each stored coordinate/label is charged
 once at the bit width of its value domain.  That models a packed
@@ -85,22 +93,15 @@ class DomCount2:
         level[: self.n] = ys[order]
         # bridges[l], l = 0 for the top level: row `block` of length
         # size + 1 (size = N >> l), entry p = #left-child elems among the
-        # first p of the merged block
+        # first p of the block's stable merge
         size = 1
         while size < N:
             size *= 2
-            nblocks = N // size
-            merged = np.sort(level.reshape(nblocks, size), axis=1)
-            left = level.reshape(nblocks * 2, size // 2)[0::2]
-            # one flat searchsorted: shift each block into its own value range
-            shift = (np.arange(nblocks, dtype=np.int64) << 33)[:, None]
-            flat_left = (left.astype(np.int64) + shift).ravel()
-            flat_merged = (merged.astype(np.int64) + shift).ravel()
-            pos = np.searchsorted(flat_left, flat_merged, side="right").astype(np.int64)
-            pos = (pos - (np.arange(nblocks, dtype=np.int64) * (size // 2))[:, None].repeat(size, 1).ravel())
-            bl = np.zeros((nblocks, size + 1), dtype=np.int32)
-            bl[:, 1:] = pos.reshape(nblocks, size)
-            level = merged.ravel()
+            blocks = level.reshape(N // size, size)
+            order = np.argsort(blocks, axis=1, kind="stable")
+            bl = np.zeros((N // size, size + 1), dtype=np.int32)
+            np.cumsum(order < size // 2, axis=1, out=bl[:, 1:])
+            level = level[(order + np.arange(0, N, size)[:, None]).ravel()]
             self.bridges.insert(0, array("i", bl.tobytes()))
         self.top = array("i", level.tobytes())
         self.N = N
@@ -239,7 +240,8 @@ def build_pl2(rects) -> PL2:
 def query_pl2(pl: PL2, q, counters: Counters | None = None) -> int | None:
     # unbounded sides are stored as NEG/POS: a query beyond them must meet
     # them as the sentinel itself, not slip past it
-    return pl.query(min(max(q[0], NEG), POS), min(max(q[1], NEG), POS), counters)
+    qx, qy = (min(max(query_coord(v), NEG), POS) for v in (q[0], q[1]))
+    return pl.query(qx, qy, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def query_pl2(pl: PL2, q, counters: Counters | None = None) -> int | None:
 
 
 class StabEmpty2:
-    """Stabbing count via n - |A u B u C u D| inclusion-exclusion."""
+    """Stabbing count as four signed dominance counts."""
 
     __slots__ = ("n", "bits_stored", "ac", "ad", "bc", "bd")
 
@@ -272,22 +274,18 @@ class StabEmpty2:
     def count(self, qx: int, qy: int, counters: Counters | None = None) -> int:
         if self.n == 0:
             return 0
-        # four searches serve everything: the 1-d ranks |A|..|D| are the
-        # same prefixes the dominance counters start from, and structures
+        # four signed dominance counts over four searches: structures
         # sharing a sorted key array share the search result
         p_x1 = self.ac.prefix_of(qx, counters)        # #x1 <= qx
         p_x2 = self.bd.prefix_of(qx - 1, counters)    # #x2 <  qx
         pos_y1 = self.ac.top_pos(qy, counters)        # #y1 <= qy
         pos_y2 = self.ad.top_pos(qy - 1, counters)    # #y2 <  qy
-        A = self.n - p_x1
-        B = p_x2
-        C = self.n - pos_y1
-        D = pos_y2
-        AC = self.n - p_x1 - pos_y1 + self.ac.count_from(p_x1, pos_y1, counters)
-        AD = D - self.ad.count_from(p_x1, pos_y2, counters)
-        BC = B - self.bc.count_from(p_x2, pos_y1, counters)
-        BD = self.bd.count_from(p_x2, pos_y2, counters)
-        return self.n - (A + B + C + D - AC - AD - BC - BD)
+        return (
+            self.ac.count_from(p_x1, pos_y1, counters)
+            - self.bc.count_from(p_x2, pos_y1, counters)
+            - self.ad.count_from(p_x1, pos_y2, counters)
+            + self.bd.count_from(p_x2, pos_y2, counters)
+        )
 
     def empty(self, qx: int, qy: int, counters: Counters | None = None) -> bool:
         return self.count(qx, qy, counters) == 0

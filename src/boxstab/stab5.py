@@ -22,9 +22,10 @@ structure answers dominance (stored >= query) on both axes.
 
 Per direction the pieces form one table: the whole pieces that fit one
 column (row), then the low and the high side pieces, each row with a
-destination slab and a forward flag.  One grouping step (``_groups``) sends
-the forwarded rows to their child by destination, and another gathers the
-rest by (destination, sign pair) into the slab pieces.
+destination slab and a forward flag.  One grouping step (``geom._groups``,
+which pl3d and stab6 use too) sends the forwarded rows to their child by
+destination, and another gathers the rest by (destination, sign pair) into
+the slab pieces.
 
 Stored grid rectangles feed per-cell Top(c) lists (the entries with the
 largest z upper bound) and one slow structure; a query scans Top(c) until an
@@ -67,7 +68,7 @@ import numpy as np
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3
 from .geom import Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays, query_coord, rank_axis
-from .geom import require_form
+from .geom import _groups, require_form
 from .range2d import NEG, POS, int64_array
 
 
@@ -412,22 +413,6 @@ def _build_slabs(kind: GridKind, stored: dict, count: int) -> list:
     for slab, by_signs in stored.items():
         slabs[slab] = tuple((kind.slab(pieces), sx, sy) for (sx, sy), pieces in by_signs.items())
     return slabs
-
-
-def _groups(keys):
-    """(key, ascending rows) per distinct value of ``keys``, in order of
-    first appearance."""
-    if not len(keys):
-        return
-    # a stable sort keeps each key's rows ascending, so the first row of a
-    # run of equal keys is where that key first appears
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    starts = np.flatnonzero(sk[1:] != sk[:-1]) + 1
-    bounds = [0, *starts.tolist(), len(sk)]
-    vals = sk[bounds[:-1]].tolist()
-    for j in np.argsort(order[bounds[:-1]]).tolist():
-        yield vals[j], order[bounds[j] : bounds[j + 1]]
 
 
 _XY = ("x1", "x2", "y1", "y2")

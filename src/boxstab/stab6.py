@@ -41,13 +41,12 @@ import numpy as np
 from .counters import Counters, TraceEvent, bit_width, charge_output
 from .domcut import Dominance3, build_cutting2
 from .geom import NEG, POS, SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, box_arrays
-from .geom import floor_rank, query_coord, rank_axis, require_form
+from .geom import _groups, floor_rank, query_coord, rank_axis, require_form
 from .range2d import int64_array
 from .stab5 import (
     GridKind,
     SlowStab5,
     Stab5Tree,
-    _groups,
     _query_node,
     _subset,
     build_grid,
@@ -113,7 +112,7 @@ def build_zr4_slow(rects: list[Box3], f: int | None = None) -> ZR4Slow:
 
 
 def query_zr4_slow(s: ZR4Slow, q, counters: Counters | None = None) -> list[int]:
-    return charge_output(s.query(q, counters), counters)
+    return charge_output(s.query(tuple(map(query_coord, q)), counters), counters)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +145,9 @@ class ZR4Fast:
 
         # per-(i,j) cuttings over p(r) = (x, y), coverage down to (-1, -1);
         # conflict lists are remapped to rows of the full rectangle arrays
-        pair_key = ri * self.f + rj
-        order = np.argsort(pair_key, kind="stable")
-        bounds = np.searchsorted(pair_key[order], np.arange(self.f * self.f + 1))
         corners = []  # (x, b, pair, conflict row array)
         cuts = []  # (cutting, conflict row arrays) per nonempty (i,j)
-        for pair in range(self.f * self.f):
-            seg = order[bounds[pair] : bounds[pair + 1]]
-            if not len(seg):
-                continue
+        for pair, seg in _groups(ri * self.f + rj):
             cut = build_cutting2(
                 np.stack([rx[seg], ry[seg]], axis=1), self.t0, cover_floor=(-1, -1)
             )
@@ -216,7 +209,7 @@ def build_zr4_fast(
 
 
 def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) -> list[int]:
-    return charge_output(s.query(q, counters, trace), counters)
+    return charge_output(s.query(tuple(map(query_coord, q)), counters, trace), counters)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +306,7 @@ def build_zr6(
 
 
 def query_zr6(tree: ZR6Tree, q, counters: Counters | None = None, trace=None) -> list[int]:
-    qx, qy, qz = q
-    qz = query_coord(qz)
+    qx, qy, qz = map(query_coord, q)
     if not 0 <= qz < tree.f:
         raise ValidationError(f"qz={qz} outside the z universe [0,{tree.f})")
     out: list[int] = []

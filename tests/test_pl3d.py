@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from boxstab.counters import Counters
-from boxstab.geom import Box3, ModelParams, rank_locate, rank_reduce
+from boxstab.geom import Box3, ModelParams, ValidationError, rank_locate, rank_reduce
 from boxstab.instances import check_pairwise_disjoint, gen
 from boxstab.oracle import brute_locate
-from boxstab.pl3d import build_pl3, query_pl3
+from boxstab.pl3d import build_pl3, build_pl3_arrays, query_pl3
 from pl3split import box_coords, dichotomy
 
 
@@ -54,7 +54,7 @@ class TestBuild:
         ]
         pl = build_pl3(boxes, (16, 4, 4), params=ModelParams(tau=1))
         root = pl.root
-        assert 0 in root.left_pl2 and 3 in root.right_pl2
+        assert 0 in root.sides[0][1] and 3 in root.sides[1][1]
         assert root.middle_child is not None
         mc = root.middle_child
         assert mc.leaf_coords.rows[0][:2] == (1, 2)
@@ -62,12 +62,47 @@ class TestBuild:
         assert query_pl3(pl, (0, 0, 0)) == 1
         assert query_pl3(pl, (0, 1, 1)) is None
 
+    @pytest.mark.parametrize("U", [(40.5, 1, 1), (40, 1), ("40", 1, 1), (40, 1, 1, 1), (40, 0, 1), 40, None])
+    def test_universe_rejected(self, U):
+        # a universe is three positive integers: anything else used to raise
+        # a raw TypeError, IndexError or numpy error, or build silently
+        with pytest.raises(ValidationError):
+            build_pl3([Box3(0, (0, 0), (0, 0), (0, 0))], U)
+        with pytest.raises(ValidationError):
+            build_pl3_arrays(np.zeros((1, 6), dtype=np.int64), [0], U)
+        pl = build_pl3([Box3(0, (0, 0), (0, 0), (0, 0))], (np.int64(40), 1, 1))
+        assert pl.universes == (40, 1, 1)
+
 
 class TestQuery:
     def test_single_box(self):
         pl = build_pl3([Box3(5, (0, 1), (0, 1), (0, 1))], (2, 2, 2))
         assert query_pl3(pl, (0, 0, 0)) == 5
         assert query_pl3(pl, (1, 1, 1)) == 5
+
+    @pytest.mark.parametrize("q", [("3", 1, 1), (None, 1, 1), (1.5, 1, 1), (1, np.float64(0.5), 1), (1, 1, 1.5)])
+    def test_non_integer_query_rejected(self, q):
+        # a leaf's closed-interval tests would answer 1.5 as if it were 1
+        pl = build_pl3([Box3(0, (0, 3), (0, 3), (0, 3))], (4, 4, 4))
+        with pytest.raises(ValidationError):
+            query_pl3(pl, q)
+        assert query_pl3(pl, (np.int64(1), 1, 1)) == 0
+
+    def test_piece_bounds(self):
+        # every box of a subdivision, in rank space and with tau = 1 so that
+        # most boxes break into pieces, queried on and one step outside each
+        # endpoint along each axis with the other two coordinates inside:
+        # a left piece holds from x1 on and a right piece up to x2, each
+        # tested by its one signed bound, the slab holding the other end
+        inst = gen("pl-subdivision-pruned", 150, 600, seed=12)
+        rs, red, pl = build_from_instance(inst, ModelParams(tau=1))
+        for b in red:
+            ivs = (b.x, b.y, b.z)
+            mid = [(lo + hi) // 2 for lo, hi in ivs]
+            for a, (lo, hi) in enumerate(ivs):
+                for v in (lo - 1, lo, hi, hi + 1):
+                    q = tuple(v if i == a else mid[i] for i in range(3))
+                    assert query_pl3(pl, q) == brute_locate(red, q), (b.id, q)
 
     def test_gap_returns_none(self):
         inst = gen("pl-subdivision-pruned", 60, 256, seed=3)

@@ -49,6 +49,19 @@ class TestDomCount2:
             expect = int(np.sum((xs <= a) & (ys <= b)))
             assert d.count(a, b) == expect
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 33, 64, 65])
+    def test_ties_against_brute(self, n):
+        # values in [0, 3): almost every y sits in a run of ties, inside
+        # which the bridge entries depend on how a merge orders equal
+        # values; a query reads them only where a run ends
+        rng = np.random.default_rng(n)
+        xs = rng.integers(0, 3, n)
+        ys = rng.integers(0, 3, n)
+        d = DomCount2(xs, ys)
+        for a in range(-1, 5):
+            for b in range(-1, 5):
+                assert d.count(a, b) == int(np.sum((xs <= a) & (ys <= b))), (a, b)
+
     def test_empty(self):
         assert DomCount2([], []).count(5, 5) == 0
 
@@ -115,6 +128,14 @@ class TestPL2:
         assert query_pl2(pl, (-100, 1)) == 0
         assert query_pl2(pl, (100, 2)) == 1
         assert query_pl2(pl, (2, 9)) is None
+
+    @pytest.mark.parametrize("q", [("3", 1), (None, 1), (1.5, 1), (1, np.float64(0.5))])
+    def test_non_integer_query_rejected(self, q):
+        # the clamp into [NEG, POS] would pass 1.5 on to the comparisons
+        pl = build_pl2([Box2(0, (0, 3), (0, 3))])
+        with pytest.raises(ValidationError):
+            query_pl2(pl, q)
+        assert query_pl2(pl, (np.int64(1), np.int32(1))) == 0
 
 
 def _attrs(obj):
