@@ -438,7 +438,7 @@ def rank_locate(
     rs: RankSpace, q: tuple[int, int, int], counters: Counters | None = None
 ) -> tuple[int, int, int]:
     """Map a raw query point to floor ranks (-1 when below everything stored)."""
-    return tuple(floor_rank(ax, v, counters) for ax, v in zip(rs.axes, q))  # type: ignore[return-value]
+    return tuple(floor_rank(ax, query_coord(v), counters) for ax, v in zip(rs.axes, q))  # type: ignore[return-value]
 
 
 def rank_reduce_arrays(coords):

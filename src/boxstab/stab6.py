@@ -82,8 +82,6 @@ class ZR4Slow:
         if out is None:
             out = []
         qx, qy, qz = q
-        if not 0 <= qz < self.f:
-            raise ValidationError(f"qz={qz} outside the z universe [0,{self.f})")
         for d, z in halves_path(self.root, qz):
             out.extend(d.query((qx, qy, z), counters))
         return out
@@ -111,8 +109,17 @@ def build_zr4_slow(rects: list[Box3], f: int | None = None) -> ZR4Slow:
     return ZR4Slow(a["x2"], a["y2"], a["z1"], a["z2"], a["orig"], f)
 
 
+def _zr_query(q, f: int) -> tuple[int, int, int]:
+    """A z-restricted query as ints, checked once at the entry point: qz
+    must lie in the z universe [0, f)."""
+    q = tuple(map(query_coord, q))
+    if not 0 <= q[2] < f:
+        raise ValidationError(f"qz={q[2]} outside the z universe [0,{f})")
+    return q
+
+
 def query_zr4_slow(s: ZR4Slow, q, counters: Counters | None = None) -> list[int]:
-    return charge_output(s.query(tuple(map(query_coord, q)), counters), counters)
+    return charge_output(s.query(_zr_query(q, s.f), counters), counters)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +188,6 @@ class ZR4Fast:
         if out is None:
             out = []
         qx, qy, qz = q
-        if not 0 <= qz < self.f:
-            raise ValidationError(f"qz={qz} outside the z universe [0,{self.f})")
         if not self.groups:
             return out
         gi = floor_rank(self.group_bounds, qx, counters)
@@ -209,7 +214,7 @@ def build_zr4_fast(
 
 
 def query_zr4_fast(s: ZR4Fast, q, counters: Counters | None = None, trace=None) -> list[int]:
-    return charge_output(s.query(tuple(map(query_coord, q)), counters, trace), counters)
+    return charge_output(s.query(_zr_query(q, s.f), counters, trace), counters)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +311,8 @@ def build_zr6(
 
 
 def query_zr6(tree: ZR6Tree, q, counters: Counters | None = None, trace=None) -> list[int]:
-    qx, qy, qz = map(query_coord, q)
-    if not 0 <= qz < tree.f:
-        raise ValidationError(f"qz={qz} outside the z universe [0,{tree.f})")
     out: list[int] = []
-    _query_node(tree.root, (qx, qy, qz), counters, trace, out)
+    _query_node(tree.root, _zr_query(q, tree.f), counters, trace, out)
     return charge_output(out, counters)
 
 
@@ -454,7 +456,7 @@ def query_stab6(
             _query_node(node.M, (qx, qy, c), counters, trace, out)
         for trees, side in ((node.R, -1), (node.L, 1)):
             s5 = trees.get(c)
-            if s5 is not None and s5.root is not None:
+            if s5 is not None:
                 _query_node(s5.root, (qx, qy, side * qz), counters, trace, out)
         node = node.children.get(c)
     return charge_output(out, counters)

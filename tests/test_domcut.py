@@ -7,13 +7,16 @@ import pytest
 from boxstab.counters import Counters
 from boxstab.domcut import (
     Dominance3,
+    _build_findany_subdivision,
+    _pareto_minima,
+    _Stair,
     build_cutting2,
     build_cutting3,
     build_dominance3,
     find_any,
     query_dominance3,
 )
-from boxstab.geom import NEG, POS
+from boxstab.geom import NEG, POS, ValidationError
 from boxstab.oracle import brute_dominance, brute_topk_dominance, verify_cutting
 
 
@@ -209,6 +212,15 @@ class TestCutting2:
             rep = verify_cutting(cut, pts, t)
             assert rep.coverage_ok and rep.conflict_ok, (t, rep)
 
+    @pytest.mark.parametrize("qx", ["3", None, 1.5, np.float64(0.5)])
+    def test_non_integer_query_rejected(self, qx):
+        # the corner lookup compares qx with the corners' a: 1.5 would be
+        # answered and "3" or None would raise a raw TypeError
+        cut = build_cutting2([(0, 5), (1, 4), (2, 3)], t=1)
+        with pytest.raises(ValidationError):
+            cut.rightmost_corner_at_or_left(qx)
+        assert cut.rightmost_corner_at_or_left(np.int64(1)) == cut.rightmost_corner_at_or_left(1)
+
 
 class TestCutting3:
     def test_trivial_small(self):
@@ -280,6 +292,66 @@ class TestCutting3:
             assert label is not None
             conf = set(cut.conflicts[label])
             assert set(expect) <= conf
+
+
+def _dominates(p, q):
+    return p[0] <= q[0] and p[1] <= q[1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_stair_against_brute(seed):
+    # after every insert the entries are the pareto-minimal corners so far
+    # (of equal corners the first), a ascending and b strictly descending;
+    # insert answers None exactly when a live corner is <= the new one, and
+    # otherwise exactly the live corners the new one is <= on both axes
+    rng = np.random.default_rng(600 + seed)
+    stair, seen = _Stair(), []
+    for k in range(80):
+        a, b = (int(v) for v in rng.integers(0, 6, 2))
+        live = [(e[0], -e[1], e[2]) for e in stair.entries]
+        got = stair.insert(a, b, k)
+        if any(_dominates(c, (a, b)) for c in live):
+            assert got is None
+        else:
+            removed, i = got
+            assert [(r[0], -r[1], r[2]) for r in removed] == [c for c in live if _dominates((a, b), c)]
+            assert stair.entries[i] == [a, -b, k]
+        seen.append((a, b, k))
+        minimal = sorted(c for c in seen if not any(_dominates(d, c) and (d[:2] != c[:2] or d[2] < c[2]) for d in seen))
+        assert [(e[0], -e[1], e[2]) for e in stair.entries] == minimal
+        assert all(p[0] < q[0] and p[1] > q[1] for p, q in zip(minimal, minimal[1:]))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pareto_minima_against_brute(seed):
+    # values from a range of three repeat whole boxes, so exact duplicates
+    # occur: the first of them in (a, b, c) order, the lowest index, stays
+    rng = np.random.default_rng(700 + seed)
+    boxes = [tuple(int(v) for v in rng.integers(0, 3, 3)) for _ in range(int(rng.integers(0, 30)))]
+    expect = [
+        i for i, p in enumerate(boxes)
+        if not any(all(u <= v for u, v in zip(q, p)) and (q != p or j < i) for j, q in enumerate(boxes))
+    ]
+    assert _pareto_minima(boxes) == expect
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_findany_subdivision_against_brute(seed):
+    # disjoint rectangles, and every grid point, the clip band's NEG // 2
+    # and POS // 2 included, labeled by the covering box of least
+    # (z-corner, index)
+    rng = np.random.default_rng(800 + seed)
+    pool = [NEG // 2, 0, 1, 2, 3, POS // 2]
+    boxes = [tuple(int(v) for v in rng.choice(pool, 3)) for _ in range(int(rng.integers(1, 12)))]
+    sub = _build_findany_subdivision(boxes, 64)
+    rects = list(zip(sub.x1, sub.x2, sub.y1, sub.y2, sub.label))
+    for r, s in itertools.combinations(rects, 2):
+        assert r[1] < s[0] or s[1] < r[0] or r[3] < s[2] or s[3] < r[2], (r, s)
+    grid = sorted({v + d for v in pool for d in (-1, 0, 1)})
+    for qx, qy in itertools.product(grid, grid):
+        covering = [i for i, p in enumerate(boxes) if _dominates(p, (qx, qy))]
+        expect = [min(covering, key=lambda i: (boxes[i][2], i))] if covering else []
+        assert [r[4] for r in rects if r[0] <= qx <= r[1] and r[2] <= qy <= r[3]] == expect, (qx, qy)
 
 
 def test_conflict_lists_are_exact_dominators():

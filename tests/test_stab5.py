@@ -94,7 +94,7 @@ def test_query_past_sentinels(build, query, params, leaf_root):
 
 
 @pytest.mark.parametrize("q", [("3", 1, 1), (None, 1, 1), (1.5, 1, 1), (1, np.float64(0.5), 1), (1, 1, 1.5)])
-@pytest.mark.parametrize("name", ["stab5", "leaf5", "slow5", "stab6", "zr4slow", "zr4fast", "zr6", "dom3"])
+@pytest.mark.parametrize("name", ["stab5", "leaf5", "slow5", "stab6", "zr4slow", "zr4fast", "zr6", "dom3", "pl3d"])
 def test_non_integer_query_rejected(name, q):
     # the query domain is the integers: a float, a string or None raises
     # ValidationError, never a raw TypeError or an answer

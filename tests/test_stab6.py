@@ -59,6 +59,12 @@ class TestZR4Fast:
         s = build_zr4_fast(rects, f=2)
         assert query_zr4_fast(s, (9, 9, 0)) == []
 
+    @pytest.mark.parametrize("qz", [-1, 2])
+    def test_qz_validation(self, qz):
+        s = build_zr4_fast([Box3(0, (None, 5), (None, 5), (0, 1))], f=2)
+        with pytest.raises(ValidationError):
+            query_zr4_fast(s, (0, 0, qz))
+
     @pytest.mark.parametrize("f", [2, 4, 8])
     @pytest.mark.parametrize("n", [64, 512, 4096])
     def test_oracle(self, n, f):
