@@ -7,12 +7,16 @@ every lookup a plain index, with no numpy call on the query path.
 DomCount2 is a static layered structure: points in x-order, y-sorted blocks
 doubling per level, with positional bridges between levels, so a count query
 costs one initial binary search plus O(1) work per level.  It stores the
-sorted xs, the top level's ys and one flat bridge array per level.  Each
-level merges its two children's blocks by one stable argsort, and bridge
-entry p of a block counts the left child's values among the block's first
-p.  Inside a run of tied ys the entries follow the merge's tie order, but
-a query never reads there: its position is always the count of values
-<= b, which ends a run.
+sorted xs, the top level's ys and its bridges: one flat arena, levels top
+first, each level's blocks as rows of size + 1 entries, which a query walks
+with level offsets computed once per padded length.  Bridge entry p of a
+block counts the left child's values among the first p of the block's
+stable merge.  That merge puts the block's positions in stable (y,
+position) order, which is their order in one stable argsort of the whole
+level; so one argsort, one stable sort of block ids per level and one
+gather build every level, with no merge.  Inside a run of tied ys the
+entries follow that tie order, but a query never reads there: its position
+is always the count of values <= b, which ends a run.
 
 PL2 locates a point among disjoint rectangles via an interval tree on x
 midlines; rectangles crossing a common vertical line have disjoint
@@ -25,8 +29,11 @@ StabEmpty2 counts the rectangles containing (qx, qy) as four signed
 dominance counts, ac(qx, qy) - bc(qx - 1, qy) - ad(qx, qy - 1) +
 bd(qx - 1, qy - 1), each over a pair of corners (a, b the x1, x2 sides;
 c, d the y1, y2 sides); a rectangle with x2 < qx has x1 <= qx, and one
-with y2 < qy has y1 <= qy.  The four counts share four searches, one per
-sorted key.
+with y2 < qy has y1 <= qy.  The four counters are built in one pass and
+share what they can: ac and ad one sorted x1 key array, bc and bd one x2
+array, ac and bc one y1 top level, ad and bd one y2 top level, and all
+four one bridge arena, so a StabEmpty2 holds five arrays.  The four
+counts share four searches, one per sorted key.
 
 Space is metered as payload bits: each stored coordinate/label is charged
 once at the bit width of its value domain.  That models a packed
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,65 +54,54 @@ from .geom import NEG, POS, SIDES, ValidationError, box_arrays, query_coord, req
 from .oracle import NotDisjointError
 
 
+_I32_MIN = -(2**31)
+_I32_PAD = 2**31 - 1  # pads each level to a power of two; above every y
+
+
 def int64_array(a) -> array:
-    """The values of ``a`` as an ``array('q')`` of exactly their length: an
-    array built from bytes keeps growth room, 3 to 7 spare words plus 1/16,
-    and the slice copies it without."""
-    return array("q", np.asarray(a, dtype=np.int64).tobytes())[:]
+    """The values of ``a`` as an ``array('q')`` of exactly their length."""
+    return _packed("q", np.asarray(a, dtype=np.int64))
+
+
+def _packed(typecode: str, a: np.ndarray) -> array:
+    """The bytes of ``a`` as an exact-length array of ``typecode``: an array
+    built from bytes keeps growth room, 3 to 7 spare words plus 1/16, and
+    the slice copies it without."""
+    return array(typecode, a.tobytes())[:]
+
+
+def _int_rows(cols, what: str) -> np.ndarray:
+    """The equal-length columns ``cols`` stacked as rows of one array.
+    Raise ValidationError unless every value is an integer (a conversion
+    to int would silently truncate any other) in [-2^31, 2^31 - 2], the
+    range of a dominance counter's int32 levels below their padding."""
+    a = np.asarray(cols)
+    if a.size and (a.dtype.kind not in "iu" or a.min() < _I32_MIN or a.max() >= _I32_PAD):
+        raise ValidationError(f"{what} coordinates must be integers in [-2^31, 2^31 - 2]")
+    return a
 
 
 # ---------------------------------------------------------------------------
 # dominance counting
 
 
-_I32_MIN = -(2**31)
-_I32_PAD = 2**31 - 1  # pads each level to a power of two; above every y
-
-
 class DomCount2:
     """Count points with x <= a and y <= b, exactly.
 
-    Coordinates must lie in [-2^31, 2^31 - 2], as rank space always does;
-    queries may be any integers.
+    Coordinates must be integers in [-2^31, 2^31 - 2], as rank space
+    always is; queries may be any integers.  ``bridges`` is an arena that
+    other counters may share; ``levels`` walks this counter's part of it.
     """
 
-    __slots__ = ("n", "bits_stored", "xs", "top", "bridges", "N")
+    __slots__ = ("n", "bits_stored", "xs", "top", "bridges", "levels", "N")
 
     def __init__(self, xs, ys, coord_width: int | None = None):
-        xs = np.asarray(xs, dtype=np.int64)
-        ys = np.asarray(ys, dtype=np.int64)
-        self.n = len(xs)
+        pts = _int_rows((xs, ys), "DomCount2")
+        n = pts.shape[1]
         w = coord_width if coord_width is not None else (
-            bit_width(int(max(xs.max(), ys.max()) + 1)) if self.n else 1
+            bit_width(int(pts.max()) + 1) if n else 1
         )
-        self.bits_stored = 2 * w * self.n
-        self.xs = array("q")
-        self.top = array("i")
-        self.bridges: list[array] = []
-        self.N = 0
-        if self.n == 0:
-            return
-        if min(xs.min(), ys.min()) < _I32_MIN or max(xs.max(), ys.max()) >= _I32_PAD:
-            raise ValidationError("DomCount2 coordinates exceed int32 range")
-        order = np.argsort(xs, kind="stable")
-        self.xs = int64_array(xs[order])
-        N = 1 << max(0, (self.n - 1).bit_length())
-        level = np.full(N, _I32_PAD, dtype=np.int32)
-        level[: self.n] = ys[order]
-        # bridges[l], l = 0 for the top level: row `block` of length
-        # size + 1 (size = N >> l), entry p = #left-child elems among the
-        # first p of the block's stable merge
-        size = 1
-        while size < N:
-            size *= 2
-            blocks = level.reshape(N // size, size)
-            order = np.argsort(blocks, axis=1, kind="stable")
-            bl = np.zeros((N // size, size + 1), dtype=np.int32)
-            np.cumsum(order < size // 2, axis=1, out=bl[:, 1:])
-            level = level[(order + np.arange(0, N, size)[:, None]).ravel()]
-            self.bridges.insert(0, array("i", bl.tobytes()))
-        self.top = array("i", level.tobytes())
-        self.N = N
+        _build_counters([self], pts[:1], pts[1:], [(0, 0)], w)
 
     def prefix_of(self, a: int, counters: Counters | None = None) -> int:
         """#points with x <= a; the initial x binary search."""
@@ -129,20 +126,20 @@ class DomCount2:
         if self.n == 0 or P == 0:
             return 0
         if counters is not None:
-            counters.predecessor_steps += len(self.bridges)
+            counters.predecessor_steps += len(self.levels)
+        bridges = self.bridges
         ans = 0
         s = 0
-        half = self.N >> 1
-        for bl in self.bridges:
-            # the block of size 2 * half starting at s is row s // (2 * half)
-            left_cnt = bl[s + s // (2 * half) + pos]
+        for o, half, size in self.levels:
+            # the block of this size starting at s is row s // size, whose
+            # size + 1 entries start at s + s // size in the level
+            left_cnt = bridges[o + s + s // size + pos]
             if P >= s + half:
                 ans += left_cnt
                 pos -= left_cnt
                 s += half
             else:
                 pos = left_cnt
-            half >>= 1
         if P > s:
             ans += pos
         return ans
@@ -153,6 +150,81 @@ class DomCount2:
         )
 
 
+@lru_cache(maxsize=32)  # N is a power of two and P is 1 or 4
+def _level_maps(N: int, P: int):
+    """What the bridge arena of P counters of padded length N needs besides
+    their data.  Level l = 0 .. L - 1 (L = log2 N, top first) has blocks of
+    size S = N >> l, stored as N / S rows of S + 1 entries, so a counter's
+    levels take L N + N - 1 entries, and counter k's come k-th.  The two
+    gathers take four times the bytes of the arena they cut, so the cache
+    keeps only the sizes used last.
+
+    Returns the shift that turns a position into its block id at each
+    level; the half block S / 2, whose bit marks a right child's position;
+    the two gathers that cut the running left counts, N + 1 per level and
+    counter from a leading 0, into rows (entry p of block b is count[bS +
+    p] - count[bS]); and each counter's walk: per level, its first entry
+    in the arena, S / 2 and S."""
+    L = max(N.bit_length() - 1, 0)
+    shift = np.arange(L, 0, -1)[:, None]
+    lo, hi = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for l in range(L):
+        b = np.arange(0, N, N >> l) + l * (N + 1)  # the level's row starts
+        p = np.arange((N >> l) + 1)
+        lo.append(np.repeat(b, len(p)))
+        hi.append((b[:, None] + p).ravel())
+    lo, hi = ((np.concatenate(m) + L * (N + 1) * np.arange(P)[:, None]).ravel() for m in (lo, hi))
+    for m in (shift, hi, lo):
+        m.setflags(write=False)
+    walks = tuple(
+        tuple((k * (L * N + N - 1) + l * N + (1 << l) - 1, N >> l >> 1, N >> l) for l in range(L))
+        for k in range(P)
+    )
+    return shift, 1 << (shift - 1), hi, lo, walks
+
+
+def _build_counters(counters, xs: np.ndarray, ys: np.ndarray, pairs, width: int) -> None:
+    """Build ``counters[k]`` over the points (xs[i], ys[j]) for the k-th
+    (i, j) of ``pairs``, all in one numpy pass.  Counters on one x row
+    share its sorted keys and counters on one y row its top level; the
+    bridges of all sit in one arena, one counter after another.
+
+    A level with blocks of size S holds each block's ys in the stable merge
+    order of its two halves, each sorted the same way one level down: the
+    block's positions in stable (y, position) order.  That is their order
+    in one stable argsort of the whole padded level, so every level is
+    that global order stably sorted by block id."""
+    n = xs.shape[1]
+    N = 1 << (n - 1).bit_length() if n > 1 else n
+    P = len(pairs)
+    ox = np.argsort(xs, axis=1, kind="stable")
+    i, j = np.array(pairs).T
+    level = np.full((P, N), _I32_PAD, dtype=np.int32)
+    level[:, :n] = ys[j[:, None], ox[i]]
+    order = np.argsort(level, axis=1, kind="stable")
+    shift, half, hi, lo, walks = _level_maps(N, P)
+    # block ids fit 8 or 16 bits below N = 2^17, where numpy's stable sort
+    # is a radix sort
+    block = (order[:, None, :] >> shift).astype(np.min_scalar_type(max(N // 2 - 1, 0)))
+    merged = order.take(np.argsort(block, axis=2, kind="stable") + N * np.arange(P)[:, None, None])
+    count = np.zeros((P, len(shift), N + 1), dtype=np.int32)
+    np.cumsum((merged & half) == 0, axis=2, out=count[:, :, 1:])
+    count = count.ravel()
+    bridges = _packed("i", count.take(hi) - count.take(lo))
+    keys = [int64_array(k) for k in np.sort(xs, axis=1)]
+    tops = np.full((len(ys), N), _I32_PAD, dtype=np.int32)
+    tops[:, :n] = np.sort(ys, axis=1)
+    tops = [_packed("i", t) for t in tops]
+    for d, (i, j), walk in zip(counters, pairs, walks):
+        d.n = n
+        d.bits_stored = 2 * width * n
+        d.xs = keys[i]
+        d.top = tops[j]
+        d.bridges = bridges
+        d.levels = walk
+        d.N = N
+
+
 # ---------------------------------------------------------------------------
 # planar point location over disjoint rectangles
 
@@ -160,10 +232,11 @@ class DomCount2:
 class PL2:
     """Point location among disjoint (possibly half-unbounded) rectangles.
 
-    Rectangles are given as parallel arrays, or lists of ints, which are
-    used as they are; unbounded sides use the NEG/POS sentinels.  Build
-    raises NotDisjointError when two rectangles sharing a vertical line
-    overlap in y over integer points.
+    Rectangles are given as parallel integer arrays, or lists of ints,
+    which are used as they are; unbounded sides use the NEG/POS sentinels.
+    Build raises ValidationError for a value that is not an integer, and
+    NotDisjointError when two rectangles sharing a vertical line overlap
+    in y over integer points.
 
     The tree is stored in preorder: ``nodes`` holds five entries per node,
     (center, start, end, left, right), a missing child being -1, and the
@@ -173,10 +246,7 @@ class PL2:
     __slots__ = ("n", "bits_stored", "nodes", "x1", "x2", "y1", "y2", "label")
 
     def __init__(self, x1, x2, y1, y2, labels, coord_width: int | None = None, label_width: int | None = None):
-        cols = [
-            c if isinstance(c, list) else np.asarray(c, dtype=np.int64).tolist()
-            for c in (x1, x2, y1, y2, labels)
-        ]
+        cols = [_int_list(c) for c in (x1, x2, y1, y2, labels)]
         self.n = len(cols[0])
         cw = coord_width if coord_width is not None else 32
         lw = label_width if label_width is not None else bit_width(self.n + 1)
@@ -202,6 +272,21 @@ class PL2:
             center = nodes[b]
             b = 5 * (nodes[b + 3] if qx < center else nodes[b + 4] if qx > center else -1)
         return None
+
+
+def _int_list(c) -> list:
+    """The PL2 column ``c`` as a list of ints, a list as it is; raise
+    ValidationError for any value that is not an integer."""
+    if isinstance(c, list):
+        try:
+            array("q", c)
+        except (TypeError, OverflowError):
+            raise ValidationError("PL2 columns must be int64 integers") from None
+        return c
+    a = np.asarray(c)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValidationError("PL2 columns must be int64 integers")
+    return a.tolist()
 
 
 def _build_pl2(idx, x1, x2, y1, y2, nodes, rows) -> int:
@@ -254,22 +339,15 @@ class StabEmpty2:
     __slots__ = ("n", "bits_stored", "ac", "ad", "bc", "bd")
 
     def __init__(self, x1, x2, y1, y2, coord_width: int | None = None):
-        x1 = np.asarray(x1, dtype=np.int64)
-        x2 = np.asarray(x2, dtype=np.int64)
-        y1 = np.asarray(y1, dtype=np.int64)
-        y2 = np.asarray(y2, dtype=np.int64)
-        if len(x1) and (x1.min() <= NEG or x2.max() >= POS or y1.min() <= NEG or y2.max() >= POS):
-            raise ValidationError("StabEmpty2 requires finite rectangles")
-        self.n = len(x1)
+        # finite: the NEG/POS sentinels lie outside the checked range
+        a = _int_rows((x1, x2, y1, y2), "StabEmpty2")
+        self.n = a.shape[1]
         cw = coord_width if coord_width is not None else 32
-        self.ac = DomCount2(x1, y1, coord_width=cw)
-        self.ad = DomCount2(x1, y2, coord_width=cw)
-        self.bc = DomCount2(x2, y1, coord_width=cw)
-        self.bd = DomCount2(x2, y2, coord_width=cw)
+        self.ac, self.ad, self.bc, self.bd = counters = [DomCount2.__new__(DomCount2) for _ in range(4)]
+        _build_counters(counters, a[:2], a[2:], [(0, 0), (0, 1), (1, 0), (1, 1)], cw)
         # 4 * cw * n charges four sorted rank arrays, which the counters'
         # own first searches replace and nothing stores
-        self.bits_stored = 4 * cw * self.n + self.ac.bits_stored + self.ad.bits_stored \
-            + self.bc.bits_stored + self.bd.bits_stored
+        self.bits_stored = 4 * cw * self.n + sum(d.bits_stored for d in counters)
 
     def count(self, qx: int, qy: int, counters: Counters | None = None) -> int:
         if self.n == 0:
@@ -306,4 +384,4 @@ def query_stab_empty(s: StabEmpty2, q, counters: Counters | None = None) -> bool
 
 
 def dominance_count(d: DomCount2, a: int, b: int, counters: Counters | None = None) -> int:
-    return d.count(a, b, counters)
+    return d.count(query_coord(a), query_coord(b), counters)

@@ -13,7 +13,7 @@ import numpy as np
 from . import oracle
 from .counters import Counters
 from .domcut import build_cutting2, build_cutting3, build_dominance3, find_any, query_dominance3
-from .geom import ModelParams, DEFAULT_PARAMS, ValidationError, contains, rank_locate, rank_reduce
+from .geom import ModelParams, DEFAULT_PARAMS, ValidationError, contains, query_coord, rank_locate, rank_reduce
 from .instances import Instance
 from .pl3d import build_pl3, query_pl3
 from .range2d import build_pl2, build_stab_count, query_pl2, query_stab_count
@@ -178,7 +178,9 @@ STRUCTURES = {
     ),
     "cut3": Structure(
         "topk-dom", lambda inst, p, level: build_cutting3(_points_of(inst), level),
-        lambda s, case, c: find_any(s, case[0], case[1], c), cases=_xy,
+        # find_any runs inside every top-k tier walk, so its query is
+        # checked here, not on that path
+        lambda s, case, c: find_any(s, query_coord(case[0]), query_coord(case[1]), c), cases=_xy,
         check=lambda s, inst: oracle.verify_cutting(s, _points_of(inst), s.t),
     ),
 }

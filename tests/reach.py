@@ -1,5 +1,7 @@
 """Walk a built structure's object graph."""
 
+from array import array
+
 
 def reachable(root):
     """Every object reachable from ``root`` through boxstab objects' slots
@@ -19,3 +21,8 @@ def reachable(root):
             slots = [k for cls in type(obj).__mro__ for k in getattr(cls, "__slots__", ())]
             todo.extend(getattr(obj, k) for k in slots if hasattr(obj, k))
             todo.extend(getattr(obj, "__dict__", {}).values())
+
+
+def arrays(root):
+    """The stdlib arrays reachable from ``root``, each once."""
+    return [o for o in reachable(root) if isinstance(o, array)]

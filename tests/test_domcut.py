@@ -18,6 +18,7 @@ from boxstab.domcut import (
 )
 from boxstab.geom import NEG, POS, ValidationError
 from boxstab.oracle import brute_dominance, brute_topk_dominance, verify_cutting
+from boxstab.verify import STRUCTURES
 
 
 def rand_points(n, U, seed, dim=3):
@@ -241,6 +242,17 @@ class TestCutting3:
         cut = build_cutting3(pts, t=4)
         assert find_any(cut, 5, 5) is not None
         assert find_any(cut, 100, 100) is not None
+
+    @pytest.mark.parametrize("q", [("3", 1), (None, 1), (5.5, 6.5), (6, np.float64(6.5))])
+    def test_cut3_row_rejects_non_integer_query(self, q):
+        # verify's cut3 row checks the query, since find_any itself runs in
+        # every top-k tier walk: "3" used to raise a raw TypeError and
+        # (5.5, 6.5) was answered
+        row = STRUCTURES["cut3"]
+        cut = build_cutting3([(5, 5, 5)], t=4)
+        with pytest.raises(ValidationError):
+            row.query(cut, q, None)
+        assert row.query(cut, (np.int64(6), 6), None) == find_any(cut, 6, 6) == 0
 
     def test_find_any_left_of_corners(self):
         pts = [(50, 50, 5), (60, 60, 6)]

@@ -1,15 +1,19 @@
 import sys
 from array import array
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from boxstab.counters import Counters
-from boxstab.geom import Box2, ValidationError
+from boxstab.geom import Box2, ModelParams, ValidationError, rank_reduce
 from boxstab.instances import gen
 from boxstab.oracle import NotDisjointError, brute_count2, brute_locate2
+from boxstab.pl3d import build_pl3
 from boxstab.range2d import (
+    PL2,
     DomCount2,
+    StabEmpty2,
     build_pl2,
     build_stab_count,
     dominance_count,
@@ -18,6 +22,7 @@ from boxstab.range2d import (
     query_stab_count,
     query_stab_empty,
 )
+from reach import arrays, reachable
 
 
 def random_rects2(n, U, seed):
@@ -98,6 +103,145 @@ class TestDomCount2:
             c = d.count(a, 6)
             assert c >= prev
             prev = c
+
+
+class RefDomCount2:
+    """The per-level DomCount2 build and walk that the bridge arena
+    replaced, kept as the reference: one bridge array per level (top
+    first), each level merged by one stable argsort of its blocks."""
+
+    def __init__(self, xs, ys):
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        self.n = len(xs)
+        self.xs, self.top, self.bridges, self.N = [], [], [], 0
+        if self.n == 0:
+            return
+        order = np.argsort(xs, kind="stable")
+        self.xs = xs[order].tolist()
+        N = 1 << max(0, (self.n - 1).bit_length())
+        level = np.full(N, 2**31 - 1, dtype=np.int32)
+        level[: self.n] = ys[order]
+        size = 1
+        while size < N:
+            size *= 2
+            blocks = level.reshape(N // size, size)
+            order = np.argsort(blocks, axis=1, kind="stable")
+            bl = np.zeros((N // size, size + 1), dtype=np.int32)
+            np.cumsum(order < size // 2, axis=1, out=bl[:, 1:])
+            level = level[(order + np.arange(0, N, size)[:, None]).ravel()]
+            self.bridges.insert(0, bl.ravel().tolist())
+        self.top = level.tolist()
+        self.N = N
+
+    def count(self, a, b, counters):
+        if self.n == 0:
+            return 0
+        counters.charge_search(self.n)
+        P = bisect_right(self.xs, a)
+        counters.charge_search(self.N)
+        pos = bisect_right(self.top, b, 0, self.n)
+        if P == 0:
+            return 0
+        counters.predecessor_steps += len(self.bridges)
+        ans = 0
+        s = 0
+        half = self.N >> 1
+        for bl in self.bridges:
+            left_cnt = bl[s + s // (2 * half) + pos]
+            if P >= s + half:
+                ans += left_cnt
+                pos -= left_cnt
+                s += half
+            else:
+                pos = left_cnt
+            half >>= 1
+        if P > s:
+            ans += pos
+        return ans
+
+
+def _bridge_rows(d):
+    """Each level's bridges, top first, as they sit in ``d``'s arena."""
+    return [d.bridges[o: o + d.N + d.N // size].tolist() for o, _, size in d.levels]
+
+
+def _assert_matches_reference(d, xs, ys, grid):
+    ref = RefDomCount2(xs, ys)
+    assert d.xs.tolist() == ref.xs
+    assert d.top.tolist() == ref.top
+    assert _bridge_rows(d) == ref.bridges
+    got, want = Counters(), Counters()
+    for a in grid:
+        for b in grid:
+            assert d.count(a, b, got) == ref.count(a, b, want) == int(np.sum((xs <= a) & (ys <= b))), (a, b)
+    assert got == want
+
+
+ARENA_SIZES = sorted(set(range(71)) | {(1 << k) + e for k in range(1, 11) for e in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "distinct"])
+@pytest.mark.parametrize("n", ARENA_SIZES)
+def test_arena_matches_per_level_build(n, ties):
+    # keys, top level and every bridge row equal the per-level build's,
+    # for a standalone counter and for each of StabEmpty2's four, and the
+    # counts and their Counters do too; ties at values in [0, 3) make the
+    # merge's tie order matter inside runs
+    rng = np.random.default_rng(n)
+    if ties:
+        cols = rng.integers(0, 3, (4, n))
+        grid = range(-1, 4)
+    else:
+        cols = np.array([rng.permutation(n) for _ in range(4)]).reshape(4, n)
+        grid = range(-1, n + 1) if n <= 70 else sorted(set(rng.integers(-1, n + 1, 40).tolist()))
+    _assert_matches_reference(DomCount2(cols[0], cols[2]), cols[0], cols[2], grid)
+    x1, x2 = np.minimum(cols[0], cols[1]), np.maximum(cols[0], cols[1])
+    y1, y2 = np.minimum(cols[2], cols[3]), np.maximum(cols[2], cols[3])
+    s = StabEmpty2(x1, x2, y1, y2)
+    for d, xs, ys in ((s.ac, x1, y1), (s.ad, x1, y2), (s.bc, x2, y1), (s.bd, x2, y2)):
+        _assert_matches_reference(d, xs, ys, grid)
+    for qx in grid:
+        for qy in grid:
+            want = int(np.sum((x1 <= qx) & (qx <= x2) & (y1 <= qy) & (qy <= y2)))
+            assert s.count(qx, qy) == want, (qx, qy)
+
+
+def test_stab_empty2_shares_keys_and_one_arena():
+    rng = np.random.default_rng(8)
+    x1 = rng.integers(0, 50, 40)
+    y1 = rng.integers(0, 50, 40)
+    s = StabEmpty2(x1, x1 + 3, y1, y1 + 5)
+    assert s.ac.xs is s.ad.xs and s.bc.xs is s.bd.xs
+    assert s.ac.top is s.bc.top and s.ad.top is s.bd.top
+    assert s.ac.bridges is s.ad.bridges is s.bc.bridges is s.bd.bridges
+    assert len(arrays(s)) == 5
+
+
+def test_pl3d_stab_empty2s_hold_five_arrays_each():
+    # two key arrays, two top levels and one bridge arena per StabEmpty2
+    rs, red = rank_reduce(list(gen("pl-disjoint", 2000, 4000, seed=3).boxes))
+    pl = build_pl3(red, tuple(max(2, rs.size(a)) for a in range(3)), params=ModelParams())
+    stabs = [o for o in reachable(pl) if isinstance(o, StabEmpty2) and o.n]
+    assert stabs
+    assert {len(arrays(s)) for s in stabs} == {5}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DomCount2([1.5, 2], [1, 2]),
+    lambda: DomCount2([1, 2], np.array([0.5, 1.0])),
+    lambda: DomCount2(["1"], [1]),
+    lambda: StabEmpty2([0.5], [2], [0], [2]),
+    lambda: StabEmpty2([0], [2], [0], [np.float64(2)]),
+    lambda: PL2([0.5], [2], [0], [2], [7]),
+    lambda: PL2([0], [2], [0], [2], [None]),
+    lambda: PL2(np.array([0.5]), [2], [0], [2], [7]),
+])
+def test_non_integer_coordinates_rejected(build):
+    # DomCount2 and StabEmpty2 used to truncate 0.5 and 1.5 to ints and
+    # answer for the truncated points; PL2 raised a raw TypeError
+    with pytest.raises(ValidationError):
+        build()
 
 
 class TestPL2:
@@ -207,6 +351,14 @@ class TestStabCount:
         c = Counters()
         query_stab_count(s, (10, 10), c)
         assert c.predecessor_steps > 0
+
+
+@pytest.mark.parametrize("a,b", [("3", 2), (1.5, 2), (2, None), (2, np.float64(0.5))])
+def test_dominance_count_non_integer_query_rejected(a, b):
+    d = DomCount2([1, 2], [1, 2])
+    with pytest.raises(ValidationError):
+        dominance_count(d, a, b)
+    assert dominance_count(d, np.int64(1), np.int32(2)) == 1
 
 
 def test_dominance_count_op():
