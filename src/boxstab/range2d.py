@@ -14,7 +14,7 @@ block counts the left child's values among the first p of the block's
 stable merge.  That merge puts the block's positions in stable (y,
 position) order, which is their order in one stable argsort of the whole
 level; so one argsort, one stable sort of block ids per level and one
-gather build every level, with no merge.  Inside a run of tied ys the
+running count build every level, with no merge.  Inside a run of tied ys the
 entries follow that tie order, but a query never reads there: its position
 is always the count of values <= b, which ends a run.
 
@@ -150,37 +150,35 @@ class DomCount2:
         )
 
 
-@lru_cache(maxsize=32)  # N is a power of two and P is 1 or 4
+@lru_cache(maxsize=None)
 def _level_maps(N: int, P: int):
     """What the bridge arena of P counters of padded length N needs besides
     their data.  Level l = 0 .. L - 1 (L = log2 N, top first) has blocks of
     size S = N >> l, stored as N / S rows of S + 1 entries, so a counter's
-    levels take L N + N - 1 entries, and counter k's come k-th.  The two
-    gathers take four times the bytes of the arena they cut, so the cache
-    keeps only the sizes used last.
+    levels take A = L N + N - 1 entries, and counter k's come k-th.
 
     Returns the shift that turns a position into its block id at each
     level; the half block S / 2, whose bit marks a right child's position;
-    the two gathers that cut the running left counts, N + 1 per level and
-    counter from a leading 0, into rows (entry p of block b is count[bS +
-    p] - count[bS]); and each counter's walk: per level, its first entry
-    in the arena, S / 2 and S."""
+    the mask of the arena's entries that are not a row's leading 0; and
+    each counter's walk: per level, its first entry in the arena, S / 2
+    and S."""
     L = max(N.bit_length() - 1, 0)
-    shift = np.arange(L, 0, -1)[:, None]
-    lo, hi = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    # positions fit 8 or 16 bits below N = 2^17, and a stable sort of such
+    # keys is numpy's radix sort
+    shift = np.arange(L, 0, -1, dtype=np.min_scalar_type(max(N - 1, 0)))[:, None]
+    half = 1 << (shift - 1)
+    A = max(L * N + N - 1, 0)
+    body = np.ones((P, A), dtype=bool)
     for l in range(L):
-        b = np.arange(0, N, N >> l) + l * (N + 1)  # the level's row starts
-        p = np.arange((N >> l) + 1)
-        lo.append(np.repeat(b, len(p)))
-        hi.append((b[:, None] + p).ravel())
-    lo, hi = ((np.concatenate(m) + L * (N + 1) * np.arange(P)[:, None]).ravel() for m in (lo, hi))
-    for m in (shift, hi, lo):
+        body[:, l * N + (1 << l) - 1 + np.arange(0, N + (1 << l), (N >> l) + 1)] = False
+    body = body.ravel()
+    for m in (shift, half, body):
         m.setflags(write=False)
     walks = tuple(
-        tuple((k * (L * N + N - 1) + l * N + (1 << l) - 1, N >> l >> 1, N >> l) for l in range(L))
+        tuple((k * A + l * N + (1 << l) - 1, N >> l >> 1, N >> l) for l in range(L))
         for k in range(P)
     )
-    return shift, 1 << (shift - 1), hi, lo, walks
+    return shift, half, body, walks
 
 
 def _build_counters(counters, xs: np.ndarray, ys: np.ndarray, pairs, width: int) -> None:
@@ -201,16 +199,18 @@ def _build_counters(counters, xs: np.ndarray, ys: np.ndarray, pairs, width: int)
     i, j = np.array(pairs).T
     level = np.full((P, N), _I32_PAD, dtype=np.int32)
     level[:, :n] = ys[j[:, None], ox[i]]
-    order = np.argsort(level, axis=1, kind="stable")
-    shift, half, hi, lo, walks = _level_maps(N, P)
-    # block ids fit 8 or 16 bits below N = 2^17, where numpy's stable sort
-    # is a radix sort
-    block = (order[:, None, :] >> shift).astype(np.min_scalar_type(max(N // 2 - 1, 0)))
+    shift, half, body, walks = _level_maps(N, P)
+    order = np.argsort(level, axis=1, kind="stable").astype(shift.dtype)
+    block = order[:, None, :] >> shift
     merged = order.take(np.argsort(block, axis=2, kind="stable") + N * np.arange(P)[:, None, None])
-    count = np.zeros((P, len(shift), N + 1), dtype=np.int32)
-    np.cumsum((merged & half) == 0, axis=2, out=count[:, :, 1:])
-    count = count.ravel()
-    bridges = _packed("i", count.take(hi) - count.take(lo))
+    # each row's running count of left-child positions: a running count
+    # over the whole arena, less its value at the row's leading 0, the
+    # largest such value so far
+    count = np.zeros(len(body), dtype=np.int32)
+    count[body] = ((merged & half) == 0).ravel()
+    np.cumsum(count, out=count)
+    count -= np.maximum.accumulate(np.where(body, 0, count))
+    bridges = _packed("i", count)
     keys = [int64_array(k) for k in np.sort(xs, axis=1)]
     tops = np.full((len(ys), N), _I32_PAD, dtype=np.int32)
     tops[:, :n] = np.sort(ys, axis=1)
