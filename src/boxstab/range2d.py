@@ -246,7 +246,11 @@ class PL2:
     __slots__ = ("n", "bits_stored", "nodes", "x1", "x2", "y1", "y2", "label")
 
     def __init__(self, x1, x2, y1, y2, labels, coord_width: int | None = None, label_width: int | None = None):
-        cols = [_int_list(c) for c in (x1, x2, y1, y2, labels)]
+        cols = [c if isinstance(c, list) else np.asarray(c).tolist() for c in (x1, x2, y1, y2, labels)]
+        try:
+            array("q", sum(cols, []))  # which takes integers only
+        except (TypeError, OverflowError):
+            raise ValidationError("PL2 columns must be int64 integers") from None
         self.n = len(cols[0])
         cw = coord_width if coord_width is not None else 32
         lw = label_width if label_width is not None else bit_width(self.n + 1)
@@ -272,21 +276,6 @@ class PL2:
             center = nodes[b]
             b = 5 * (nodes[b + 3] if qx < center else nodes[b + 4] if qx > center else -1)
         return None
-
-
-def _int_list(c) -> list:
-    """The PL2 column ``c`` as a list of ints, a list as it is; raise
-    ValidationError for any value that is not an integer."""
-    if isinstance(c, list):
-        try:
-            array("q", c)
-        except (TypeError, OverflowError):
-            raise ValidationError("PL2 columns must be int64 integers") from None
-        return c
-    a = np.asarray(c)
-    if a.size and a.dtype.kind not in "iu":
-        raise ValidationError("PL2 columns must be int64 integers")
-    return a.tolist()
 
 
 def _build_pl2(idx, x1, x2, y1, y2, nodes, rows) -> int:
