@@ -101,7 +101,7 @@ class DomCount2:
         w = coord_width if coord_width is not None else (
             bit_width(int(pts.max()) + 1) if n else 1
         )
-        _build_counters([self], pts[:1], pts[1:], [(0, 0)], w)
+        _build_counters([self], pts[:1], pts[1:], w)
 
     def prefix_of(self, a: int, counters: Counters | None = None) -> int:
         """#points with x <= a; the initial x binary search."""
@@ -181,24 +181,25 @@ def _level_maps(N: int, P: int):
     return shift, half, body, walks
 
 
-def _build_counters(counters, xs: np.ndarray, ys: np.ndarray, pairs, width: int) -> None:
-    """Build ``counters[k]`` over the points (xs[i], ys[j]) for the k-th
-    (i, j) of ``pairs``, all in one numpy pass.  Counters on one x row
-    share its sorted keys and counters on one y row its top level; the
-    bridges of all sit in one arena, one counter after another.
+def _build_counters(counters, xs: np.ndarray, ys: np.ndarray, width: int) -> None:
+    """Build ``counters[i * len(ys) + j]`` over the points (xs[i], ys[j])
+    for every row i of ``xs`` and j of ``ys``, all in one numpy pass.
+    Counters on one x row share its sorted keys and counters on one y row
+    its top level; the bridges of all sit in one arena, one counter after
+    another.
 
     A level with blocks of size S holds each block's ys in the stable merge
     order of its two halves, each sorted the same way one level down: the
     block's positions in stable (y, position) order.  That is their order
     in one stable argsort of the whole padded level, so every level is
     that global order stably sorted by block id."""
-    n = xs.shape[1]
+    X, Y, n = len(xs), len(ys), xs.shape[1]
     N = 1 << (n - 1).bit_length() if n > 1 else n
-    P = len(pairs)
+    P = X * Y
     ox = np.argsort(xs, axis=1, kind="stable")
-    i, j = np.array(pairs).T
-    level = np.full((P, N), _I32_PAD, dtype=np.int32)
-    level[:, :n] = ys[j[:, None], ox[i]]
+    level = np.full((X, Y, N), _I32_PAD, dtype=np.int32)
+    level[..., :n] = ys[:, ox].swapaxes(0, 1)
+    level = level.reshape(P, N)
     shift, half, body, walks = _level_maps(N, P)
     order = np.argsort(level, axis=1, kind="stable").astype(shift.dtype)
     block = order[:, None, :] >> shift
@@ -212,14 +213,13 @@ def _build_counters(counters, xs: np.ndarray, ys: np.ndarray, pairs, width: int)
     count -= np.maximum.accumulate(np.where(body, 0, count))
     bridges = _packed("i", count)
     keys = [int64_array(k) for k in np.sort(xs, axis=1)]
-    tops = np.full((len(ys), N), _I32_PAD, dtype=np.int32)
-    tops[:, :n] = np.sort(ys, axis=1)
-    tops = [_packed("i", t) for t in tops]
-    for d, (i, j), walk in zip(counters, pairs, walks):
+    # the first Y levels are x row 0's, one per y row, already padded
+    tops = [_packed("i", t) for t in np.sort(level[:Y], axis=1)]
+    for k, (d, walk) in enumerate(zip(counters, walks)):
         d.n = n
         d.bits_stored = 2 * width * n
-        d.xs = keys[i]
-        d.top = tops[j]
+        d.xs = keys[k // Y]
+        d.top = tops[k % Y]
         d.bridges = bridges
         d.levels = walk
         d.N = N
@@ -333,7 +333,7 @@ class StabEmpty2:
         self.n = a.shape[1]
         cw = coord_width if coord_width is not None else 32
         self.ac, self.ad, self.bc, self.bd = counters = [DomCount2.__new__(DomCount2) for _ in range(4)]
-        _build_counters(counters, a[:2], a[2:], [(0, 0), (0, 1), (1, 0), (1, 1)], cw)
+        _build_counters(counters, a[:2], a[2:], cw)
         # 4 * cw * n charges four sorted rank arrays, which the counters'
         # own first searches replace and nothing stores
         self.bits_stored = 4 * cw * self.n + sum(d.bits_stored for d in counters)
