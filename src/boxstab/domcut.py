@@ -27,8 +27,7 @@ No conflict list of a 3-d cutting of at most 4t points can overflow, so
 such a cutting is its one floor box, built without the sweep.
 
 One staircase of pareto-minimal corners, ``_Stair``, holds the sweep's live
-corners, filters the dominated boxes out of its output and runs the
-FIND-ANY painter's sweep; under its one tie rule a new corner replaces a
+corners and runs the FIND-ANY painter's sweep; under its one tie rule a new corner replaces a
 live corner with the same a and a larger b.
 
 Both cuttings run on plain lists of Python ints and search with bisect: the
@@ -341,7 +340,14 @@ def _cutting3(xs, ys, zs, t: int, cover_floor: tuple[int, int] | None = None) ->
 
 def _sweep3(px, py, pz, gid, t, fx, fy, z_floor) -> tuple[list, list]:
     """Boxes and conflict lists of the 3-d cutting of the points in arrival
-    order (z descending), ``gid`` their ids (see the module docstring)."""
+    order (z descending), ``gid`` their ids (see the module docstring).
+
+    No box is dominated by another, so the output needs no filter.  Live
+    corners are pareto-minimal, so the corners that rebuild an overflowing
+    corner e, each >= e and not e, replace no live corner, and every corner
+    inserted later is >= one then live, so none is <= e.  The boxes of one
+    batch share their z-corner and come from incomparable live corners, and
+    later boxes have lower z-corners."""
     n = len(px)
     lim = 4 * t
     stair = _Stair()
@@ -372,10 +378,7 @@ def _sweep3(px, py, pz, gid, t, fx, fy, z_floor) -> tuple[list, list]:
             # z-corner zv+1: the same pre-batch dominator set over integers,
             # and it covers queries strictly between this batch and the last
             emit_c = zv + 1
-            dropped = set()  # ids of the corners this batch's rebuilds removed
             for e in [e for e in touched.values() if len(e[2]) > lim]:
-                if id(e) in dropped:
-                    continue
                 a, b, conf = e[0], -e[1], e[2]
                 boxes.append((a, b, emit_c))
                 box_conf.append(conf[: len(conf) - sum(px[k] >= a and py[k] >= b for k in batch)])
@@ -383,27 +386,13 @@ def _sweep3(px, py, pz, gid, t, fx, fy, z_floor) -> tuple[list, list]:
                 inq = [k for k in range(j) if px[k] >= a and py[k] >= b]
                 corners, confs = _cutting2([px[k] for k in inq], [py[k] for k in inq], t, a, b)
                 for (la, lb), lc in zip(corners, confs):
-                    got = stair.insert(la, lb, [gid[inq[c]] for c in lc])
-                    if got:
-                        dropped.update(map(id, got[0]))
+                    stair.insert(la, lb, [gid[inq[c]] for c in lc])
         i = j
 
     for a, nb, conf in entries:
         boxes.append((a, -nb, z_floor))
         box_conf.append(conf)
-    # overflow-emitted boxes can still be dominated by later, deeper boxes
-    keep_idx = _pareto_minima(boxes)
-    return [boxes[i] for i in keep_idx], [box_conf[i] for i in keep_idx]
-
-
-def _pareto_minima(boxes: list[tuple[int, int, int]]) -> list[int]:
-    """Indices of boxes not dominated (component-wise <=) by any other box;
-    of equal boxes, the first in (a, b, c) order."""
-    stair = _Stair()  # over (b, c) of the boxes so far, all with a' <= a
-    keep = [i for i in sorted(range(len(boxes)), key=boxes.__getitem__)
-            if stair.insert(boxes[i][1], boxes[i][2]) is not None]
-    keep.sort()
-    return keep
+    return boxes, box_conf
 
 
 def _build_findany_subdivision(boxes, coord_width) -> PL2 | None:

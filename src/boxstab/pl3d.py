@@ -15,9 +15,14 @@ A left piece spans [a1, end of its slab] and a right piece [start of its
 slab, a2] along the split axis, so the query's own slab holds the other
 end and a piece keeps one signed bound: -a1 under sign -1 (left), a2 under
 sign 1 (right), and a located piece holds the query when sign * qa <= bound.
-A node's ``sides`` are the two (sign, per-slab PL2, bound column, id
+A node's ``sides`` are the two (sign, slab-to-root map, bound column, id
 column) entries, left first; piece ids are dense in the order the slabs
-first appear (``geom._groups``, which also groups the short boxes).
+first appear (``geom._groups``, which also groups the short boxes).  The
+map gives the root offset of the slab's tree in ``PL3.pl2``, the one PL2
+arena of the whole build.  The recursion only records the columns of each
+slab's PL2 and StabEmpty2; once it returns, range2d lays out every PL2
+tree into that arena and builds the StabEmpty2s with one counter pass per
+padded length.
 
 Internally boxes travel as (n, 6) integer arrays; ids returned by children
 are decoded through per-node piece tables.  A leaf (at most tau boxes, or a
@@ -34,7 +39,7 @@ import numpy as np
 from .counters import Counters, TraceEvent, bit_width
 from .geom import AXES, SIDES, Box3, Leaf, ModelParams, DEFAULT_PARAMS, ValidationError, _groups, box_arrays
 from .geom import query_coord, require_form
-from .range2d import PL2, StabEmpty2, int64_array
+from .range2d import PL2, StabEmpty2, int64_array, pl2_arena, stab_empty2s
 
 _OTHER = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
@@ -49,8 +54,9 @@ class PL3Node:
 class PL3:
     """Built point-location structure plus its space accounting."""
 
-    def __init__(self, root, n, universes, bits):
+    def __init__(self, root, pl2: PL2, n, universes, bits):
         self.root = root
+        self.pl2 = pl2
         self.n = n
         self.universes = universes
         self._bits = bits
@@ -67,6 +73,32 @@ class PL3:
     @property
     def piece_incidences(self) -> int:
         return self._bits["incidences"]
+
+
+class _Deferred:
+    """The groups of 2-d structures that the recursion needs, recorded as
+    they come and built in batches once it returns: ``blocks`` are column
+    blocks, each group's ``sizes`` consecutive columns of them its rows,
+    ``charges`` the group's width argument, and ``slots`` the (dict, slab)
+    pair that its structure or root offset goes to."""
+
+    __slots__ = ("blocks", "sizes", "charges", "slots")
+
+    def __init__(self):
+        self.blocks, self.sizes, self.charges, self.slots = [], [], [], []
+
+    def add(self, block: np.ndarray, slots: list, sizes: list, charge: int) -> None:
+        self.blocks.append(block)
+        self.slots += slots
+        self.sizes += sizes
+        self.charges += [charge] * len(sizes)
+
+    def columns(self, rows: int) -> np.ndarray:
+        return np.concatenate(self.blocks, axis=1) if self.blocks else np.empty((rows, 0), dtype=np.int64)
+
+    def fill(self, values) -> None:
+        for (into, k), v in zip(self.slots, values):
+            into[k] = v
 
 
 def build_pl3(
@@ -94,8 +126,15 @@ def build_pl3_arrays(
     coords = np.asarray(coords, dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
     bits = {"pl2": 0, "stab2": 0, "piece_map": 0, "leaf": 0, "incidences": 0}
-    root = _build(coords, ids, universes, params, bits)
-    return PL3(root, len(coords), universes, bits)
+    pl2s, stabs = _Deferred(), _Deferred()
+    root = _build(coords, ids, universes, params, bits, pl2s, stabs)
+    pl2, roots = pl2_arena(pl2s.columns(5), pl2s.sizes, pl2s.charges)
+    pl2s.fill(roots)
+    bits["pl2"] = pl2.bits_stored
+    built = stab_empty2s(stabs.columns(4), stabs.sizes, stabs.charges)
+    stabs.fill(built)
+    bits["stab2"] = sum(s.bits_stored for s in built)
+    return PL3(root, pl2, len(coords), universes, bits)
 
 
 def _universe(universes) -> tuple[int, int, int]:
@@ -110,7 +149,7 @@ def _universe(universes) -> tuple[int, int, int]:
     return u
 
 
-def _build(coords, ids, U, params, bits):
+def _build(coords, ids, U, params, bits, pl2s, stabs):
     node = PL3Node()
     n = len(coords)
     node.n = n
@@ -145,19 +184,16 @@ def _build(coords, ids, U, params, bits):
     node.short_children = {}
     sh_idx = np.nonzero(short)[0]
     child_U = tuple(width if a == axis else U[a] for a in range(3))
+    proj = [2 * p, 2 * p + 1, 2 * q, 2 * q + 1]
+    cw = max(widths[p], widths[q])
     for k, rows in _groups(lo_slab[sh_idx]):
         seg = sh_idx[rows]
         sc = coords[seg]
-        node.stab[k] = StabEmpty2(
-            sc[:, 2 * p], sc[:, 2 * p + 1], sc[:, 2 * q], sc[:, 2 * q + 1],
-            coord_width=max(widths[p], widths[q]),
-        )
-        bits["stab2"] += node.stab[k].bits_stored
-        # sc is a fresh array (fancy indexing) that StabEmpty2 does not
-        # keep, so it is rebased in place
+        stabs.add(sc[:, proj].T, [(node.stab, k)], [len(seg)], cw)
+        # sc is a fresh array (fancy indexing), so it is rebased in place
         sc[:, 2 * axis] -= k * width
         sc[:, 2 * axis + 1] -= k * width
-        node.short_children[k] = _build(sc, ids[seg], child_U, params, bits)
+        node.short_children[k] = _build(sc, ids[seg], child_U, params, bits, pl2s, stabs)
 
     # -- long boxes: left/right pieces per slab, middle recursion
     lg_idx = np.nonzero(~short)[0]
@@ -173,21 +209,16 @@ def _build(coords, ids, U, params, bits):
             (1, hi_slab[lg_idx], lg[:, 2 * axis + 1]),
         ):
             # the piece table maps a piece id to its signed bound and its
-            # caller-visible box id
-            pl2s = {}
-            pieces = []
-            for k, rows in _groups(slab_of):
-                sc = lg[rows]
-                pl2s[k] = PL2(
-                    sc[:, 2 * p], sc[:, 2 * p + 1], sc[:, 2 * q], sc[:, 2 * q + 1],
-                    np.arange(len(pieces), len(pieces) + len(rows)),
-                    coord_width=max(widths[p], widths[q]),
-                    label_width=id_w,
-                )
-                bits["pl2"] += pl2s[k].bits_stored
-                pieces += rows.tolist()
+            # caller-visible box id; a slab's pieces label its PL2 tree
+            roots = {}
+            groups = list(_groups(slab_of))
+            pieces = np.concatenate([rows for _, rows in groups])
+            pl2s.add(
+                np.vstack((lg[pieces][:, proj].T, np.arange(len(pieces)))),
+                [(roots, k) for k, _ in groups], [len(rows) for _, rows in groups], 4 * cw + id_w,
+            )
             bits["piece_map"] += len(pieces) * (2 * widths[axis] + id_w + pair_w)
-            node.sides += ((sign, pl2s, int64_array(bound[pieces]), int64_array(ids[lg_idx[pieces]])),)
+            node.sides += ((sign, roots, int64_array(bound[pieces]), int64_array(ids[lg_idx[pieces]])),)
 
         has_mid = lg_idx[(hi_slab[lg_idx] - lo_slab[lg_idx]) >= 2]
         if len(has_mid):
@@ -197,16 +228,16 @@ def _build(coords, ids, U, params, bits):
             mid_U = tuple(s if a == axis else U[a] for a in range(3))
             node.mid_orig = int64_array(ids[has_mid])
             bits["piece_map"] += len(has_mid) * (bit_width(len(has_mid) + 1) + pair_w)
-            node.middle_child = _build(mc, np.arange(len(has_mid)), mid_U, params, bits)
+            node.middle_child = _build(mc, np.arange(len(has_mid)), mid_U, params, bits, pl2s, stabs)
     return node
 
 
 def query_pl3(pl3: PL3, q, counters: Counters | None = None, trace: list | None = None):
     """Locate q (rank-space coordinates); returns the owning box id or None."""
-    return _query(pl3.root, tuple(map(query_coord, q)), counters, trace)
+    return _query(pl3.pl2, pl3.root, tuple(map(query_coord, q)), counters, trace)
 
 
-def _query(node, q, counters, trace):
+def _query(pl2: PL2, node, q, counters, trace):
     if counters is not None:
         counters.visit_node()
     if node.leaf_coords is not None:
@@ -220,26 +251,26 @@ def _query(node, q, counters, trace):
     p, oq = _OTHER[axis]
     proj = (q[p], q[oq])
 
-    for sign, pl2s, bound, orig in node.sides:
-        pl2 = pl2s.get(k)
-        if pl2 is not None:
-            pid = pl2.query(proj[0], proj[1], counters)
+    for sign, roots, bound, orig in node.sides:
+        root = roots.get(k)
+        if root is not None:
+            pid = pl2.query(proj[0], proj[1], counters, root)
             if pid is not None and sign * qa <= bound[pid]:
                 if counters is not None:
                     counters.charge_search(len(orig))  # piece-pair lookup
                 return orig[pid]
 
-    stab = node.stab.get(k)
+    stab: StabEmpty2 | None = node.stab.get(k)
     nonempty = stab is not None and not stab.empty(proj[0], proj[1], counters)
     if trace is not None:
         trace.append(TraceEvent("pl3d", node, "short" if nonempty else "middle", int(k), q))
     if nonempty:
         q2 = tuple(q[a] - k * node.width if a == axis else q[a] for a in range(3))
-        return _query(node.short_children[k], q2, counters, trace)
+        return _query(pl2, node.short_children[k], q2, counters, trace)
     if node.middle_child is None:
         return None
     q2 = tuple(k if a == axis else q[a] for a in range(3))
-    sub = _query(node.middle_child, q2, counters, trace)
+    sub = _query(pl2, node.middle_child, q2, counters, trace)
     if sub is None:
         return None
     if counters is not None:

@@ -8,7 +8,6 @@ from boxstab.counters import Counters
 from boxstab.domcut import (
     Dominance3,
     _build_findany_subdivision,
-    _pareto_minima,
     _Stair,
     build_cutting2,
     build_cutting3,
@@ -16,6 +15,7 @@ from boxstab.domcut import (
     find_any,
     query_dominance3,
 )
+from boxstab import range2d
 from boxstab.geom import NEG, POS, ValidationError
 from boxstab.oracle import brute_dominance, brute_topk_dominance, verify_cutting
 from boxstab.verify import STRUCTURES
@@ -334,17 +334,27 @@ def test_stair_against_brute(seed):
         assert all(p[0] < q[0] and p[1] > q[1] for p, q in zip(minimal, minimal[1:]))
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_pareto_minima_against_brute(seed):
-    # values from a range of three repeat whole boxes, so exact duplicates
-    # occur: the first of them in (a, b, c) order, the lowest index, stays
-    rng = np.random.default_rng(700 + seed)
-    boxes = [tuple(int(v) for v in rng.integers(0, 3, 3)) for _ in range(int(rng.integers(0, 30)))]
-    expect = [
-        i for i, p in enumerate(boxes)
-        if not any(all(u <= v for u, v in zip(q, p)) and (q != p or j < i) for j, q in enumerate(boxes))
-    ]
-    assert _pareto_minima(boxes) == expect
+def _tie_heavy_inputs():
+    """Points from three values per axis, 13 to 200 of them, so that batches
+    of equal z overflow several corners at once; t from 1 to 3."""
+    for case in range(40):
+        rng = np.random.default_rng(7500 + case)
+        t = 1 + case % 3
+        yield rng.integers(0, 3, (int(rng.integers(4 * t + 1, 201)), 3)), t, None
+
+
+def test_cutting3_boxes_undominated():
+    # no box of a 3-d cutting is <= another on all three axes, so _sweep3
+    # keeps no dominance filter (its docstring gives the argument); the
+    # sweep emits overflow boxes above the floor in many of these inputs
+    swept = 0
+    for pts, t, floor in itertools.chain(cutting_inputs(), _tie_heavy_inputs()):
+        boxes = np.array(build_cutting3(pts, t, cover_floor=floor).corners).reshape(-1, 3)
+        le = (boxes[:, None, :] <= boxes[None, :, :]).all(axis=2)
+        np.fill_diagonal(le, False)
+        assert not le.any(), (pts.tolist(), t, floor)
+        swept += len(set(boxes[:, 2].tolist())) > 1
+    assert swept > 100
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -411,3 +421,15 @@ def test_cutting_digest():
     # corners, conflict lists in order, bits_stored and the FIND-ANY
     # subdivision's layout of both cuttings over tie-heavy seeded inputs
     assert _cutting_digest() == "04e17ac260cbad68"
+
+
+def test_subdivision_layout_same_on_both_pl2_paths(monkeypatch):
+    # the recursion and the level-by-level pass lay every FIND-ANY
+    # subdivision out byte for byte alike
+    def layouts(cutoff):
+        monkeypatch.setattr(range2d, "PL2_BATCH_ROWS", cutoff)
+        for pts, t, floor in cutting_inputs():
+            sub = build_cutting3(pts, t, cover_floor=floor).subdivision
+            yield None if sub is None else [bytes(a) for a in (sub.nodes, sub.x1, sub.x2, sub.y1, sub.y2, sub.label)]
+
+    assert list(layouts(0)) == list(layouts(10**9))

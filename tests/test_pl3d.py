@@ -6,7 +6,7 @@ import pytest
 from boxstab.counters import Counters
 from boxstab.geom import Box3, ModelParams, ValidationError, rank_locate, rank_reduce
 from boxstab.instances import check_pairwise_disjoint, gen
-from boxstab.oracle import brute_locate
+from boxstab.oracle import NotDisjointError, brute_locate
 from boxstab.pl3d import build_pl3, build_pl3_arrays, query_pl3
 from pl3split import box_coords, dichotomy
 
@@ -61,6 +61,13 @@ class TestBuild:
         assert query_pl3(pl, (7, 2, 2)) == 0
         assert query_pl3(pl, (0, 0, 0)) == 1
         assert query_pl3(pl, (0, 1, 1)) is None
+
+    def test_overlapping_pieces_rejected(self):
+        # box 1 lies inside box 0: their left pieces in slab 0 overlap in
+        # the (y, z) plane, which the slab's PL2 tree reports
+        boxes = [Box3(0, (1, 14), (0, 3), (0, 3)), Box3(1, (2, 13), (1, 2), (1, 2))]
+        with pytest.raises(NotDisjointError):
+            build_pl3(boxes, (16, 4, 4), params=ModelParams(tau=1))
 
     @pytest.mark.parametrize("U", [(40.5, 1, 1), (40, 1), ("40", 1, 1), (40, 1, 1, 1), (40, 0, 1), 40, None])
     def test_universe_rejected(self, U):

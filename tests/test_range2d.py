@@ -4,9 +4,12 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from boxstab import pl3d, range2d
 from boxstab.counters import Counters
-from boxstab.geom import Box2, ModelParams, ValidationError, rank_reduce
+from boxstab.geom import NEG, POS, Box2, ModelParams, ValidationError, rank_reduce
 from boxstab.instances import gen
 from boxstab.oracle import NotDisjointError, brute_count2, brute_locate2
 from boxstab.pl3d import build_pl3
@@ -14,10 +17,12 @@ from boxstab.range2d import (
     PL2,
     DomCount2,
     StabEmpty2,
+    _level_maps,
     build_pl2,
     build_stab_count,
     dominance_count,
     int64_array,
+    pl2_arena,
     query_pl2,
     query_stab_count,
     query_stab_empty,
@@ -244,6 +249,21 @@ def test_non_integer_coordinates_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: StabEmpty2([5], [3], [0], [1]),
+    lambda: StabEmpty2([0, 0], [1, 1], [2, 4], [3, 3]),
+    lambda: PL2([5], [3], [0], [1], [0]),
+    lambda: PL2([0, 0], [1, 1], [2, 4], [3, 3], [0, 1]),
+    lambda: PL2(*np.array([[0] * 300, [1] * 300, np.arange(300), np.arange(300) - (np.arange(300) == 299)]), np.arange(300)),
+    lambda: range2d.stab_empty2s(np.array([[0, 5], [1, 3], [0, 0], [1, 1]]), [1, 1], [8, 8]),
+])
+def test_inverted_rectangles_rejected(build):
+    # x1 > x2 made StabEmpty2 count -1 and PL2 raise "no midline makes
+    # progress"; y1 > y2 went unnoticed
+    with pytest.raises(ValidationError, match="x1 <= x2 and y1 <= y2"):
+        build()
+
+
 class TestPL2:
     def test_single_rect(self):
         pl = build_pl2([Box2(0, (0, 3), (0, 3))])
@@ -371,3 +391,131 @@ def test_dominance_count_op():
     for _ in range(100):
         a, b = (int(v) for v in rng.integers(0, 30, 2))
         assert dominance_count(d, a, b) == int(np.sum((xs <= a) & (ys <= b)))
+
+
+# ---------------------------------------------------------------------------
+# PL2 arenas: the recursion and the level-by-level pass
+
+
+def _arena(cols, sizes, monkeypatch, cutoff):
+    """pl2_arena over the groups, laid out by the recursion (a cutoff above
+    the row count) or by the level-by-level pass (cutoff 0)."""
+    monkeypatch.setattr(range2d, "PL2_BATCH_ROWS", cutoff)
+    return pl2_arena(np.asarray(cols, dtype=np.int64).reshape(5, -1), sizes, [1] * len(sizes))
+
+
+def _layout(pl):
+    return [bytes(getattr(pl, k)) for k in ("nodes", "x1", "x2", "y1", "y2", "label")]
+
+
+def _assert_paths_agree(cols, sizes, monkeypatch):
+    """Both paths give one arena byte for byte, and each of its trees,
+    re-based, is the PL2 of its group alone."""
+    (pl, roots), (pl_rec, roots_rec) = (_arena(cols, sizes, monkeypatch, c) for c in (0, 10**9))
+    assert roots == roots_rec and _layout(pl) == _layout(pl_rec)
+    monkeypatch.setattr(range2d, "PL2_BATCH_ROWS", 10**9)
+    nodes = np.array(pl.nodes).reshape(-1, 5)
+    starts = np.cumsum(sizes) - sizes
+    for root, end, start, m in zip(roots, roots[1:] + [len(pl.nodes)], starts.tolist(), sizes):
+        alone = PL2(*np.asarray(cols)[:, start : start + m])
+        tree = nodes[root // 5 : end // 5].copy()
+        tree[:, 1:3] -= start
+        tree[:, 3:] -= np.where(tree[:, 3:] >= 0, root // 5, 0)
+        assert tree.ravel().tolist() == list(alone.nodes)
+        for k in ("x1", "x2", "y1", "y2", "label"):
+            assert list(getattr(pl, k)[start : start + m]) == list(getattr(alone, k))
+
+
+def _pl3d_pl2_groups(monkeypatch, n, seed, tau):
+    """The PL2 groups that a pl3d build of n boxes hands to pl2_arena."""
+    calls = []
+    monkeypatch.setattr(pl3d, "pl2_arena", lambda *a: calls.append(a) or pl2_arena(*a))
+    rs, red = rank_reduce(list(gen("pl-disjoint", n, 4 * n, seed=seed).boxes))
+    build_pl3(red, tuple(max(2, rs.size(a)) for a in range(3)), params=ModelParams(tau=tau))
+    (cols, sizes, _), = calls
+    return cols, sizes
+
+
+@pytest.mark.parametrize("n,seed,tau", [(300, 1, 1), (600, 2, 4), (1500, 3, 16)])
+def test_pl3d_pl2_groups_same_on_both_paths(monkeypatch, n, seed, tau):
+    cols, sizes = _pl3d_pl2_groups(monkeypatch, n, seed, tau)
+    assert len(sizes) > 20
+    _assert_paths_agree(cols, sizes, monkeypatch)
+
+
+@st.composite
+def disjoint_groups(draw):
+    """Groups of disjoint rectangles, some of them empty: each group cuts
+    a grid of few, often adjacent, x and y values into rows of cells,
+    joins runs of a row's cells and keeps some of the runs; the outer
+    sides are NEG/POS in some groups, and endpoints tie across rows and
+    columns."""
+    cols, sizes = [[] for _ in range(5)], []
+    for _ in range(draw(st.integers(1, 6))):
+        xs = sorted(set(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=7))))
+        ys = sorted(set(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=7))))
+        if draw(st.booleans()):
+            xs, ys = [NEG] + xs + [POS + 1], [NEG] + ys + [POS + 1]
+        m = 0
+        for j in range(len(ys) - 1):
+            i = 0
+            while i < len(xs) - 1:
+                run = draw(st.integers(1, len(xs) - 1 - i))
+                if draw(st.booleans()):
+                    for c, v in zip(cols, (xs[i], xs[i + run] - 1, ys[j], ys[j + 1] - 1, len(cols[4]))):
+                        c.append(v)
+                    m += 1
+                i += run
+        sizes.append(m)
+    return cols, sizes
+
+
+@given(disjoint_groups())
+def test_disjoint_groups_same_on_both_paths(groups):
+    cols, sizes = groups
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_paths_agree(cols, sizes, mp)
+
+
+@pytest.mark.parametrize("cutoff", [0, 10**9])
+def test_overlapping_group_raises_on_both_paths(monkeypatch, cutoff):
+    # the second group's rectangles share x = 3 and overlap in y at 2
+    cols = [[0, 0, 3], [1, 5, 4], [0, 0, 2], [9, 2, 6], [0, 0, 1]]
+    with pytest.raises(NotDisjointError):
+        _arena(cols, [1, 2], monkeypatch, cutoff)
+
+
+# ---------------------------------------------------------------------------
+# what a pl3d build holds
+
+
+@pytest.mark.parametrize("n,tau", [(40, 1), (700, 4), (3000, 16)])
+def test_pl3d_reaches_one_pl2_arena(n, tau):
+    # every (node, side, slab) tree sits in one arena of six arrays, however
+    # many slabs the build has
+    rs, red = rank_reduce(list(gen("pl-disjoint", n, 4 * n, seed=n).boxes))
+    pl = build_pl3(red, tuple(max(2, rs.size(a)) for a in range(3)), params=ModelParams(tau=tau))
+    sides = [side for node in reachable(pl) if isinstance(node, pl3d.PL3Node) and node.leaf_coords is None
+             for side in node.sides]
+    assert sum(map(len, (roots for _, roots, _, _ in sides))) > 1
+    pl2s = [o for o in reachable(pl) if isinstance(o, PL2)]
+    assert pl2s == [pl.pl2] and len(arrays(pl.pl2)) == 6
+
+
+def test_level_maps_cached_per_padded_length():
+    # batches of StabEmpty2s take their walks from _level_maps(N, 4), so
+    # three builds leave one entry per padded length N, and a DomCount2
+    # adds (N, 1); an entry per batch size would pile up
+    _level_maps.cache_clear()
+    lengths = set()
+    for seed in range(3):
+        rs, red = rank_reduce(list(gen("pl-disjoint", 1500, 6000, seed=seed).boxes))
+        pl = build_pl3(red, tuple(max(2, rs.size(a)) for a in range(3)))
+        lengths |= {s.ac.N for s in reachable(pl) if isinstance(s, StabEmpty2)}
+    DomCount2([1, 2, 3], [3, 2, 1])
+    info = _level_maps.cache_info()
+    assert len(lengths) > 3 and info.currsize == len(lengths) + 1
+    for N in lengths:
+        _level_maps(N, 4)
+    _level_maps(4, 1)
+    assert _level_maps.cache_info().misses == info.misses
