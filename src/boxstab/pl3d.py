@@ -79,8 +79,9 @@ class _Deferred:
     """The groups of 2-d structures that the recursion needs, recorded as
     they come and built in batches once it returns: ``blocks`` are column
     blocks, each group's ``sizes`` consecutive columns of them its rows,
-    ``charges`` the group's width argument, and ``slots`` the (dict, slab)
-    pair that its structure or root offset goes to."""
+    ``charges`` what the group is charged by (a PL2 row's bits, a
+    StabEmpty2's coordinate width), and ``slots`` the (dict, slab) pair
+    that its structure or root offset goes to."""
 
     __slots__ = ("blocks", "sizes", "charges", "slots")
 
@@ -249,27 +250,27 @@ def _query(pl2: PL2, node, q, counters, trace):
         return None
     k = qa // node.width  # equal-width slabs: O(1) slab lookup
     p, oq = _OTHER[axis]
-    proj = (q[p], q[oq])
+    qp, qq = q[p], q[oq]
 
     for sign, roots, bound, orig in node.sides:
         root = roots.get(k)
         if root is not None:
-            pid = pl2.query(proj[0], proj[1], counters, root)
+            pid = pl2.query(qp, qq, counters, root)
             if pid is not None and sign * qa <= bound[pid]:
                 if counters is not None:
                     counters.charge_search(len(orig))  # piece-pair lookup
                 return orig[pid]
 
     stab: StabEmpty2 | None = node.stab.get(k)
-    nonempty = stab is not None and not stab.empty(proj[0], proj[1], counters)
+    nonempty = stab is not None and not stab.empty(qp, qq, counters)
     if trace is not None:
         trace.append(TraceEvent("pl3d", node, "short" if nonempty else "middle", int(k), q))
     if nonempty:
-        q2 = tuple(q[a] - k * node.width if a == axis else q[a] for a in range(3))
+        q2 = q[:axis] + (qa - k * node.width,) + q[axis + 1 :]
         return _query(pl2, node.short_children[k], q2, counters, trace)
     if node.middle_child is None:
         return None
-    q2 = tuple(k if a == axis else q[a] for a in range(3))
+    q2 = q[:axis] + (k,) + q[axis + 1 :]
     sub = _query(pl2, node.middle_child, q2, counters, trace)
     if sub is None:
         return None
