@@ -72,10 +72,6 @@ def split_subdivision_arrays(n: int, U: int, rng, flat: bool = False) -> np.ndar
     return cells[:n]
 
 
-def _split_subdivision(n: int, U: int, rng, flat: bool = False) -> list[tuple]:
-    return [tuple(int(v) for v in row) for row in split_subdivision_arrays(n, U, rng, flat)]
-
-
 def _sorted_pair(rng, U: int) -> tuple[int, int]:
     a = int(rng.integers(U))
     b = int(rng.integers(U))
@@ -104,15 +100,8 @@ def gen(
         return Instance(kind, 0, U, seed, (), weighted, f)
 
     if kind in ("pl-disjoint", "pl-subdivision-pruned"):
-        total = n if kind == "pl-disjoint" else min(max(n + 1, int(n / 0.7)), U - 1 if U > 1 else n)
-        cells = _split_subdivision(total, U, rng, flat=flat)
-        if kind == "pl-subdivision-pruned":
-            keep = rng.choice(total, size=n, replace=False)
-            cells = [cells[i] for i in sorted(keep.tolist())]
-        boxes = [
-            Box3(i, (c[0], c[1]), (c[2], c[3]), (c[4], c[5]))
-            for i, c in enumerate(cells)
-        ]
+        cells = gen_pl_arrays(n, U, seed, kind == "pl-subdivision-pruned", flat).tolist()
+        boxes = [Box3(i, (c[0], c[1]), (c[2], c[3]), (c[4], c[5])) for i, c in enumerate(cells)]
     elif kind == "stab5":
         for i in range(n):
             boxes.append(
@@ -145,13 +134,14 @@ def gen(
     return Instance(kind, n, U, seed, tuple(boxes), weighted, f)
 
 
-def gen_pl_arrays(n: int, U: int, seed: int, pruned: bool = False) -> np.ndarray:
-    """Array-form pl-disjoint / pl-subdivision-pruned generator (big sizes)."""
+def gen_pl_arrays(n: int, U: int, seed: int, pruned: bool = False, flat: bool = False) -> np.ndarray:
+    """The pl-disjoint (pl-subdivision-pruned) cells of ``gen`` as an (n, 6)
+    int64 array [x1 x2 y1 y2 z1 z2]."""
     rng = np.random.default_rng(seed)
     if not pruned:
-        return split_subdivision_arrays(n, U, rng)
+        return split_subdivision_arrays(n, U, rng, flat)
     total = min(max(n + 1, int(n / 0.7)), U - 1 if U > 1 else n)
-    cells = split_subdivision_arrays(total, U, rng)
+    cells = split_subdivision_arrays(total, U, rng, flat)
     keep = np.sort(rng.choice(total, size=n, replace=False))
     return cells[keep]
 

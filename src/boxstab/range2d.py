@@ -115,12 +115,10 @@ class DomCount2:
 
     __slots__ = ("n", "bits_stored", "xs", "top", "bridges", "levels", "N")
 
-    def __init__(self, xs, ys, coord_width: int | None = None):
+    def __init__(self, xs, ys):
         pts = _int_rows((xs, ys), "DomCount2")
         n = pts.shape[1]
-        w = coord_width if coord_width is not None else (
-            bit_width(int(pts.max()) + 1) if n else 1
-        )
+        w = bit_width(int(pts.max()) + 1) if n else 1
         _build_groups([self], pts[:1], pts[1:], [n], [w])
 
     def prefix_of(self, a: int, counters: Counters | None = None) -> int:
@@ -302,16 +300,14 @@ class PL2:
 
     __slots__ = ("n", "bits_stored", "nodes", "x1", "x2", "y1", "y2", "label")
 
-    def __init__(self, x1, x2, y1, y2, labels, coord_width: int | None = None, label_width: int | None = None):
+    def __init__(self, x1, x2, y1, y2, labels, coord_width: int = 32):
         cols = [c if isinstance(c, list) else np.asarray(c).tolist() for c in (x1, x2, y1, y2, labels)]
         try:
             array("q", sum(cols, []))  # which takes integers only
         except (TypeError, OverflowError):
             raise ValidationError("PL2 columns must be int64 integers") from None
         n = len(cols[0])
-        cw = coord_width if coord_width is not None else 32
-        lw = label_width if label_width is not None else bit_width(n + 1)
-        _fill_pl2(self, cols, [n], [4 * cw + lw])
+        _fill_pl2(self, cols, [n], [4 * coord_width + bit_width(n + 1)])
 
     def query(self, qx: int, qy: int, counters: Counters | None = None, root: int = 0) -> int | None:
         nodes, y1 = self.nodes, self.y1
@@ -498,10 +494,10 @@ class StabEmpty2:
 
     __slots__ = ("n", "bits_stored", "ac", "ad", "bc", "bd")
 
-    def __init__(self, x1, x2, y1, y2, coord_width: int | None = None):
+    def __init__(self, x1, x2, y1, y2):
         # finite: the NEG/POS sentinels lie outside the checked range
         a = _int_rows((x1, x2, y1, y2), "StabEmpty2")
-        _fill_stabs([self], a, [a.shape[1]], [coord_width if coord_width is not None else 32])
+        _fill_stabs([self], a, [a.shape[1]], [32])
 
     def count(self, qx: int, qy: int, counters: Counters | None = None) -> int:
         if self.n == 0:

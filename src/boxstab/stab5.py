@@ -54,7 +54,10 @@ cell lists (one table per node, ``GridNode``) and grid items are
 Besides the tau threshold, a node becomes a leaf when
 m <= 1.5625*log2(m)^4: there the grid formula yields g < 3 and the quantile
 bound ceil(2m/g) stops shrinking, so bottoming out is what keeps the
-visited-node and depth budgets of the query recurrence.
+visited-node and depth budgets of the query recurrence.  Under any grid
+side and tau, a node whose break would hand some child its own subproblem
+again is a leaf too, and that one progress rule stops the recursion
+(``build_grid``).
 """
 
 from __future__ import annotations
@@ -320,23 +323,36 @@ def grid_bits(root) -> int:
 _CELL_RANGE = ("cLo", "cHi", "rLo", "rHi")
 
 
-def build_grid(it: dict, kind: GridKind, params: ModelParams, depth: int = 0) -> GridNode:
-    """The grid tree of ``kind`` over the items ``it``."""
+def build_grid(it: dict, kind: GridKind, params: ModelParams) -> GridNode:
+    """The grid tree of ``kind`` over the items ``it``.
+
+    A node is a leaf when its grid has no line, or when its break would
+    hand some child all m items with as many finite x1/x2/y1/y2 sides, its
+    own subproblem again (as when every item goes whole to one child).
+    That rule alone stops the recursion: a child gets at most one piece
+    per item, and a piece never has more finite sides than its item (a
+    split edge becomes NEG/POS, and a row piece's center strip is finite
+    exactly where the item's x side was), so (items, finite sides) falls
+    lexicographically at every step below a grid node.  It does not bound
+    the depth: a quantile line on a tied smallest endpoint can hand one
+    child all but a few items unchanged, level after level.  A leaf keeps
+    its items' coordinates."""
     node = GridNode()
     node.kind = kind
     node.m = m = len(it["orig"])
     node.leaf = None
     parts = None
-    if not (is_grid_leaf(m, params) or depth > 64):
+    if not is_grid_leaf(m, params):
         rit, axes = _rank_reduce(it, kind.axis_keys)
         g = params.grid_override or grid_side(m)
         lines_x = _quantile_lines(rit["x1"], rit["x2"], g)
         lines_y = _quantile_lines(rit["y1"], rit["y2"], g)
         if len(lines_x) or len(lines_y):
             parts = _classify_break(rit, lines_x, lines_y)
-    # a leaf, also after a stagnant break (one forwarding every item whole
-    # to one child), keeps its items' coordinates
-    if parts is None or parts["stagnant"]:
+    if parts is None or any(
+        len(c["orig"]) == m and _finite_sides(c) == _finite_sides(it)
+        for c in (*parts["col"][0].values(), *parts["row"][0].values())
+    ):
         node.leaf = kind.leaf(it)
         return node
 
@@ -354,9 +370,13 @@ def build_grid(it: dict, kind: GridKind, params: ModelParams, depth: int = 0) ->
     node.span, start, items = _cell_table(gi, node.cap, len(lines_x) + 1, len(lines_y) + 1, kind.cell_span)
     node.cell_start, node.cell_items, node.cell_ids = map(int64_array, (start, items, gi["orig"][items]))
     node.grid_items = {k: int64_array(v) for k, v in gi.items() if k not in _CELL_RANGE}
-    node.col_children = {k: build_grid(sub, kind, params, depth + 1) for k, sub in col_items.items()}
-    node.row_children = {k: build_grid(sub, kind, params, depth + 1) for k, sub in row_items.items()}
+    node.col_children = {k: build_grid(sub, kind, params) for k, sub in col_items.items()}
+    node.row_children = {k: build_grid(sub, kind, params) for k, sub in row_items.items()}
     return node
+
+
+def _finite_sides(it: dict) -> int:
+    return sum(int(np.count_nonzero((it[k] > NEG) & (it[k] < POS))) for k in _XY)
 
 
 def _quantile_lines(lo: np.ndarray, hi: np.ndarray, g: int) -> np.ndarray:
@@ -459,13 +479,6 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
     fits_row = (~fits_col) & (rA == rB)
     breaks = ~(fits_col | fits_row)
 
-    # degenerate ties: all items forwarded whole to one child reproduce the
-    # same subproblem forever
-    stagnant = bool(
-        (fits_col.all() and len(np.unique(cA)) == 1)
-        or (fits_row.all() and len(np.unique(rA)) == 1)
-    )
-
     sub = _subset(it, breaks)
     payload = {k: v for k, v in sub.items() if k not in _XY}
     scA, scB, srA, srB = cA[breaks], cB[breaks], rA[breaks], rB[breaks]
@@ -520,7 +533,6 @@ def _classify_break(it: dict, lines_x, lines_y) -> dict:
             "cLo": cLo[g], "cHi": cHi[g], "rLo": rLo[g], "rHi": rHi[g],
             **_subset(payload, g),
         },
-        "stagnant": stagnant,
     }
 
 

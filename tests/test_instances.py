@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from boxstab.geom import ValidationError
@@ -57,6 +59,19 @@ class TestGen:
         arr = gen_pl_arrays(50, 200, seed=11)
         for i, b in enumerate(inst.boxes):
             assert tuple(arr[i]) == (b.x[0], b.x[1], b.y[0], b.y[1], b.z[0], b.z[1])
+
+
+def test_pl_generator_digest():
+    # gen's pl kinds draw their cells through gen_pl_arrays: boxes, order
+    # and ids of both kinds, flat and not, pinned at several seeds and sizes
+    h = hashlib.sha256()
+    for kind in ("pl-disjoint", "pl-subdivision-pruned"):
+        for flat in (False, True):
+            for seed in (1, 7, 21, 40):
+                for n, U in ((1, 2), (37, 80), (300, 1200)):
+                    inst = gen(kind, n, U, seed, flat=flat)
+                    h.update(repr([(b.id, b.x, b.y, b.z) for b in inst.boxes]).encode())
+    assert h.hexdigest()[:16] == "dfe52d8ec597f622"
 
 
 def test_overlap_detector_sees_planted_overlap():
