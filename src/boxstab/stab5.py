@@ -57,7 +57,7 @@ bound ceil(2m/g) stops shrinking, so bottoming out is what keeps the
 visited-node and depth budgets of the query recurrence.  Under any grid
 side and tau, a node whose break would hand some child its own subproblem
 again is a leaf too, and that one progress rule stops the recursion
-(``build_grid``).
+(``build_grid``; ``_quantile_lines`` keeps tied inputs shallow).
 """
 
 from __future__ import annotations
@@ -333,9 +333,8 @@ def build_grid(it: dict, kind: GridKind, params: ModelParams) -> GridNode:
     per item, and a piece never has more finite sides than its item (a
     split edge becomes NEG/POS, and a row piece's center strip is finite
     exactly where the item's x side was), so (items, finite sides) falls
-    lexicographically at every step below a grid node.  It does not bound
-    the depth: a quantile line on a tied smallest endpoint can hand one
-    child all but a few items unchanged, level after level.  A leaf keeps
+    lexicographically at every step below a grid node.  The lines keep the
+    steps large on tied endpoints too (``_quantile_lines``).  A leaf keeps
     its items' coordinates."""
     node = GridNode()
     node.kind = kind
@@ -382,12 +381,14 @@ def _finite_sides(it: dict) -> int:
 def _quantile_lines(lo: np.ndarray, hi: np.ndarray, g: int) -> np.ndarray:
     """Distinct slab boundaries splitting the finite endpoints (lower bounds
     above NEG, upper bounds below POS) into <= g chunks of <= ceil(len/g)
-    values each."""
+    values each, bar ties.  A lone line on a tied smallest endpoint cuts
+    only unbounded sides, handing one child its items again: it is dropped."""
     e = np.sort(np.concatenate([lo[lo > NEG], hi[hi < POS]]))
     if not len(e):
         return np.empty(0, dtype=np.int64)
     chunk = -(-len(e) // g)
-    return np.unique(e[chunk::chunk])
+    lines = np.unique(e[chunk::chunk])
+    return lines[:0] if len(lines) == 1 and lines[0] == e[0] else lines
 
 
 def _cell_table(gi: dict, cap: int, cols: int, rows: int, span_keys):

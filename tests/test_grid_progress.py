@@ -8,6 +8,7 @@ are those that repeat a subproblem when the break alone decides; the
 each must answer like its brute oracle.
 """
 
+import math
 from contextlib import contextmanager
 
 import pytest
@@ -91,11 +92,39 @@ def test_identical_boxes(structure, g):
     assert steps and max(parent[0] for parent, _ in steps) == 600
 
 
+def _staircase(m: int):
+    return [((i, m), (0, m - i)) for i in range(m + 1)]
+
+
+def _tie_below(m: int):
+    # most boxes share x = [0, m] and y1 = 0; a fifth sit on the diagonal
+    return [((0, m), (0, i)) for i in range(m - m // 5)] + [((k, k), (k, m - k)) for k in range(m // 5)]
+
+
+@pytest.mark.parametrize("g", range(2, 7))
 @pytest.mark.parametrize("structure", STRUCTURES)
-def test_staircase(structure):
+def test_staircase(structure, g):
     m = 160
-    inst = _instance(structure, [((i, m), (0, m - i)) for i in range(m + 1)])
-    _check(structure, inst, ModelParams(tau=1, grid_override=3))
+    _check(structure, _instance(structure, _staircase(m)), ModelParams(tau=1, grid_override=g))
+
+
+def _depth(root) -> int:
+    deepest, todo = 0, [(root, 0)]
+    while todo:
+        node, d = todo.pop()
+        deepest = max(deepest, d)
+        if node.leaf is None:
+            todo.extend((c, d + 1) for c in (*node.col_children.values(), *node.row_children.values()))
+    return deepest
+
+
+@pytest.mark.parametrize(("family", "m"), [(_staircase, 6000), (_tie_below, 2000)])
+def test_tied_depth(family, m):
+    # tied endpoints would put a lone grid line on a node's smallest one;
+    # kept, it hands one child all but a few boxes unchanged per level,
+    # past Python's recursion limit at these sizes
+    tree = stab5.build_stab5(list(_instance("stab5", family(m)).boxes), ModelParams(tau=1, grid_override=6))
+    assert _depth(tree.root) <= math.log2(m)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
