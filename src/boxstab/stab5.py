@@ -28,16 +28,17 @@ destination, and another gathers the rest by (destination, sign pair) into
 the slab pieces.
 
 Stored grid rectangles feed per-cell Top(c) lists (the entries with the
-largest z upper bound) and one slow structure; a query scans Top(c) until an
-entry misses and falls back to the slow structure when it exhausts a
-full-length list.  Every slow structure (here, in stab6.py and in topk.py)
-is one centered interval tree, ``centered_tree``: nested over x then y in
-SlowStab5 and topk (``xy_tree``, Lemma 3.1), over z with two halves per
-node in stab6 (``halves_tree``, Lemma F.3).  Queries recurse into the
-column child and the row child of the query point.  A GridKind supplies
-what differs between the trees: the coordinates each node ranks, the leaf,
-the per-slab structure, the order and cap of the cell lists, the slow
-structure, and what a visited node adds to the answer.
+largest z upper bound); a query scans Top(c) until an entry misses and falls
+back to the node's slow structure over its grid rectangles when it exhausts
+a full-length list, so a node builds that structure only when some list is
+full.  Every slow structure (here, in stab6.py and in topk.py) is one
+centered interval tree, ``centered_tree``: nested over x then y in SlowStab5
+and topk (``xy_tree``, Lemma 3.1), over z with two halves per node in stab6
+(``halves_tree``, Lemma F.3).  Queries recurse into the column child and
+the row child of the query point.  A GridKind supplies what differs between
+the trees: the coordinates each node ranks, the leaf, the per-slab
+structure, the order and cap of the cell lists, the slow structure, and
+what a visited node adds to the answer.
 
 Every grid node uses a doubled rank space: the i-th distinct coordinate
 becomes 2i and a query strictly between two coordinates becomes the odd
@@ -276,7 +277,10 @@ class GridKind:
     has one, matched by the first raw query coordinate.
     ``cell_query(node, cell, lo, hi, lq, counters, trace, out)`` adds the
     matches of the cell keyed ``cell``, entries ``lo:hi`` of the node's cell
-    table, and falls back to ``node.slow``, built by ``slow(gi, axes)``.
+    table, and falls back to ``node.slow`` only when the list is full
+    (``hi - lo == node.cap``).  ``slow(gi, axes)`` builds that structure
+    over the grid items in the order the break left them, and only at a
+    node with a full list; ``node.slow`` is None elsewhere.
     ``bits(node)`` is the payload a node is charged.
 
     By default the cells hold Top(c) lists: z2 descending, then id, cut at
@@ -363,12 +367,13 @@ def build_grid(it: dict, kind: GridKind, params: ModelParams) -> GridNode:
     node.row_slabs = _build_slabs(kind, row_stored, len(lines_y) + 1)
     gi = parts["grid"]
     node.cap = kind.cell_cap(m)
-    # the slow structure reports ties in the order the break left the items
-    node.slow = kind.slow(gi, node.axes) if len(gi["orig"]) else None
-    gi = _subset(gi, kind.cell_order(gi))
-    node.span, start, items = _cell_table(gi, node.cap, len(lines_x) + 1, len(lines_y) + 1, kind.cell_span)
-    node.cell_start, node.cell_items, node.cell_ids = map(int64_array, (start, items, gi["orig"][items]))
-    node.grid_items = {k: int64_array(v) for k, v in gi.items() if k not in _CELL_RANGE}
+    cells = _subset(gi, kind.cell_order(gi))
+    node.span, start, items = _cell_table(cells, node.cap, len(lines_x) + 1, len(lines_y) + 1, kind.cell_span)
+    # a query reads the slow structure only behind a full cell list; it
+    # reports ties in the order the break left the items
+    node.slow = kind.slow(gi, node.axes) if (np.diff(start) == node.cap).any() else None
+    node.cell_start, node.cell_items, node.cell_ids = map(int64_array, (start, items, cells["orig"][items]))
+    node.grid_items = {k: int64_array(v) for k, v in cells.items() if k not in _CELL_RANGE}
     node.col_children = {k: build_grid(sub, kind, params) for k, sub in col_items.items()}
     node.row_children = {k: build_grid(sub, kind, params) for k, sub in row_items.items()}
     return node
@@ -633,7 +638,9 @@ class Stab5Grid(GridKind):
         w = bit_width(2 * node.m + 2)
         dom = sum(d.n for d in _slab_structs(node))
         # words: 4 per dominance point; per grid item 7 (coords plus decode
-        # pointer) and a slow-structure pointer; 1 per Top-list entry
+        # pointer) and a slow-structure pointer, charged whether or not the
+        # node built a slow structure, whose own words are not charged; 1
+        # per Top-list entry
         return (4 * dom + 8 * len(node.grid_items["orig"]) + len(node.cell_items)) * w
 
 

@@ -26,10 +26,10 @@ a FIND-ANY miss passes to the next tier.
 Top-k stabbing runs the one grid tree of stab5.py, shared with stab5 and
 zr6, on the lifted rectangles; every visited node contributes
 weight-descending (weight, id) streams (its Top(c) list with a transparent
-switch to the slow structure, the per-slab top-k dominance structures, or a
-leaf's ``geom.Leaf``, its rows in weight order and its z side [NEG, POS]),
-where a piece's weight is its rectangle's global z rank, merged
-by a binary heap.
+switch to the slow structure, which a node builds only when some list is
+full, the per-slab top-k dominance structures, or a leaf's ``geom.Leaf``,
+its rows in weight order and its z side [NEG, POS]), where a piece's weight
+is its rectangle's global z rank, merged by a binary heap.
 """
 
 from __future__ import annotations

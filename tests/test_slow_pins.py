@@ -39,7 +39,7 @@ from boxstab.stab6 import (
 )
 from boxstab.topk import build_topk_dom, build_topk_stab, query_topk_dom, query_topk_stab
 from boxstab.verify import STRUCTURES, _weighted_points_of
-from gridclamp import clamp_cells
+from gridclamp import clamped
 
 GRIDDED = ModelParams(grid_override=4, tau=8)
 F = 4
@@ -70,16 +70,15 @@ def _zr4_fast(n, U, rng):
 
 
 def _zr6_cover(n, U, rng):
-    t = build_zr6(list(gen("zr6", n, U, seed=n + 3, fanout=F).boxes), f=F, params=GRIDDED)
-    clamp_cells(t.root, 1)
+    with clamped(1):
+        t = build_zr6(list(gen("zr6", n, U, seed=n + 3, fanout=F).boxes), f=F, params=GRIDDED)
     qs = [(qx, qy, int(rng.integers(0, F))) for qx, qy in _points(rng, U, 2)]
     return t, [(t, q) for q in qs], query_zr6
 
 
 def _topk_slow(n, U, rng):
-    t = build_topk_stab(gen("topk-stab", n, U, seed=n + 4).boxes2(), params=GRIDDED)
-    if t.root is not None:
-        clamp_cells(t.root, 2)
+    with clamped(2):
+        t = build_topk_stab(gen("topk-stab", n, U, seed=n + 4).boxes2(), params=GRIDDED)
     ks = (1, 3, 10, max(1, n))
     cases = [(t, q, ks[i % 4]) for i, q in enumerate(_points(rng, U, 2))]
     return t, cases, query_topk_stab

@@ -24,7 +24,7 @@ from boxstab.stab5 import (
 )
 from boxstab.stab6 import _ZR6Grid
 from boxstab.verify import STRUCTURES
-from gridclamp import clamp_cells
+from gridclamp import clamped
 from reach import reachable
 
 DEEP = ModelParams(tau=8, grid_override=2)
@@ -199,8 +199,8 @@ class TestStab5Tree:
     def test_fallback_soundness(self):
         # whenever the Top(c) fallback fires, at least cap grid
         # rectangles of that node are stabbed; at this scale the natural cap
-        # log2^3 m exceeds m, so the cap is clamped post-build to force the
-        # fallback path through the slow structure
+        # log2^3 m exceeds m, so the tree is built with the cap clamped to
+        # force the fallback path through the slow structure
         rng = np.random.default_rng(29)
         rects = []
         # many rectangles covering the center so Top lists fill up
@@ -213,8 +213,8 @@ class TestStab5Tree:
                     (None, int(rng.integers(0, 100))),
                 )
             )
-        t = build_stab5(rects, params=GRIDDED)
-        clamp_cells(t.root, 3)
+        with clamped(3):
+            t = build_stab5(rects, params=GRIDDED)
         fired = 0
         for q in queries(100, 31, 300):
             trace = []

@@ -14,7 +14,7 @@ from boxstab.stab6 import (
     query_zr4_slow,
     query_zr6,
 )
-from gridclamp import clamp_cells
+from gridclamp import clamped
 
 
 def zr_queries(U, f, seed, k=250):
@@ -166,8 +166,8 @@ class TestZR6:
         # and its queries go to the _ZR6Slow fallback
         inst = gen("zr6", 700, 2800, seed=37, fanout=4)
         rects = list(inst.boxes)
-        t = build_zr6(rects, f=4, params=GRIDDED)
-        clamp_cells(t.root, 1)
+        with clamped(1):
+            t = build_zr6(rects, f=4, params=GRIDDED)
         fired = 0
         for q in zr_queries(2800, 4, 41, 300):
             trace = []

@@ -15,7 +15,7 @@ from boxstab.topk import (
     query_topk_stab,
     weight_rank_lift,
 )
-from gridclamp import clamp_cells
+from gridclamp import clamped
 from reach import reachable
 
 
@@ -224,8 +224,11 @@ class TestCoordinateDomain:
                 assert query_topk_dom(s, q, 2) == brute_topk_dominance(pts, q, 2), (pts, q)
 
     def test_grid_pieces_keep_no_raw_columns(self):
-        # grid pieces clamp only sentinels: a flag, not unclamped columns
-        t = build_topk_stab(gen("topk-stab", 300, 600, seed=3).boxes2(), params=ModelParams(grid_override=4))
+        # grid pieces clamp only sentinels: a flag, not unclamped columns.
+        # Cell lists clamped to one entry put a slow structure at every
+        # node with grid items, and its pieces hold the raw flags
+        with clamped(1):
+            t = build_topk_stab(gen("topk-stab", 300, 600, seed=3).boxes2(), params=ModelParams(grid_override=4))
         doms = [o for o in reachable(t) if isinstance(o, TopKDominance)]
         assert doms and any(d.raw is True for d in doms)
         assert all(d.raw is None or d.raw is True for d in doms)
@@ -378,8 +381,8 @@ class TestTopKStab:
         # the slow structure; prefixes must stay identical to brute order
         inst = gen("topk-stab", 500, 2000, seed=31)
         rects = inst.boxes2()
-        t = build_topk_stab(rects, params=GRIDDED)
-        clamp_cells(t.root, 2)
+        with clamped(2):
+            t = build_topk_stab(rects, params=GRIDDED)
         rng = np.random.default_rng(37)
         for _ in range(150):
             q = (int(rng.integers(0, 2000)), int(rng.integers(0, 2000)))

@@ -2,7 +2,7 @@
 
 The layer of an event is the module whose query emitted it, its decision is
 one of that layer's documented decisions, and its node and key have the
-documented types.  The grid trees are clamped (``clamp_cells``) and ZR4Fast
+documented types.  The grid trees are clamped (``clamped``) and ZR4Fast
 is built with t0 = 1 so that every fallback decision occurs at test size.
 """
 
@@ -14,7 +14,7 @@ from boxstab.instances import gen
 from boxstab.pl3d import PL3Node, build_pl3, query_pl3
 from boxstab.stab5 import GridNode, build_stab5, query_stab5
 from boxstab.stab6 import ITNode, ZR4Fast, build_stab6, build_zr4_fast, build_zr6, query_stab6, query_zr4_fast, query_zr6
-from gridclamp import clamp_cells
+from gridclamp import clamped
 
 # decision -> (layer, node type, key type)
 DECISIONS = {
@@ -47,13 +47,13 @@ def _traced():
             yield query_pl3, trace
 
     runs = []
-    t = build_stab5(list(gen("stab5", 300, 1200, seed=2).boxes), GRIDDED)
-    clamp_cells(t.root, 1)
+    with clamped(1):
+        t = build_stab5(list(gen("stab5", 300, 1200, seed=2).boxes), GRIDDED)
     runs.append((query_stab5, t, _queries(1200, 3)))
     zr4 = build_zr4_fast(list(gen("zr4", 200, 800, seed=4, fanout=4).boxes), f=4, t0=1)
     runs.append((query_zr4_fast, zr4, _queries(800, 5, f=4)))
-    zr6 = build_zr6(list(gen("zr6", 300, 1200, seed=6, fanout=4).boxes), f=4, params=GRIDDED)
-    clamp_cells(zr6.root, 1)
+    with clamped(1):
+        zr6 = build_zr6(list(gen("zr6", 300, 1200, seed=6, fanout=4).boxes), f=4, params=GRIDDED)
     runs.append((query_zr6, zr6, _queries(1200, 7, f=4)))
     stab6 = build_stab6(list(gen("stab6", 300, 1200, seed=8).boxes))
     runs.append((query_stab6, stab6, _queries(1200, 9)))
